@@ -15,15 +15,27 @@ shapes the engines use:
 
 Plus the CEGIS-shaped pair (``candidate_interp`` / ``candidate_compiled``)
 that alternates hole assignments between runs — the loop Table 1 spends
-its time in. A session finalizer writes every mean to
-``BENCH_substrate.json`` at the repo root so the perf trajectory is
-tracked PR-over-PR, and the final test enforces the compiled backend's
-contract: ≥3x the reused tree-walker on the same workload.
+its time in. The SAT solver is measured three ways: random 3-SAT
+(``sat_3sat``), a counting network under tightening bounds
+(``counting_network``), and the synthesis shape (``sat_cegis``): a
+registry problem's hole encoding with the blocked cubes CEGISMIN adds
+while proving a submission unfixable, solved under ascending cost
+bounds. Only the last has the long watch lists of blocking clauses that
+dominate the solver's time on Table 1.
+
+A session finalizer writes every mean to ``BENCH_substrate.json`` at the
+repo root, stamped with the git revision, CPU count and Python version,
+so the perf trajectory is tracked PR-over-PR, and the final test
+enforces the compiled backend's contract: ≥3x the reused tree-walker on
+the same workload.
 """
 
 import json
+import os
 import pathlib
+import platform
 import random
+import subprocess
 import time
 
 import pytest
@@ -31,20 +43,41 @@ import pytest
 from repro.compile import compile_program
 from repro.core.rewriter import rewrite_submission
 from repro.eml import apply_error_model, parse_error_model
+from repro.engines import BoundedVerifier, CegisMinEngine
+from repro.engines.encoding import HoleEncoding
 from repro.mpy import parse_program, run_function
 from repro.mpy.interp import Interpreter
 from repro.problems import get_problem
-from repro.sat import SAT, CountingNetwork, Solver
+from repro.sat import SAT, UNSAT, CountingNetwork, Solver
+from repro.studentgen.corpus import generate_corpus
 from repro.symbolic.recorder import RecordingInterpreter
 
 DERIV = get_problem("compDeriv-6.00x")
 WORKLOAD_ARGS = ([3, -2, 1],)
 EXPECTED = [-2, 2]
 
+#: The CEGIS-shaped SAT case: a seed-0 studentgen submission the engine
+#: proves unfixable after blocking a few thousand cubes.
+CEGIS_PROBLEM = "evalPoly-6.00x"
+CEGIS_SUBMISSION = 4
+
 _SUBSTRATE_RESULTS: dict = {}
-_BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / (
-    "BENCH_substrate.json"
-)
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+_BENCH_JSON = _REPO / "BENCH_substrate.json"
+
+
+def _git_rev() -> str:
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=_REPO,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
 
 
 def _record(name: str, benchmark) -> None:
@@ -66,6 +99,9 @@ def _write_substrate_json():
             "Fig. 2 candidate space under alternating hole assignments"
         ),
         "unix_time": time.time(),
+        "git_rev": _git_rev(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "timings": _SUBSTRATE_RESULTS,
     }
     speedups = {}
@@ -223,6 +259,7 @@ def test_sat_solver_3sat(benchmark):
 
     result = benchmark(solve)
     assert result in ("sat", "unsat")
+    _record("sat_3sat", benchmark)
 
 
 def test_counting_network_bounds(benchmark):
@@ -240,3 +277,55 @@ def test_counting_network_bounds(benchmark):
 
     outcomes = benchmark(run)
     assert outcomes[0] == SAT
+    _record("counting_network", benchmark)
+
+
+def _cegis_blocked_cubes():
+    """The registry, and every cube CEGISMIN blocks on the CEGIS case."""
+    problem = get_problem(CEGIS_PROBLEM)
+    corpus = generate_corpus(problem, incorrect_count=5, seed=0)
+    module = parse_program(corpus.incorrect[CEGIS_SUBMISSION].source)
+    tilde, registry = rewrite_submission(module, problem.spec, problem.model)
+    cubes = []
+    block_cube = HoleEncoding.block_cube
+
+    def recording(encoding, cube):
+        cubes.append(dict(cube))
+        block_cube(encoding, cube)
+
+    HoleEncoding.block_cube = recording
+    try:
+        result = CegisMinEngine(explorer=True).solve(
+            tilde,
+            registry,
+            problem.spec,
+            BoundedVerifier(problem.spec),
+            timeout_s=120,
+            backend="compiled",
+        )
+    finally:
+        HoleEncoding.block_cube = block_cube
+    assert result.status == "no_fix"
+    return registry, cubes
+
+
+def test_sat_cegis_blocked_cubes(benchmark):
+    """Hole encoding + a fixed list of blocked cubes, ascending bounds."""
+    registry, cubes = _cegis_blocked_cubes()
+
+    def run():
+        solver = Solver()
+        encoding = HoleEncoding(solver, registry)
+        encoding.block_cubes(cubes)
+        cap = min(CegisMinEngine().max_cost, len(encoding.cost_inputs))
+        outcomes = []
+        for level in range(cap + 1):
+            encoding.reset_phases()
+            outcomes.append(
+                solver.solve(assumptions=encoding.bound_assumptions(level))
+            )
+        return outcomes
+
+    outcomes = benchmark(run)
+    assert outcomes and all(outcome == UNSAT for outcome in outcomes)
+    _record("sat_cegis", benchmark)

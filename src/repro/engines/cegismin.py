@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engines.base import (
     FIXED,
@@ -128,8 +128,9 @@ class CegisMinEngine(Engine):
 
         solver = Solver()
         encoding = HoleEncoding(solver, registry)
-        blocked: List[Dict[int, int]] = []  # for non-incremental rebuilds
-        blocked_keys: Set[frozenset] = set()
+        #: Every cube blocked so far, keyed by its frozen items, in
+        #: blocking order (non-incremental rebuilds replay them).
+        blocked: Dict[frozenset, None] = {}
         #: SAT statistics of solvers discarded by non-incremental rebuilds;
         #: reported totals are base + the live solver (whole-run numbers).
         sat_base = {key: 0 for key in solver.stats}
@@ -188,10 +189,9 @@ class CegisMinEngine(Engine):
 
         def block(cube: Dict[int, int]) -> None:
             key = frozenset(cube.items())
-            if key in blocked_keys:
+            if key in blocked:
                 return
-            blocked_keys.add(key)
-            blocked.append(cube)
+            blocked[key] = None
             encoding.block_cube(cube)
 
         def block_failures(assignment: Dict[int, int], args: tuple) -> None:
@@ -327,7 +327,7 @@ class CegisMinEngine(Engine):
     def _rebuild(
         self,
         registry: HoleRegistry,
-        blocked: List[Dict[int, int]],
+        blocked: Dict[frozenset, None],
         old_solver: Solver,
         sat_base: Dict[str, int],
     ) -> Tuple[Solver, HoleEncoding]:
@@ -341,5 +341,7 @@ class CegisMinEngine(Engine):
             sat_base[key] += old_solver.stats[key]
         solver = Solver()
         encoding = HoleEncoding(solver, registry)
-        encoding.block_cubes(blocked)
+        # ``block_cube`` sorts by cid, so the re-added clauses are the
+        # ones the discarded solver got.
+        encoding.block_cubes(dict(key) for key in blocked)
         return solver, encoding

@@ -214,7 +214,8 @@ class TestRandomCNF:
         solver = Solver()
         for clause in clauses:
             solver.add_clause(clause)
-        solver._ensure_vars(range(1, num_vars + 1))
+        while solver.num_vars < num_vars:
+            solver.new_var()
         result = solver.solve(assumptions=assumptions)
         assert result == brute_force(num_vars, clauses, assumptions)
 
@@ -252,11 +253,25 @@ class TestOrderHeap:
     the smallest variable index.
     """
 
+    @staticmethod
+    def _pick_branch_var_linear(solver):
+        """Reference O(num_vars) scan over the unassigned variables."""
+        best = None
+        best_activity = -1.0
+        for var in range(1, solver.num_vars + 1):
+            if (
+                solver.values[var << 1] is None
+                and solver.activity[var] > best_activity
+            ):
+                best = var
+                best_activity = solver.activity[var]
+        return best
+
     def _paired_solvers(self):
         heap_solver = Solver()
         linear_solver = Solver()
-        linear_solver._pick_branch_var = (
-            linear_solver._pick_branch_var_linear
+        linear_solver._pick_branch_var = lambda: (
+            self._pick_branch_var_linear(linear_solver)
         )
         return heap_solver, linear_solver
 
