@@ -14,7 +14,8 @@ The workload is real: each Fig. 2 submission is solved once with the
 explorer on and every ``(failing candidate, counterexample input)`` pair
 the engine actually blocked is recorded; both strategies then replay
 exactly those blocking steps. A session finalizer writes
-``BENCH_explore.json`` at the repo root, and the final test enforces the
+``BENCH_explore.json`` at the repo root, stamped with the git revision,
+CPU count and Python version, and the final test enforces the
 contract: the table strategy is ≥2x the sweep on the aggregate Fig. 2
 blocking workload. End-to-end engine times under ``--explorer on|off``
 are recorded alongside for the trajectory.
@@ -27,6 +28,7 @@ import time
 
 import pytest
 
+from benchmarks.conftest import capture_blocked_regions, run_stamp
 from repro.core.rewriter import rewrite_submission
 from repro.engines import BoundedVerifier, CandidateSpace, CegisMinEngine
 from repro.engines.verify import outcomes_match
@@ -94,6 +96,7 @@ def _write_explore_json():
             "candidate sweep"
         ),
         "unix_time": time.time(),
+        **run_stamp(),
         "workloads": workloads,
         "blocking_loop_speedup": sweep_s / table_s if table_s else None,
     }
@@ -107,26 +110,6 @@ def problem():
     verifier = BoundedVerifier(p.spec)
     verifier.inputs  # materialize once for every workload
     return p, verifier
-
-
-def _capture_blocking_pairs(problem, verifier, tilde, registry):
-    """Solve with the explorer on, recording every region it blocks."""
-    pairs = []
-    original = CandidateSpace.explore_free_region
-
-    def spy(self, args, assignment, deadline=None):
-        pairs.append((dict(assignment), args))
-        return original(self, args, assignment, deadline=deadline)
-
-    CandidateSpace.explore_free_region = spy
-    try:
-        result = CegisMinEngine(explorer=True).solve(
-            tilde, registry, problem.spec, verifier, timeout_s=120
-        )
-    finally:
-        CandidateSpace.explore_free_region = original
-    assert result.status == "fixed"
-    return pairs, result
 
 
 def _space(problem, verifier, tilde, registry):
@@ -146,9 +129,10 @@ def test_blocking_loop(problem, name):
     tilde, registry = rewrite_submission(
         parse_program(FIG2[name]), problem.spec, problem.model
     )
-    pairs, solve_result = _capture_blocking_pairs(
+    pairs, solve_result = capture_blocked_regions(
         problem, verifier, tilde, registry
     )
+    assert solve_result.status == "fixed"
     space = _space(problem, verifier, tilde, registry)
 
     table_s = sweep_s = 0.0

@@ -14,8 +14,16 @@ shapes the engines use:
 - ``compiled``         — the closure-compiled backend, lowered once.
 
 Plus the CEGIS-shaped pair (``candidate_interp`` / ``candidate_compiled``)
-that alternates hole assignments between runs — the loop Table 1 spends
-its time in. The SAT solver is measured three ways: random 3-SAT
+that alternates hole assignments between runs, and the path forker's
+replay loop (``forker_leaves``): CEGISMIN refutes each failing
+candidate's free-hole region by running the tilde program once per
+leaf, which is where Table 1 spends most of its execution time. That
+case replays ``CandidateSpace.explore_free_region`` over a prefix of the
+(failing candidate, counterexample) pairs CEGISMIN blocks on two seed-0
+submissions it proves unfixable: ``oddTuples-6.00`` #2, where 79 of the
+104 leaves run out of fuel, and ``recurPower-6.00x`` #4, where 112 of
+the 378 leaves exceed the recursion depth; both kinds of leaf run their
+whole budget. The SAT solver is measured three ways: random 3-SAT
 (``sat_3sat``), a counting network under tightening bounds
 (``counting_network``), and the synthesis shape (``sat_cegis``): a
 registry problem's hole encoding with the blocked cubes CEGISMIN adds
@@ -31,19 +39,17 @@ the same workload.
 """
 
 import json
-import os
 import pathlib
-import platform
 import random
-import subprocess
 import time
 
 import pytest
 
+from benchmarks.conftest import capture_blocked_regions, run_stamp
 from repro.compile import compile_program
 from repro.core.rewriter import rewrite_submission
 from repro.eml import apply_error_model, parse_error_model
-from repro.engines import BoundedVerifier, CegisMinEngine
+from repro.engines import BoundedVerifier, CandidateSpace, CegisMinEngine
 from repro.engines.encoding import HoleEncoding
 from repro.mpy import parse_program, run_function
 from repro.mpy.interp import Interpreter
@@ -61,23 +67,18 @@ EXPECTED = [-2, 2]
 CEGIS_PROBLEM = "evalPoly-6.00x"
 CEGIS_SUBMISSION = 4
 
+#: The forker case: (problem, seed-0 incorrect submission, how many of
+#: the regions CEGISMIN blocks on it to replay). The prefixes keep one
+#: round near 0.1 s; together they hold ``FORKER_LEAVES`` leaves.
+FORKER_CASES = (
+    ("oddTuples-6.00", 2, 4),
+    ("recurPower-6.00x", 4, 8),
+)
+FORKER_LEAVES = 482
+
 _SUBSTRATE_RESULTS: dict = {}
 _REPO = pathlib.Path(__file__).resolve().parent.parent
 _BENCH_JSON = _REPO / "BENCH_substrate.json"
-
-
-def _git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=_REPO,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() or "unknown"
 
 
 def _record(name: str, benchmark) -> None:
@@ -96,12 +97,12 @@ def _write_substrate_json():
     payload = {
         "workload": (
             f"{DERIV.name} reference, args={WORKLOAD_ARGS!r}, plus the "
-            "Fig. 2 candidate space under alternating hole assignments"
+            "Fig. 2 candidate space under alternating hole assignments; "
+            "forker_leaves replays the first regions CEGISMIN blocks on "
+            "oddTuples-6.00 #2 and recurPower-6.00x #4 (seed 0)"
         ),
         "unix_time": time.time(),
-        "git_rev": _git_rev(),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
+        **run_stamp(),
         "timings": _SUBSTRATE_RESULTS,
     }
     speedups = {}
@@ -207,6 +208,45 @@ def test_candidate_switch_compiled(benchmark):
 
     benchmark(run)
     _record("candidate_compiled", benchmark)
+
+
+def _blocked_regions(problem, index, count):
+    """A fresh space, and the first ``count`` (candidate, input) pairs
+    whose free-hole regions CEGISMIN explores while solving submission
+    ``index`` of ``problem``'s seed-0 incorrect corpus."""
+    corpus = generate_corpus(problem, incorrect_count=5, seed=0)
+    module = parse_program(corpus.incorrect[index].source)
+    tilde, registry = rewrite_submission(module, problem.spec, problem.model)
+    verifier = BoundedVerifier(problem.spec)
+    pairs, result = capture_blocked_regions(problem, verifier, tilde, registry)
+    assert result.status == "no_fix"
+    space = CandidateSpace(
+        tilde,
+        problem.spec.student_function,
+        verifier.candidate_fuel,
+        registry=registry,
+        backend="compiled",
+        compare_stdout=problem.spec.compare_stdout,
+    )
+    return space, pairs[:count]
+
+
+def test_forker_leaves(benchmark):
+    """Path-forker replay of blocked regions (the Table 1 execution loop)."""
+    regions = [
+        _blocked_regions(get_problem(name), index, count)
+        for name, index, count in FORKER_CASES
+    ]
+
+    def run():
+        leaves = 0
+        for space, pairs in regions:
+            for assignment, args in pairs:
+                leaves += len(space.explore_free_region(args, assignment))
+        return leaves
+
+    assert benchmark(run) == FORKER_LEAVES
+    _record("forker_leaves", benchmark)
 
 
 def test_compiled_speedup_contract():

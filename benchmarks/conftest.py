@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import os
 import pathlib
+import platform
+import subprocess
 
 import pytest
+
+from repro.engines import CandidateSpace, CegisMinEngine
 
 CORPUS_SIZE = int(os.environ.get("REPRO_BENCH_CORPUS", "8"))
 TIMEOUT_S = float(os.environ.get("REPRO_BENCH_TIMEOUT", "20"))
@@ -45,6 +49,53 @@ else:
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_DIR.mkdir(exist_ok=True)
+
+
+def _git_rev() -> str:
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=pathlib.Path(__file__).resolve().parent.parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def run_stamp() -> dict:
+    """Where a committed result was measured: revision, CPUs, Python."""
+    return {
+        "git_rev": _git_rev(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+
+
+def capture_blocked_regions(problem, verifier, tilde, registry):
+    """Solve with the explorer on, recording every region it blocks.
+
+    Returns ``(pairs, result)``: each ``(failing candidate, counterexample
+    input)`` pair whose free-hole region CEGISMIN explored, in order, and
+    the engine result.
+    """
+    pairs = []
+    original = CandidateSpace.explore_free_region
+
+    def spy(self, args, assignment, deadline=None):
+        pairs.append((dict(assignment), args))
+        return original(self, args, assignment, deadline=deadline)
+
+    CandidateSpace.explore_free_region = spy
+    try:
+        result = CegisMinEngine(explorer=True).solve(
+            tilde, registry, problem.spec, verifier, timeout_s=120
+        )
+    finally:
+        CandidateSpace.explore_free_region = original
+    return pairs, result
 
 
 def save_result(name: str, text: str) -> None:

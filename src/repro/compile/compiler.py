@@ -24,11 +24,29 @@ is. This ordering is a load-bearing contract, pinned by the explorer's
 differential suite.
 
 Semantics are bit-identical to :mod:`repro.mpy.interp` (same fuel burns
-at the same points, same error messages, same ``MAX_COLLECTION`` checks)
-— operator semantics are literally the interpreter's methods, borrowed by
-:class:`~repro.compile.runtime.Machine`; the differential suite under
-``tests/compile/`` holds the two backends equal over every registered
-problem, the synthetic student corpus, and randomized hole assignments.
+at the same points, same error messages, same ``MAX_COLLECTION`` checks).
+Operator semantics are the interpreter's own methods, borrowed by
+:class:`~repro.compile.runtime.Machine`; the hottest forms are inlined as
+fast paths in front of them:
+
+- ``+ - * // % /`` on two ints (``*`` within ``_INT_MAGNITUDE_CAP``,
+  ``// % /`` by a nonzero int), and ``+`` on two tuples;
+- ``< > <= >=`` on two ints, and ``==`` / ``!=`` on any operands;
+- ``list[int]`` and ``tuple[int]`` indexing;
+- ``ChoiceCompare`` / ``ChoiceBinOp``, which dispatch to one such
+  specialized closure per operator, and augmented assignment (``+=``
+  also extends a list in place);
+- ``ChoiceExpr`` branches that are literals, served from a value table;
+- the truth test of ``if`` and ``while`` (``True``/``False`` skip
+  ``truthy``);
+- calls to builtins whose name was never shadowed.
+
+Every fast path keeps one rule: it burns fuel at the point the borrowed
+method would, raises the same message, and otherwise falls back to that
+method without having burned. The differential suites under
+``tests/compile/`` hold the two backends equal over every registered
+problem, the synthetic student corpus, randomized hole assignments, and
+operands that leave each fast path.
 """
 
 from __future__ import annotations
@@ -62,6 +80,9 @@ from repro.compile.runtime import (
 )
 
 _MISSING = object()
+
+#: Literal node types a ``ChoiceExpr`` serves from its value table.
+_LITERALS = (N.IntLit, N.BoolLit, N.StrLit)
 
 _ORDERED_OPS = {
     "<": operator.lt,
@@ -307,9 +328,9 @@ class _Compiler:
             set_c = None
         else:
             set_c = self.compile_target(stmt.target, scope)
-        binary_op = self.binary_op
         op = stmt.op
         if op == "+":
+            binary_op = self.binary_op
             check_size = self.check_size
 
             def run(frame):
@@ -341,12 +362,15 @@ class _Compiler:
                     set_c(frame, result)
 
             return run
+        # Every other op reads the target, then the value, then applies
+        # the operator: exactly the specialized BinOp closure.
+        compute = self._binop(op, read_c, value_c)
 
         def run(frame):
             m.fuel -= 1
             if m.fuel < 0:
                 raise OutOfFuel(m.max_fuel)
-            result = binary_op(op, read_c(frame), value_c(frame))
+            result = compute(frame)
             if set_c is None:
                 frame.slots[slot] = result
             else:
@@ -377,7 +401,8 @@ class _Compiler:
             m.fuel -= 1
             if m.fuel < 0:
                 raise OutOfFuel(m.max_fuel)
-            if truthy(test_c(frame)):
+            test = test_c(frame)
+            if test is True or (test is not False and truthy(test)):
                 return body_b(frame)
             return orelse_b(frame)
 
@@ -393,7 +418,10 @@ class _Compiler:
             m.fuel -= 1
             if m.fuel < 0:
                 raise OutOfFuel(m.max_fuel)
-            while truthy(test_c(frame)):
+            while True:
+                test = test_c(frame)
+                if test is not True and (test is False or not truthy(test)):
+                    break
                 m.fuel -= 1
                 if m.fuel < 0:
                     raise OutOfFuel(m.max_fuel)
@@ -806,6 +834,9 @@ class _Compiler:
         elts = tuple(self.compile_expr(e, scope) for e in expr.elts)
         if not elts:
             return lambda frame: ()
+        if len(elts) == 1:
+            elt0_c = elts[0]
+            return lambda frame: (elt0_c(frame),)
         if len(elts) == 2:
             elt0_c, elt1_c = elts
             return lambda frame: (elt0_c(frame), elt1_c(frame))
@@ -844,10 +875,12 @@ class _Compiler:
         borrowed ``binary_op`` *without* having burned, so fuel is charged
         exactly once either way. ``type(x) is int`` deliberately excludes
         bools — they take the generic path like any other numeric mix.
+        ``+`` also inlines tuple concatenation (burn, then the size bound).
         """
         m = self.machine
         binary_op = self.binary_op
         if op == "+":
+            check_size = self.check_size
 
             def run(frame):
                 left = left_c(frame)
@@ -856,6 +889,12 @@ class _Compiler:
                     m.fuel -= 1
                     if m.fuel < 0:
                         raise OutOfFuel(m.max_fuel)
+                    return left + right
+                if type(left) is tuple and type(right) is tuple:
+                    m.fuel -= 1
+                    if m.fuel < 0:
+                        raise OutOfFuel(m.max_fuel)
+                    check_size(len(left) + len(right))
                     return left + right
                 return binary_op("+", left, right)
 
@@ -1055,6 +1094,13 @@ class _Compiler:
                 if -len(obj) <= index < len(obj):
                     return obj[index]
                 raise MPYRuntimeError("list index out of range")
+            if type(obj) is tuple and type(index) is int:
+                m.fuel -= 1
+                if m.fuel < 0:
+                    raise OutOfFuel(m.max_fuel)
+                if -len(obj) <= index < len(obj):
+                    return obj[index]
+                raise MPYRuntimeError("tuple index out of range")
             return get_index(obj, index)
 
         return run
@@ -1283,54 +1329,67 @@ class _Compiler:
         cid = expr.cid
         asg = self.asg
         touched = self.touched
+        # Every branch is compiled (literals too), so nested holes get
+        # their slots in the same order whichever table serves a branch.
         branches = tuple(
             self.compile_expr(choice, scope) for choice in expr.choices
         )
+        values = tuple(
+            choice.value if isinstance(choice, _LITERALS) else _MISSING
+            for choice in expr.choices
+        )
+        if _MISSING not in values:
+
+            def run(frame):
+                branch = asg[index]
+                touched[cid] = branch
+                return values[branch]
+
+            return run
+        if values.count(_MISSING) == len(values):
+
+            def run(frame):
+                branch = asg[index]
+                touched[cid] = branch
+                return branches[branch](frame)
+
+            return run
+
+        def run(frame):
+            branch = asg[index]
+            touched[cid] = branch
+            value = values[branch]
+            if value is _MISSING:
+                return branches[branch](frame)
+            return value
+
+        return run
+
+    def expr_ChoiceCompare(self, expr: ChoiceCompare, scope):
+        return self._choice_op(expr, scope, self._compare)
+
+    def expr_ChoiceBinOp(self, expr: ChoiceBinOp, scope):
+        return self._choice_op(expr, scope, self._binop)
+
+    def _choice_op(self, expr, scope, specialize):
+        """Dispatch an operator hole to one specialized closure per op.
+
+        The hole's slot is allocated before the operands are compiled, and
+        the hole is recorded before either operand is evaluated, exactly
+        as the recording interpreter reads the op first.
+        """
+        index = self._hole(expr.cid, expr.arity)
+        cid = expr.cid
+        asg = self.asg
+        touched = self.touched
+        left_c = self.compile_expr(expr.left, scope)
+        right_c = self.compile_expr(expr.right, scope)
+        branches = tuple(specialize(op, left_c, right_c) for op in expr.ops)
 
         def run(frame):
             branch = asg[index]
             touched[cid] = branch
             return branches[branch](frame)
-
-        return run
-
-    def expr_ChoiceCompare(self, expr: ChoiceCompare, scope):
-        index = self._hole(expr.cid, expr.arity)
-        cid = expr.cid
-        asg = self.asg
-        touched = self.touched
-        ops = tuple(expr.ops)
-        compare_op = self.compare_op
-        left_c = self.compile_expr(expr.left, scope)
-        right_c = self.compile_expr(expr.right, scope)
-
-        def run(frame):
-            branch = asg[index]
-            touched[cid] = branch
-            op = ops[branch]
-            left = left_c(frame)
-            right = right_c(frame)
-            return compare_op(op, left, right)
-
-        return run
-
-    def expr_ChoiceBinOp(self, expr: ChoiceBinOp, scope):
-        index = self._hole(expr.cid, expr.arity)
-        cid = expr.cid
-        asg = self.asg
-        touched = self.touched
-        ops = tuple(expr.ops)
-        binary_op = self.binary_op
-        left_c = self.compile_expr(expr.left, scope)
-        right_c = self.compile_expr(expr.right, scope)
-
-        def run(frame):
-            branch = asg[index]
-            touched[cid] = branch
-            op = ops[branch]
-            left = left_c(frame)
-            right = right_c(frame)
-            return binary_op(op, left, right)
 
         return run
 

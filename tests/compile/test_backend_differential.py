@@ -7,8 +7,9 @@ Three populations, as demanded by the backend's correctness contract:
 2. the synthetic **student corpus** (mutated / conceptual / trivial
    attempts) — the programs the engines actually sweep;
 3. **hole-rewritten candidate spaces** under randomized assignments —
-   outcomes *and* touched-hole cubes *and* fuel must agree exactly,
-   because the CEGIS blocking-clause generalization is built from them.
+   outcomes *and* touched-hole cubes (in first-read order) *and* fuel
+   must agree exactly, because the CEGIS blocking-clause generalization
+   and the path forker's replay are built from them.
 """
 
 from __future__ import annotations
@@ -35,12 +36,19 @@ from repro.symbolic.recorder import RecordingInterpreter
 PROBLEM_NAMES = [problem.name for problem in all_problems()]
 
 #: Problems whose candidate spaces the randomized-assignment sweep covers
-#: (spanning list, int, string and stdout-comparing specs).
+#: (spanning list, int, tuple, string and stdout-comparing specs, and the
+#: problems whose leaves dominate a Table 1 pass, where the compiled
+#: backend's inlined fast paths fire most).
 CANDIDATE_PROBLEMS = [
     "compDeriv-6.00x",
     "iterPower-6.00x",
     "recurPower-6.00x",
     "oddTuples-6.00x",
+    "oddTuples-6.00",
+    "compBal-stdin-6.00",
+    "evalPoly-6.00x",
+    "iterGCD-6.00x",
+    "hangman1-str-6.00x",
 ]
 
 
@@ -114,9 +122,10 @@ def test_candidate_differential(name):
             assert compiled_outcome == interp_outcome, (
                 f"{name}: outcome mismatch under {assignment} on {args}"
             )
-            assert program.cube() == interp_cube, (
-                f"{name}: cube mismatch under {assignment} on {args}"
-            )
+            # First-read order too: the path forker replays it.
+            assert list(program.cube().items()) == list(
+                interp_cube.items()
+            ), f"{name}: cube mismatch under {assignment} on {args}"
             assert program.fuel == interp_fuel, (
                 f"{name}: fuel mismatch under {assignment} on {args}"
             )

@@ -1,16 +1,21 @@
-"""The solver's search order is a pinned contract.
+"""The solver's search order and the execution contract are pinned.
 
 Decision and propagation order decide which clauses are learned, when
 restarts fire and which model comes back, so they reach every engine
-statistic and every fix above the SAT layer. A solver change that claims
-to be a pure speedup must leave all of them unchanged. This test grades a
-handful of fast registry studentgen submissions through
-``CegisMinEngine`` and pins the summed ``sat_*`` counters plus each
-returned status and assignment.
+statistic and every fix above the SAT layer. Below the solver, candidate
+execution decides which leaves the path forker finds, which cubes get
+blocked (in first-read order) and how much fuel each run burns. A solver
+or execution-backend change that claims to be a pure speedup must leave
+all of them unchanged. This test grades a handful of fast registry
+studentgen submissions through ``CegisMinEngine`` and pins the summed
+``sat_*`` counters, the summed execution counters (table leaves, forker
+runs, candidate runs, fuel consumed, blocked cubes) and the total CEGIS
+iterations, plus each returned status and assignment.
 
-A change that alters the search on purpose (blocker literals, clause
-deletion, a different heap tie-break) updates the constants here and
-reports its effect on the benchmark ledger on its own.
+A change that alters the search or the execution semantics on purpose
+(blocker literals, clause deletion, a different heap tie-break, a new
+fuel rule) updates the constants here and reports its effect on the
+benchmark ledger on its own.
 """
 
 import pytest
@@ -51,6 +56,24 @@ EXPECTED_TOTALS = {
     "sat_learned": 1513,
     "sat_restarts": 6,
 }
+
+EXECUTION_COUNTERS = (
+    "table_leaves",
+    "forker_runs",
+    "candidate_runs",
+    "fuel_consumed",
+    "blocked_cubes",
+)
+
+EXPECTED_EXECUTION_TOTALS = {
+    "table_leaves": 17142,
+    "forker_runs": 17142,
+    "candidate_runs": 7119,
+    "fuel_consumed": 176207,
+    "blocked_cubes": 6127,
+}
+
+EXPECTED_ITERATIONS = 246
 
 EXPECTED_OUTCOMES = [
     ("no_fix", None),
@@ -94,3 +117,11 @@ def test_summed_sat_counters_are_pinned(results):
 def test_each_status_and_assignment_is_pinned(results):
     outcomes = [(r.status, r.assignment) for r in results]
     assert outcomes == EXPECTED_OUTCOMES
+
+
+def test_summed_execution_counters_are_pinned(results):
+    totals = {
+        key: sum(r.stats[key] for r in results) for key in EXECUTION_COUNTERS
+    }
+    assert totals == EXPECTED_EXECUTION_TOTALS
+    assert sum(r.iterations for r in results) == EXPECTED_ITERATIONS
