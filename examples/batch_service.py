@@ -11,7 +11,8 @@ traffic shape:
 3. the batch is interrupted halfway and resumed — already-graded
    submissions are skipped;
 4. the same corpus is graded again against a warm cache — nothing is
-   solved twice.
+   solved twice. The cache is a result-store log on disk, so a later
+   run (or a ``serve --store`` backend) over the same file hits too.
 
 Run:  python examples/batch_service.py [problem-name] [count]
 """
@@ -21,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 from repro.problems import get_problem
-from repro.service import BatchItem, BatchRunner, JobStore, ResultCache
+from repro.service import BatchItem, BatchRunner, JobStore, StoreClient
 from repro.studentgen import generate_corpus
 
 
@@ -45,7 +46,9 @@ def main(problem_name: str = "iterPower-6.00x", count: int = 8) -> None:
         for path in sorted(inbox.glob("*.py"))
     ]
     store = JobStore(inbox / "results.jsonl")
-    cache = ResultCache(inbox / "cache.json")
+    # No flush thread: each run flushes the store when it ends (and the
+    # worker processes fork from a single-threaded parent).
+    cache = StoreClient(inbox / "cache.store.jsonl", background=False)
 
     def progress(done, total, result):
         how = "cached" if result.cached else f"{result.report.wall_time:.2f}s"
@@ -80,6 +83,8 @@ def main(problem_name: str = "iterPower-6.00x", count: int = 8) -> None:
         f"cache hits {warm.stats.cache_hits}/{warm.stats.total}; "
         f"graded {warm.stats.graded}; {warm.stats.wall_time:.2f}s"
     )
+    cache.close()
+    print(f"cache log: {len(cache.store.entries())} entries in {cache.store.path}")
 
 
 if __name__ == "__main__":

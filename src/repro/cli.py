@@ -14,8 +14,8 @@ Subcommands:
   problems, admission queue, shared result cache, process-sharded
   grading executors on multi-core machines); ``--fleet N`` launches N
   backend server processes fronted by one consistent-hashing router,
-  ``--store`` swaps the private cache file for the shared append-log
-  store tier every backend reads through;
+  ``--store`` persists the cache to the append-log result store every
+  backend reads through;
 - ``route`` — run just the fleet front router over already-running
   backends (``host:port`` each);
 - ``cache`` — inspect (``stats``) or compact (``compact``) a shared
@@ -139,11 +139,29 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if any(report.errors for report in reports) else 0
 
 
+def _open_cache(path: Optional[str], background: bool = True):
+    """A memory-only cache, or with ``path`` a StoreClient over that log.
+
+    Exits with the store's message when ``path`` holds something else (a
+    batch's results, a pre-JSONL cache blob). Batch commands pass
+    ``background=False``: each run flushes the store when it ends, and
+    their worker pools then fork from a parent with no flush thread.
+    """
+    from repro.service import ResultCache
+    from repro.service.store import StoreClient
+
+    if path is None:
+        return ResultCache()
+    try:
+        return StoreClient(path, background=background)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def cmd_coverage(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis import render_coverage, run_coverage
-    from repro.service import ResultCache
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
@@ -164,7 +182,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             (str(path.relative_to(directory)), path.read_text())
             for path in paths
         ]
-    cache = ResultCache(args.cache) if args.cache else None
+    cache = _open_cache(args.cache, background=False)
     reports = [
         run_coverage(
             get_problem(name),
@@ -186,7 +204,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    from repro.service import BatchItem, BatchRunner, JobStore, ResultCache
+    from repro.service import BatchItem, BatchRunner, JobStore
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
@@ -204,7 +222,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     out = pathlib.Path(args.out) if args.out else directory / "results.jsonl"
     store = JobStore(out)
-    cache = ResultCache(args.cache) if args.cache else ResultCache()
+    cache = _open_cache(args.cache, background=False)
 
     def progress(done: int, total: int, result) -> None:
         report = result.report
@@ -262,8 +280,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         resolve_executor,
         warm_registry,
     )
-    from repro.service import ResultCache
-    from repro.service.store import StoreClient
 
     if args.fleet is not None:
         return _serve_fleet(args)
@@ -306,6 +322,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         or os.environ.get("REPRO_EXECUTOR")
         or default_executor()
     )
+    # Opened before the warmup, so a path that is not a store log fails
+    # fast. The store writes behind and reads through, so verdicts from
+    # sibling backends become local cache hits without a restart.
+    cache = _open_cache(args.store)
 
     def warmed(warm) -> None:
         print(
@@ -328,15 +348,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"warmup done: {len(warmup)} problems in {warmup.total_time_s:.2f}s")
 
-    if args.store:
-        # The fleet-shared store tier: append-log persistence with
-        # read-through, so verdicts from sibling backends become local
-        # cache hits without a restart.
-        cache = StoreClient(args.store)
-    elif args.cache:
-        cache = ResultCache(args.cache)
-    else:
-        cache = ResultCache()
     if executor == "process":
         workers = args.workers if args.workers is not None else args.jobs
         sharding = "sharded" if args.shard_problems else "replicated"
@@ -364,7 +375,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = FeedbackHTTPServer(
         service, host=args.host, port=args.port, verbose=args.verbose
     )
-    storage = args.store or args.cache or "in-memory"
+    storage = args.store or "in-memory"
     print(
         f"serving on http://{args.host}:{server.port}  "
         f"(node={service.node_id}, executor={service.executor}, "
@@ -377,7 +388,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server.shutdown_gracefully(drain=True)
         print("bye")
     finally:
-        if isinstance(cache, StoreClient):
+        if args.store:
             cache.close()  # stop the flush thread, push the last batch
     return 0
 
@@ -450,7 +461,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     from repro.service.store import ResultStore
 
-    store = ResultStore(args.path)
+    try:
+        store = ResultStore(args.path)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if not store.path.exists():
         raise SystemExit(f"no store log at {store.path}")
     if args.action == "compact":
@@ -560,7 +574,10 @@ def main(argv: Optional[list] = None) -> int:
         "--out", default=None, help="JSONL output (default DIR/results.jsonl)"
     )
     batch.add_argument(
-        "--cache", default=None, help="persistent result-cache JSON file"
+        "--cache",
+        default=None,
+        help="result-store log (append-only JSONL) that answers repeats "
+        "across runs; created if missing",
     )
     batch.add_argument(
         "--resume",
@@ -609,14 +626,11 @@ def main(argv: Optional[list] = None) -> int:
         "(overflow gets 429 + Retry-After)",
     )
     serve.add_argument(
-        "--cache", default=None, help="persistent result-cache JSON file"
-    )
-    serve.add_argument(
         "--store",
         default=None,
-        help="shared result-store log (append-only JSONL): backends "
-        "write behind and read through it, so a fleet shares verdicts; "
-        "outranks --cache",
+        help="result-store log (append-only JSONL) that persists the "
+        "cache: backends write behind and read through it, so a fleet "
+        "shares verdicts",
     )
     serve.add_argument(
         "--node-id",
@@ -789,7 +803,10 @@ def main(argv: Optional[list] = None) -> int:
         help="incorrect submissions per generated corpus",
     )
     coverage.add_argument(
-        "--cache", default=None, help="persistent result-cache JSON file"
+        "--cache",
+        default=None,
+        help="result-store log (append-only JSONL) that answers repeats "
+        "across runs; created if missing",
     )
     coverage.add_argument(
         "--format", default="text", choices=["text", "json"]

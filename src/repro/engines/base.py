@@ -288,7 +288,7 @@ class Engine(abc.ABC):
         is not a verdict about the generous run). Relies on engines
         being default-constructible and storing only configuration in
         instance attributes. ``explorer`` is excluded: the cache key
-        encodes it separately (:func:`repro.service.cache.engine_label`).
+        encodes it separately (:func:`repro.service.cache.cache_key`).
         """
         defaults = vars(type(self)())
         extras = ",".join(

@@ -72,7 +72,6 @@ class BackendProcess:
         workers: Optional[int] = None,
         only: Optional[Sequence[str]] = None,
         store: Optional[str] = None,
-        cache: Optional[str] = None,
         engine: Optional[str] = None,
         timeout_s: Optional[float] = None,
         no_prime: bool = False,
@@ -107,8 +106,6 @@ class BackendProcess:
             command += ["--only", *only]
         if store:
             command += ["--store", store]
-        if cache:
-            command += ["--cache", cache]
         if engine:
             command += ["--engine", engine]
         if timeout_s is not None:

@@ -56,8 +56,8 @@ POINTS = frozenset(
         "worker.hang",  # worker sleeps past the watchdog grace
         "worker.reply_drop",  # grading result never sent back
         "worker.reply_malformed",  # garbage tuple on the result pipe
-        "cache.read",  # ResultCache load raises an IO error
-        "cache.write",  # ResultCache save raises an IO error
+        "cache.read",  # a result-store log read raises an IO error
+        "cache.write",  # a result-store append raises an IO error
         "grade.slow",  # grading sleeps before solving
         "grade.error",  # grading raises (any executor)
     }

@@ -12,7 +12,7 @@ the entire pipeline — so a request never recompiles anything.
   self-test (primed with the *serving* engine configuration);
 - :mod:`repro.server.service` — transport-independent grading core:
   admission queue with backpressure, in-flight dedup, shared result
-  cache with periodic merge-persistence, graceful drain, and a
+  cache (persisted through the result store), graceful drain, and a
   pluggable grading executor: ``thread`` grades on the request thread
   (GIL-bound), ``process`` fans cache misses out over a
   :class:`~repro.service.workers.ProcessExecutor` pool of preforked,

@@ -199,7 +199,7 @@ class FeedbackHTTPServer(ThreadingHTTPServer):
         return thread
 
     def shutdown_gracefully(self, drain: bool = True) -> None:
-        """Stop accepting connections, drain the service, persist."""
+        """Stop accepting connections, drain the service, flush."""
         self.shutdown()
         self.service.close(drain=drain)
         self.server_close()

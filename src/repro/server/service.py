@@ -23,18 +23,18 @@ drive it directly with threads. One instance owns:
 - **in-flight dedup**: concurrent identical submissions (same cache
   key) ride one grading — the followers await the leader's record
   without consuming admission slots;
-- one shared :class:`~repro.service.cache.ResultCache` (thread-safe),
-  persisted periodically and on shutdown with merge-before-replace so a
-  CLI batch sharing the cache file cannot be clobbered.
+- one shared :class:`~repro.service.cache.ResultCache` (thread-safe).
+  Pass a :class:`~repro.service.store.StoreClient` to persist it: the
+  client writes puts behind to its append-log by count and by age, and
+  :meth:`FeedbackService.close` flushes the rest.
 
-Cache keys are built exactly like :class:`~repro.service.runner.
-BatchRunner`'s, so server, batch runner and one-shot CLI all hit each
-other's entries.
+Cache keys come from :func:`~repro.service.cache.cache_key` and
+:func:`~repro.service.cache.static_key`, as the batch runner's do, so
+server, batch runner and one-shot CLI all hit each other's entries.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import socket
 import threading
@@ -56,12 +56,12 @@ from repro.obs import (
     resolve_obs,
     resolve_slow_ms,
 )
-from repro.obs.events import emit, grading_event
+from repro.obs.events import grading_event
 from repro.resilience.breaker import HALF_OPEN, OPEN, BreakerBoard
 from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import submission_failing_tests
 from repro.server.warm import Warmup, warm_registry
-from repro.service.cache import ResultCache, cache_key, engine_label
+from repro.service.cache import ResultCache, cache_key, static_key
 from repro.service.canonical import canonicalize
 from repro.service.runner import DEFAULT_TIMEOUT_S
 from repro.service.records import (
@@ -180,7 +180,6 @@ class FeedbackService:
         jobs: int = 2,
         queue_limit: int = 16,
         cache: Optional[ResultCache] = None,
-        persist_every: int = 32,
         default_engine: str = "cegismin",
         default_timeout_s: float = DEFAULT_TIMEOUT_S,
         backend: Optional[str] = None,
@@ -227,7 +226,6 @@ class FeedbackService:
         self.jobs = jobs
         self.queue_limit = queue_limit
         self.cache = cache if cache is not None else ResultCache()
-        self.persist_every = persist_every
         self.default_engine = default_engine
         self.default_timeout_s = default_timeout_s
         # Both knobs resolve once at construction: every request grades
@@ -284,7 +282,6 @@ class FeedbackService:
         #: (cache hits and dedup followers included) — what drain waits on.
         self._pending = 0
         self._closed = False
-        self._since_persist = 0
         self._started = time.monotonic()
         #: Stable identity of this service instance. Explicit in a fleet
         #: (``serve --node-id``), where the router keys its aggregated
@@ -355,17 +352,15 @@ class FeedbackService:
             warm.name,
             warm.model_digest,
             form.digest,
-            engine=engine_label(engine_name, self.explorer),
+            engine=engine_name,
             timeout_s=budget,
+            explorer=self.explorer,
         )
-        # The static-triage address is engine- and budget-independent: a
-        # proof that no candidate fixes this submission answers any
-        # engine/timeout variant of the request. ``None`` with analysis
-        # off — the normal key space is then the only one consulted, so
-        # analysis-off behavior is untouched by construction.
-        static_key = (
-            cache_key(warm.name, warm.model_digest, form.digest,
-                      engine="static")
+        # ``None`` with analysis off — the normal key space is then the
+        # only one consulted, so analysis-off behavior is untouched by
+        # construction.
+        triage_key = (
+            static_key(warm.name, warm.model_digest, form.digest)
             if self.analysis
             else None
         )
@@ -388,7 +383,7 @@ class FeedbackService:
         try:
             return self._graded_outcome(
                 warm, source, engine_name, budget, key, started,
-                request_id, stages, deadline, breaker_keys, static_key,
+                request_id, stages, deadline, breaker_keys, triage_key,
             )
         finally:
             with self._idle:
@@ -397,14 +392,14 @@ class FeedbackService:
 
     def _graded_outcome(
         self, warm, source, engine_name, budget, key, started,
-        request_id, stages, deadline, breaker_keys, static_key=None,
+        request_id, stages, deadline, breaker_keys, triage_key=None,
     ) -> GradeOutcome:
         lookup_started = time.monotonic()
         record = self.cache.get(key)
-        if record is None and static_key is not None:
-            record = self.cache.get(static_key)
+        if record is None and triage_key is not None:
+            record = self.cache.get(triage_key)
             if record is not None:
-                key = static_key
+                key = triage_key
         if stages is not None:
             stages["cache_lookup"] = time.monotonic() - lookup_started
         if record is not None:
@@ -413,7 +408,7 @@ class FeedbackService:
                 cached=True,
             )
 
-        if static_key is not None:
+        if triage_key is not None:
             # Pre-grading triage: a <5ms static pass over the submission's
             # candidate space. A verdict means *no* candidate can be
             # equivalent — answer now, spend no admission slot, and cache
@@ -425,10 +420,9 @@ class FeedbackService:
                 warm.spec, warm.model, warm.verifier, source
             )
             if record is not None:
-                self.cache.put(static_key, record)
-                self._maybe_persist()
+                self.cache.put(triage_key, record)
                 return self._finish(
-                    "triaged", record, static_key, started, request_id,
+                    "triaged", record, triage_key, started, request_id,
                     stages,
                 )
 
@@ -480,8 +474,6 @@ class FeedbackService:
                 del self._inflight[key]
                 self._idle.notify_all()
 
-        if record["status"] != ERROR:
-            self._maybe_persist()
         return self._finish(
             "graded", record, key, started, request_id, stages
         )
@@ -721,12 +713,12 @@ class FeedbackService:
         )
         return payload
 
-    def close(self, drain: bool = True, persist: bool = True) -> None:
+    def close(self, drain: bool = True) -> None:
         """Stop taking work; optionally wait for in-flight gradings.
 
         Draining waits until the admission queue and every active grading
         settle, so records promised to connected clients are delivered
-        and persisted before the process exits.
+        and flushed to the cache's store before the process exits.
         """
         with self._idle:
             self._closed = True
@@ -735,8 +727,7 @@ class FeedbackService:
         # After the drain, so worker processes never die under an
         # in-flight grading a client is still owed.
         self._executor.close()
-        if persist and self.cache.path is not None:
-            self._persist_cache()
+        self.cache.flush()
 
     # -- internals ----------------------------------------------------------
 
@@ -876,35 +867,3 @@ class FeedbackService:
             self._by_status[status] = self._by_status.get(status, 0) + 1
             if status == ERROR:
                 self._counters["errors"] += 1
-
-    def _maybe_persist(self) -> None:
-        if self.cache.path is None:
-            return
-        with self._lock:
-            self._since_persist += 1
-            if self._since_persist < self.persist_every:
-                return
-            self._since_persist = 0
-        self._persist_cache()
-
-    def _persist_cache(self) -> None:
-        """Persist the cache, absorbing IO failure.
-
-        A full disk or yanked volume must degrade persistence, never
-        grading: the entries stay resident and the next interval retries.
-        """
-        try:
-            self.cache.save()
-        except OSError as exc:
-            emit(
-                "cache_persist_failed",
-                level=logging.ERROR,
-                path=str(self.cache.path),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            if resolve_obs(None):
-                global_registry().counter(
-                    "repro_cache_persist_failures_total",
-                    help="Result-cache persistence attempts that failed "
-                    "with an IO error (entries stay resident)",
-                ).inc()

@@ -9,13 +9,15 @@ of trivially-reformatted resubmissions. This package turns
 
 - :mod:`repro.service.canonical` — submission canonicalizer: normalized,
   α-renamed AST hashing so duplicate and renamed submissions coincide;
-- :mod:`repro.service.cache` — content-addressed result cache keyed by
-  ``(problem, model digest, canonical hash)``;
+- :mod:`repro.service.cache` — the in-memory content-addressed result
+  cache and the one place its keys are derived (``problem``, model
+  digest, engine, budget, canonical hash);
 - :mod:`repro.service.records` — JSON-serializable feedback records;
 - :mod:`repro.service.jobstore` — JSONL persistence with batch resume;
-- :mod:`repro.service.store` — the fleet-shared store tier: one
-  append-log of results many backend processes write behind and read
-  through, with WAL-style torn-tail recovery and background compaction;
+- :mod:`repro.service.store` — the only on-disk result format: one
+  append-log of results that batch runs and backend processes write
+  behind and read through, with WAL-style torn-tail recovery and
+  background compaction;
 - :mod:`repro.service.workers` — shared worker-process machinery and the
   :class:`~repro.service.workers.ProcessExecutor` pool of preforked,
   pre-warmed grading workers (problem sharding, crash/timeout
@@ -28,8 +30,7 @@ from repro.service.cache import (
     DEFAULT_ENGINE,
     ResultCache,
     cache_key,
-    engine_label,
-    normalize_key,
+    static_key,
 )
 from repro.service.canonical import CanonicalForm, canonicalize, model_digest
 from repro.service.jobstore import JobStore
@@ -73,10 +74,9 @@ __all__ = [
     "cache_key",
     "canonicalize",
     "comparable_record",
-    "engine_label",
     "error_record",
     "model_digest",
-    "normalize_key",
     "record_to_report",
     "report_to_record",
+    "static_key",
 ]

@@ -4,97 +4,28 @@ Keys are ``problem:model-digest:engine[:budget]:canonical-hash``: a cached
 report is valid exactly when the same problem, the same error model, the
 same solver configuration, and a behaviorally identical submission come
 back — which in classroom traffic is constantly (resubmissions, copied
-solutions, the one conceptual error half the class shares). The cache is
-in-memory with optional file persistence, so a long-running service, a
-one-shot CLI batch, and the feedback server all share the same format.
+solutions, the one conceptual error half the class shares). Every key is
+derived here, by :func:`cache_key` and :func:`static_key`, so the batch
+runner, the feedback server and the one-shot CLI all address the same
+entries.
 
-Persistence is JSONL — a ``{"version": 1}`` header line followed by one
-``{"key": ..., "record": ...}`` line per entry — so a write torn by a
-crash (power loss mid-replace on filesystems that reorder, a truncated
-copy) costs at most the damaged trailing lines: load skips them, logs a
-recovery event, and keeps every intact entry. The previous single-blob
-JSON format is still read transparently.
-
-Concurrency: every entry-touching method takes an internal lock, so one
-cache instance can back many server threads; :meth:`ResultCache.save`
-merges the on-disk entries into its payload under an exclusive lock file
-before the atomic replace, so several *processes* sharing one cache file
-enrich it instead of overwriting each other (last-writer-wins dropped
-entries silently before).
+:class:`ResultCache` keeps results in memory only: a thread-safe dict
+with hit/miss accounting, so one instance can back many server threads.
+Persistence is the store tier's job: :class:`~repro.service.store.
+StoreClient` is a ``ResultCache`` whose puts are written behind to an
+append-only log shared across runs and processes.
 """
 
 from __future__ import annotations
 
-import json
-import logging
-import os
-import tempfile
 import threading
-import time
-from pathlib import Path
-from typing import Dict, Optional, Union
-
-from repro.obs.events import emit
-from repro.resilience import faults
-from repro.service.records import is_record
-
-_FORMAT_VERSION = 1
+from typing import Dict, Optional
 
 #: The engine a key with no explicit engine component means. ``engine=""``
 #: and ``engine=DEFAULT_ENGINE`` describe the same work and must address
 #: the same entry (distinct keys here caused spurious misses on identical
 #: configurations).
 DEFAULT_ENGINE = "cegismin"
-
-_HEX = set("0123456789abcdef")
-
-
-def engine_label(engine: str, explorer: bool) -> str:
-    """The engine component of a cache key.
-
-    Explorer on/off yields equally minimal but possibly different fixes,
-    so the ablation must not be served results from the default
-    configuration (or vice versa): the off state is suffixed ``+sweep``.
-    """
-    return engine if explorer else f"{engine}+sweep"
-
-
-def _is_hexdigest(part: str, length: int) -> bool:
-    return len(part) == length and all(c in _HEX for c in part)
-
-
-def _is_budget_part(part: str) -> bool:
-    """Whether a key component is a ``t<seconds>`` solver-budget marker."""
-    if not part.startswith("t") or len(part) < 2:
-        return False
-    try:
-        float(part[1:])
-    except ValueError:
-        return False
-    return True
-
-
-def normalize_key(key: str) -> str:
-    """Map equivalent key spellings to one canonical form.
-
-    Keys written before the engine component became mandatory spell the
-    default configuration ``problem:digest[:tNN]:canonical`` — the same
-    work :func:`cache_key` now addresses as
-    ``problem:digest:cegismin[:tNN]:canonical``. Loading normalizes, so
-    old cache files keep hitting. Strings that do not look like cache
-    keys pass through untouched.
-    """
-    parts = key.split(":")
-    if (
-        len(parts) < 3
-        or not _is_hexdigest(parts[1], 16)
-        or not _is_hexdigest(parts[-1], 64)
-    ):
-        return key
-    middle = parts[2:-1]
-    if not any(not _is_budget_part(part) for part in middle):
-        middle.insert(0, DEFAULT_ENGINE)
-    return ":".join([parts[0], parts[1], *middle, parts[-1]])
 
 
 def cache_key(
@@ -103,6 +34,7 @@ def cache_key(
     canonical: str,
     engine: str = "",
     timeout_s: Optional[float] = None,
+    explorer: bool = True,
 ) -> str:
     """The content address of one grading result.
 
@@ -110,122 +42,39 @@ def cache_key(
     produced under a 5 s budget is *not* a valid answer for a 300 s run.
     Different engines may produce different (equally minimal) fixes, so
     the engine is always part of the address; an empty ``engine`` means
-    :data:`DEFAULT_ENGINE`, *not* a distinct configuration.
+    :data:`DEFAULT_ENGINE`, *not* a distinct configuration. Explorer
+    on/off yields equally minimal but possibly different fixes too, so
+    the off state is suffixed ``+sweep``: the ablation is never served
+    results from the default configuration, or vice versa.
     """
-    extra = f":{engine or DEFAULT_ENGINE}"
+    label = engine or DEFAULT_ENGINE
+    if not explorer:
+        label += "+sweep"
+    extra = f":{label}"
     if timeout_s is not None:
         extra += f":t{timeout_s:g}"
     return f"{problem}:{model_digest}{extra}:{canonical}"
 
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
+def static_key(problem: str, model_digest: str, canonical: str) -> str:
+    """The address of a static-triage verdict.
 
-
-class _FileLock:
-    """An exclusive inter-process lock around one cache file.
-
-    On POSIX this is ``flock`` on a sidecar ``.lock`` file: the kernel
-    releases the lock when the holder dies, so a crashed batch can never
-    deadlock later ones, and the file is deliberately *never unlinked*
-    (removing a flocked path while a waiter holds a descriptor to the
-    old inode lets two holders in — the classic unlink race).
-
-    Without ``fcntl`` the fallback is an ``O_CREAT | O_EXCL`` spin; an
-    abandoned lock file (holder crashed between create and unlink) older
-    than ``stale_s`` is broken by atomically *renaming* it aside —
-    exactly one waiter wins the rename, so a freshly-created lock can
-    never be deleted out from under its holder.
+    Engine- and budget-independent: a proof that no candidate fixes a
+    submission answers every engine and timeout variant of the request.
+    The dedicated ``static`` component keeps analysis-off configurations
+    blind to these records.
     """
-
-    def __init__(
-        self, target: Path, timeout_s: float = 10.0, stale_s: float = 30.0
-    ):
-        self.path = target.with_name(target.name + ".lock")
-        self.timeout_s = timeout_s
-        self.stale_s = stale_s
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_FileLock":
-        deadline = time.monotonic() + self.timeout_s
-        if fcntl is not None:
-            self._fd = os.open(str(self.path), os.O_CREAT | os.O_RDWR)
-            while True:
-                try:
-                    fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    return self
-                except OSError:
-                    if time.monotonic() > deadline:
-                        os.close(self._fd)
-                        self._fd = None
-                        raise TimeoutError(
-                            f"could not acquire cache lock {self.path}"
-                        ) from None
-                    time.sleep(0.01)
-        while True:
-            try:
-                fd = os.open(
-                    str(self.path), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                self._break_if_stale()
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"could not acquire cache lock {self.path}"
-                    ) from None
-                time.sleep(0.01)
-                continue
-            with os.fdopen(fd, "w") as handle:
-                handle.write(str(os.getpid()))
-            return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._fd is not None:
-            # Releasing the flock is enough; the lock file stays (see
-            # the class docstring for why unlinking would be a bug).
-            try:
-                os.close(self._fd)
-            finally:
-                self._fd = None
-            return
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-    def _break_if_stale(self) -> None:
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return  # holder released between our open and stat
-        if age <= self.stale_s:
-            return
-        aside = self.path.with_name(
-            self.path.name + f".stale{os.getpid()}"
-        )
-        try:
-            os.rename(self.path, aside)  # atomic: one breaker wins
-        except OSError:
-            return  # someone else broke or released it first
-        try:
-            os.unlink(aside)
-        except OSError:
-            pass
+    return cache_key(problem, model_digest, canonical, engine="static")
 
 
 class ResultCache:
-    """In-memory result cache with optional JSON file persistence."""
+    """Thread-safe in-memory result cache with hit/miss accounting."""
 
-    def __init__(self, path: Optional[Union[str, Path]] = None):
+    def __init__(self) -> None:
         self._entries: Dict[str, dict] = {}
         self._lock = threading.RLock()
-        self.path = Path(path) if path is not None else None
         self.hits = 0
         self.misses = 0
-        if self.path is not None and self.path.exists():
-            self.load(self.path)
 
     def __len__(self) -> int:
         with self._lock:
@@ -254,129 +103,15 @@ class ResultCache:
         with self._lock:
             self._entries[key] = record
 
-    # -- persistence --------------------------------------------------------
+    def flush(self) -> int:
+        """Persist buffered puts; returns lines written.
 
-    def _read_entries(self, path: Path) -> Dict[str, dict]:
-        """Well-formed entries from a cache file, keys normalized.
-
-        Unreadable files and malformed entries are skipped (a cache must
-        never be the reason a batch fails). A JSONL file with damaged
-        lines — the signature of a crash-torn write — yields every
-        intact entry and logs one recovery event for the rest.
+        A no-op here — nothing outlives the process. Callers flush at
+        their natural checkpoints (the end of a batch, service shutdown)
+        so a :class:`~repro.service.store.StoreClient` in this place
+        pushes its write-behind buffer there.
         """
-        try:
-            if faults.enabled():
-                faults.inject(
-                    "cache.read", OSError("injected cache.read fault")
-                )
-            text = path.read_text()
-        except OSError:
-            return {}
-        # Legacy format: the whole file is one JSON blob.
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            payload = None
-        if isinstance(payload, dict):
-            if payload.get("version") != _FORMAT_VERSION:
-                return {}
-            entries = payload.get("entries", {})
-            valid: Dict[str, dict] = {}
-            if isinstance(entries, dict):
-                for key, record in entries.items():
-                    if isinstance(key, str) and is_record(record):
-                        valid[normalize_key(key)] = record
-            return valid
-        # JSONL: header line, then one entry per line.
-        valid = {}
-        dropped = 0
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            return {}
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
-        if (
-            not isinstance(header, dict)
-            or header.get("version") != _FORMAT_VERSION
-        ):
-            return {}
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                dropped += 1
-                continue
-            if (
-                isinstance(entry, dict)
-                and isinstance(entry.get("key"), str)
-                and is_record(entry.get("record"))
-            ):
-                valid[normalize_key(entry["key"])] = entry["record"]
-            else:
-                dropped += 1
-        if dropped:
-            emit(
-                "cache_recovered",
-                level=logging.WARNING,
-                path=str(path),
-                entries=len(valid),
-                dropped_lines=dropped,
-            )
-        return valid
-
-    def load(self, path: Union[str, Path]) -> int:
-        """Merge entries from a JSON cache file; returns how many loaded."""
-        loaded = self._read_entries(Path(path))
-        with self._lock:
-            self._entries.update(loaded)
-        return len(loaded)
-
-    def save(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Atomically write the cache to ``path`` (or the ctor path).
-
-        The write merges under an exclusive lock file: on-disk entries
-        another process added since our load are carried into the payload
-        (in-memory entries win on key conflicts — they are newer), then
-        absorbed into memory, so concurrent writers converge on the union
-        instead of dropping each other's work.
-        """
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("no cache path given")
-        if faults.enabled():
-            faults.inject("cache.write", OSError("injected cache.write fault"))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            snapshot = dict(self._entries)
-        with _FileLock(target):
-            merged = self._read_entries(target) if target.exists() else {}
-            merged.update(snapshot)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(target.parent), prefix=target.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(
-                        json.dumps({"version": _FORMAT_VERSION}) + "\n"
-                    )
-                    for key, record in merged.items():
-                        handle.write(
-                            json.dumps({"key": key, "record": record})
-                            + "\n"
-                        )
-                os.replace(tmp_name, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        with self._lock:
-            for key, record in merged.items():
-                self._entries.setdefault(key, record)
-        return target
+        return 0
 
     @property
     def stats(self) -> dict:

@@ -7,8 +7,9 @@ from the next:
    not re-graded;
 2. **canonicalize** — every remaining submission is content-addressed;
    textual duplicates and α-renamed copies collapse to one address;
-3. **cache** — addresses seen before (this run or a persisted cache)
-   return their record instantly;
+3. **cache** — addresses seen before (this run, or earlier runs through a
+   :class:`~repro.service.store.StoreClient`) return their record
+   instantly;
 4. **grade** — the surviving *distinct* submissions fan out over a
    ``ProcessPoolExecutor`` (``jobs=1`` degrades to a serial in-process
    loop sharing one verifier), each with its own solver budget.
@@ -43,7 +44,7 @@ if TYPE_CHECKING:
 from repro.eml.rules import ErrorModel
 from repro.engines.base import Engine
 from repro.problems.registry import Problem
-from repro.service.cache import ResultCache, cache_key, engine_label
+from repro.service.cache import ResultCache, cache_key, static_key
 from repro.service.canonical import canonicalize, model_digest
 from repro.service.jobstore import JobStore
 from repro.service.records import (
@@ -155,7 +156,7 @@ class BatchRunner:
         #: the process default at grading time.
         self.backend = backend
         #: Exploration-table blocking on/off, resolved once here (``None``
-        #: = the process default *now*): the cache-key label below and the
+        #: = the process default *now*): the cache key below and the
         #: grading mode must come from the same resolution, or a default
         #: flipped between construction and run() would store results
         #: under the other configuration's key.
@@ -182,16 +183,15 @@ class BatchRunner:
             self.problem.name,
             self._model_digest,
             "",
-            engine=engine_label(engine_name, self.explorer),
+            engine=engine_name,
             timeout_s=self.timeout_s,
+            explorer=self.explorer,
         )
-        #: Static-triage records live under a dedicated engine-independent
-        #: address: the verdict "no candidate can fix this" holds for any
-        #: engine or budget, and the separate prefix keeps analysis-off
-        #: runs blind to these records entirely (byte-identity by
-        #: construction).
-        self._static_prefix = cache_key(
-            self.problem.name, self._model_digest, "", engine="static"
+        #: Static-triage records live under their own engine-independent
+        #: address, which keeps analysis-off runs blind to them entirely
+        #: (byte-identity by construction).
+        self._static_prefix = static_key(
+            self.problem.name, self._model_digest, ""
         )
 
     def _key(self, canonical_digest: str) -> str:
@@ -315,8 +315,7 @@ class BatchRunner:
                 )
 
         self.stats.wall_time = time.monotonic() - started
-        if self.cache.path is not None:
-            self.cache.save()
+        self.cache.flush()
         return [results[index] for index in range(len(batch))]
 
     # -- internals ----------------------------------------------------------

@@ -1,44 +1,45 @@
-"""The shared result-store tier: one append-log, many backends.
+"""The result store: one append-log on disk, one client per process.
 
-:class:`~repro.service.cache.ResultCache` persists by rewriting its
-whole file — fine for one process saving every N puts, pathological for
-a fleet where every backend would rewrite everyone's entries on every
-save. The store tier splits the format at the natural seam:
+This is the only on-disk result format. Every persistent cache — ``batch
+--cache``, ``coverage --cache``, ``serve --store`` and a fleet's shared
+log — is a :class:`StoreClient` over one log file:
 
-- :class:`ResultStore` owns one **append-only JSONL log**. Appends are
-  O(new entries) under the same inter-process ``_FileLock`` the cache
-  uses, torn tails (a writer crash mid-line) are sealed on the next
-  append and skipped on read — WAL-style recovery: damage costs at most
-  the torn entry, never the log. Background :meth:`ResultStore.compact`
-  rewrites the log without superseded duplicate keys and bumps the
-  header ``generation``, which is how readers detect rotation.
-- :class:`StoreClient` is the per-backend view, a drop-in
+- :class:`ResultStore` owns one **append-only JSONL log**: a version-1
+  header line, then one ``{"key", "record"}`` line per put. Appends are
+  O(new entries) under an inter-process ``flock``, torn tails (a writer
+  crash mid-line) are sealed on the next append and skipped on read —
+  WAL-style recovery: damage costs at most the torn entry, never the
+  log. Background :meth:`ResultStore.compact` rewrites the log without
+  superseded duplicate keys and bumps the header ``generation``, which
+  is how readers detect rotation. Opening a file whose first line is
+  not a version-1 header (a batch's ``results.jsonl``, a pre-JSONL cache
+  blob) raises ``ValueError`` instead of appending to it.
+- :class:`StoreClient` is the per-process view, a
   :class:`~repro.service.cache.ResultCache`: reads are served from
   memory, misses **read through** (tail-read the log from the last
-  consumed offset — other backends' verdicts appear without a restart),
-  puts are **written behind** (buffered, appended in batches by size or
-  age), and ``save()`` — the hook :class:`~repro.server.service.
-  FeedbackService` already calls — just flushes the buffer.
-
-The log keeps the cache family's on-disk grammar (version-1 header line
-plus one ``{"key", "record"}`` entry line each), so a store log is
-readable by a plain ``ResultCache`` and by every existing cache tool.
+  consumed offset — other processes' verdicts appear without a
+  restart), puts are **written behind** (buffered, appended in batches
+  by count, by age, and on ``flush()``/``close()``). A failed append is
+  absorbed: grading never fails because the disk did.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.obs import global_registry, resolve_obs
 from repro.obs.events import emit
 from repro.resilience import faults
-from repro.service.cache import ResultCache, _FileLock, normalize_key
+from repro.service.cache import ResultCache
 from repro.service.records import is_record
 
 _FORMAT_VERSION = 1
@@ -62,6 +63,53 @@ def _store_header(generation: int) -> str:
     )
 
 
+def _header_generation(line: bytes) -> Optional[int]:
+    """The generation a complete version-1 header line declares.
+
+    ``None`` for anything else, a torn line included: a pre-JSONL cache
+    blob is one ``{"version": 1, "entries": ...}`` object with no
+    trailing newline, and must not pass for a log.
+    """
+    if not line.endswith(b"\n"):
+        return None
+    try:
+        header = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    if not isinstance(header, dict) or header.get("version") != _FORMAT_VERSION:
+        return None
+    generation = header.get("generation", 0)
+    return generation if isinstance(generation, int) else 0
+
+
+@contextmanager
+def _locked(target: Path, timeout_s: float = 10.0) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``target``'s sidecar ``.lock`` file.
+
+    The kernel releases the lock when its holder dies, so a crashed writer
+    can never deadlock later ones. The lock file is deliberately *never
+    unlinked*: removing a flocked path while a waiter holds a descriptor
+    to the old inode would let two holders in.
+    """
+    lock_path = target.with_name(target.name + ".lock")
+    fd = os.open(str(lock_path), os.O_CREAT | os.O_RDWR)
+    try:
+        deadline = time.monotonic() + timeout_s
+        while True:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"could not acquire store lock {lock_path}"
+                    ) from None
+                time.sleep(0.01)
+        yield
+    finally:
+        os.close(fd)  # releases the flock
+
+
 class ResultStore:
     """One shared append-log of grading results on disk.
 
@@ -72,37 +120,34 @@ class ResultStore:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
+        # Judge an existing file once, before anything appends to or
+        # compacts it: a file that is not a store log is refused, never
+        # rewritten. A torn prefix of a fresh header (its creator died
+        # mid-write) is still a log, one with no entries yet.
+        first = self._first_line()
+        fresh = (_store_header(0) + "\n").encode()
+        if _header_generation(first) is None and not fresh.startswith(first):
+            raise ValueError(
+                f"{self.path} is not a result-store log (its first line "
+                "is not a version-1 store header); refusing to write to it"
+            )
 
     # -- header -------------------------------------------------------------
 
-    def _read_header(self) -> Tuple[int, int]:
-        """(generation, offset-after-header); creates nothing."""
+    def _first_line(self) -> bytes:
         try:
             with open(self.path, "rb") as handle:
-                first = handle.readline()
+                return handle.readline()
         except OSError:
-            return 0, 0
-        try:
-            header = json.loads(first)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return 0, 0
-        if (
-            not isinstance(header, dict)
-            or header.get("version") != _FORMAT_VERSION
-        ):
-            return 0, 0
-        generation = header.get("generation", 0)
-        if not isinstance(generation, int):
-            generation = 0
-        return generation, len(first)
-
-    @property
-    def generation(self) -> int:
-        return self._read_header()[0]
+            return b""
 
     def _ensure_file(self) -> None:
-        """Create the log with a header (caller holds the lock)."""
-        if self.path.exists() and self.path.stat().st_size > 0:
+        """Start the log with a header (caller holds the lock).
+
+        A file holding only a torn header starts over: no entry can
+        follow a header line that never finished.
+        """
+        if self._first_line().endswith(b"\n"):
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "w") as handle:
@@ -125,7 +170,7 @@ class ResultStore:
             return 0
         if faults.enabled():
             faults.inject("cache.write", OSError("injected cache.write fault"))
-        with _FileLock(self.path):
+        with _locked(self.path):
             self._ensure_file()
             with open(self.path, "r+b") as handle:
                 handle.seek(0, os.SEEK_END)
@@ -157,28 +202,11 @@ class ResultStore:
             faults.inject("cache.read", OSError("injected cache.read fault"))
         try:
             with open(self.path, "rb") as handle:
-                generation, header_end = 0, 0
-                if offset == 0:
-                    first = handle.readline()
-                    if not first.endswith(b"\n"):
-                        return {}, 0, 0
-                    try:
-                        header = json.loads(first)
-                    except (json.JSONDecodeError, UnicodeDecodeError):
-                        header = None
-                    if (
-                        not isinstance(header, dict)
-                        or header.get("version") != _FORMAT_VERSION
-                    ):
-                        # Not a store log (maybe a legacy cache blob):
-                        # nothing tail-readable here.
-                        return {}, 0, 0
-                    generation = int(header.get("generation", 0) or 0)
-                    header_end = len(first)
-                else:
-                    generation, header_end = self._read_header()
-                    handle.seek(offset)
-                consumed = max(offset, header_end)
+                generation = _header_generation(handle.readline())
+                if generation is None:
+                    return {}, 0, 0
+                consumed = max(offset, handle.tell())
+                handle.seek(consumed)
                 entries: Dict[str, dict] = {}
                 dropped = 0
                 while True:
@@ -198,7 +226,7 @@ class ResultStore:
                         and isinstance(entry.get("key"), str)
                         and is_record(entry.get("record"))
                     ):
-                        entries[normalize_key(entry["key"])] = entry["record"]
+                        entries[entry["key"]] = entry["record"]
                     else:
                         dropped += 1
         except OSError:
@@ -250,7 +278,7 @@ class ResultStore:
         behind it and readers see either the old inode or the complete
         new one. Returns the post-compaction :meth:`stats`.
         """
-        with _FileLock(self.path):
+        with _locked(self.path):
             entries, _, generation = self.read_from(0)
             fd, tmp_name = tempfile.mkstemp(
                 dir=str(self.path.parent),
@@ -283,18 +311,19 @@ class ResultStore:
 
 
 class StoreClient(ResultCache):
-    """A backend's read-through / write-behind view of one shared store.
+    """A process's read-through / write-behind view of one store log.
 
-    Drop-in for :class:`~repro.service.cache.ResultCache`: the service
-    layer keeps calling ``get``/``put``/``save`` and never learns the
-    file became a fleet-shared log. Differences are all behavioral:
+    A :class:`~repro.service.cache.ResultCache`: the batch runner and
+    the service keep calling ``get``/``put``/``flush`` and never learn
+    the cache is a log shared across processes. Differences are all
+    behavioral:
 
     - **miss → read-through**: a ``get`` miss tail-reads the log before
       answering, so a verdict another backend computed moments ago is a
       hit here (the whole point of the shared tier);
     - **put → write-behind**: puts land in memory immediately and in a
       buffer that flushes by count (``flush_every``), by age (the
-      background thread), on ``save()``, and on ``close()``;
+      background thread), on ``flush()``, and on ``close()``;
     - **rotation detection**: a generation bump or inode change (another
       client compacted) triggers a full reload instead of a tail read.
     """
@@ -308,9 +337,8 @@ class StoreClient(ResultCache):
         compact_min_bytes: int = DEFAULT_COMPACT_MIN_BYTES,
         background: bool = True,
     ):
-        super().__init__(None)  # in-memory; the log is ours to manage
+        super().__init__()
         self.store = ResultStore(path)
-        self.path = self.store.path  # service persistence hook engages
         self.flush_every = flush_every
         self.flush_interval_s = flush_interval_s
         self.compact_ratio = compact_ratio
@@ -402,48 +430,58 @@ class StoreClient(ResultCache):
     def flush(self) -> int:
         """Append every buffered put to the log; returns lines written.
 
-        A failed append keeps the buffer (retried next flush) — write-
-        behind degrades durability lag, never loses accepted work while
-        the process lives.
+        The one place a write can fail, and it never raises: a full disk,
+        a lock timeout or the ``cache.write`` fault keeps the buffer for
+        the next flush and is reported as ``cache_persist_failed`` — so
+        whichever trigger ran it (a put crossing the count, the
+        background thread, ``close()``), persistence degrades and the
+        grading that triggered it does not.
         """
         with self._lock:
             if not self._pending:
                 self._flushed_at = time.monotonic()
                 return 0
             batch = list(self._pending.items())
-        self.store.append_many(batch)
+        try:
+            self.store.append_many(batch)
+        except OSError as exc:
+            self._persist_failed(exc)
+            return 0
+        finally:
+            self._flushed_at = time.monotonic()
         with self._lock:
             for key, record in batch:
                 if self._pending.get(key) is record:
                     del self._pending[key]
-        self._flushed_at = time.monotonic()
         self.flushes += 1
         self._maybe_compact()
         return len(batch)
 
-    def save(self, path=None) -> Path:
-        """The :class:`ResultCache` persistence hook: flush the buffer.
-
-        An explicit foreign ``path`` still exports a full snapshot in
-        cache format (the ``cache compact``-style escape hatch).
-        """
-        if path is not None and Path(path) != self.store.path:
-            return super().save(path)
-        self.flush()
-        return self.store.path
+    def _persist_failed(self, exc: OSError) -> None:
+        emit(
+            "cache_persist_failed",
+            level=logging.ERROR,
+            path=str(self.store.path),
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        if resolve_obs(None):
+            global_registry().counter(
+                "repro_cache_persist_failures_total",
+                help="Result-store writes that failed with an IO error "
+                "(entries stay resident and buffered)",
+            ).inc()
 
     def _maybe_compact(self) -> None:
         try:
-            size = self.store.path.stat().st_size
-        except OSError:
-            return
-        if size < self.compact_min_bytes:
-            return
-        stats = self.store.stats()
-        if stats["dead_ratio"] >= self.compact_ratio and stats["dead_lines"]:
-            self.store.compact()
-            self.compactions += 1
-            self.refresh()
+            if self.store.path.stat().st_size < self.compact_min_bytes:
+                return
+            stats = self.store.stats()
+            if stats["dead_ratio"] >= self.compact_ratio and stats["dead_lines"]:
+                self.store.compact()
+                self.compactions += 1
+                self.refresh()
+        except OSError as exc:
+            self._persist_failed(exc)
 
     # -- background ---------------------------------------------------------
 
@@ -471,24 +509,13 @@ class StoreClient(ResultCache):
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        try:
-            self.flush()
-        except OSError:
-            emit(
-                "store_final_flush_failed",
-                level=logging.WARNING,
-                path=str(self.store.path),
-            )
+        self.flush()
 
     @property
     def stats(self) -> dict:
         with self._lock:
+            base = super().stats
             pending = len(self._pending)
-            base = {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
         base.update(
             kind="store",
             path=str(self.store.path),

@@ -18,9 +18,9 @@ import pytest
 
 from repro.resilience import faults
 from repro.server import FeedbackService, warm_registry
-from repro.service import ResultCache
 from repro.service import workers as workers_mod
 from repro.service.records import comparable_record
+from repro.service.store import ResultStore, StoreClient
 from repro.service.workers import ProcessExecutor
 
 PROBLEM = "iterPower-6.00x"
@@ -136,28 +136,30 @@ class TestCacheFaults:
     def test_cache_write_fault_degrades_persistence_not_grading(
         self, warmup, tmp_path
     ):
-        path = tmp_path / "cache.json"
-        service = make_service(
-            warmup, cache=ResultCache(path), persist_every=1
-        )
+        path = tmp_path / "results.store.jsonl"
+        cache = StoreClient(path, flush_every=1, background=False)
+        service = make_service(warmup, cache=cache)
         faults.arm("cache.write")
-        out = service.grade(PROBLEM, BUGGY)
+        out = service.grade(PROBLEM, BUGGY)  # its put's flush is injected
         assert out.record["status"] == "fixed"  # grading unaffected
-        assert not path.exists()  # the save really was injected away
+        assert service.stats()["graded"] == 1
+        assert ResultStore(path).entries() == {}  # the write really failed
         faults.reset()
-        # The entries stayed resident; the next interval persists them.
+        # The entry stayed resident and buffered; the next flush persists it.
+        assert service.grade(PROBLEM, BUGGY_RENAMED).cached
         service.grade(PROBLEM, CORRECT)
-        assert ResultCache(path).peek(out.key) is not None
+        assert out.key in ResultStore(path).entries()
 
-    def test_cache_read_fault_yields_empty_load_not_a_crash(self, tmp_path):
-        path = tmp_path / "cache.json"
-        seeded = ResultCache(path)
-        seeded.put("k", {"v": 1, "status": "fixed", "problem": PROBLEM})
-        seeded.save()
+    def test_cache_read_fault_degrades_freshness_not_serving(self, tmp_path):
+        path = tmp_path / "results.store.jsonl"
+        ResultStore(path).append(
+            "k", {"v": 1, "status": "fixed", "problem": PROBLEM}
+        )
         faults.arm("cache.read", count=1)
-        assert ResultCache(path).stats["entries"] == 0
-        # Trigger consumed: the next load sees the intact file.
-        assert ResultCache(path).stats["entries"] == 1
+        client = StoreClient(path, background=False)
+        assert client.stats["entries"] == 0  # the opening read failed
+        # Trigger consumed: the miss reads through to the intact log.
+        assert client.get("k") is not None
 
 
 # -- circuit breakers ---------------------------------------------------------

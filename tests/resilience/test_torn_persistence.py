@@ -3,7 +3,10 @@ at most the damaged trailing record, never the file.
 
 Both stores are swept the same way: write a known-good file, then
 truncate it at every byte offset inside the last record and assert every
-earlier entry still loads (with a recovery event, not an exception).
+earlier entry still loads (with a recovery event, not an exception). The
+result store is swept through a :class:`StoreClient`, which must also
+seal the torn tail on its next write; the raw log gets a sweep over
+*every* byte in ``tests/service/test_store.py``.
 """
 
 import json
@@ -11,9 +14,9 @@ import logging
 
 import pytest
 
-from repro.service.cache import ResultCache
 from repro.service.jobstore import JobStore
 from repro.service.records import RECORD_VERSION
+from repro.service.store import StoreClient
 
 
 def make_record(status="fixed", detail=""):
@@ -30,78 +33,53 @@ KEYS = ["key-a", "key-b", "key-c"]
 
 
 @pytest.fixture
-def cache_file(tmp_path):
-    path = tmp_path / "cache.json"
-    cache = ResultCache(path)
+def log_file(tmp_path):
+    path = tmp_path / "results.store.jsonl"
+    client = StoreClient(path, background=False)
     for key in KEYS:
-        cache.put(key, make_record(detail=key))
-    cache.save()
+        client.put(key, make_record(detail=key))
+    client.close()
     return path
 
 
-class TestResultCacheRecovery:
-    def test_round_trip(self, cache_file):
-        cache = ResultCache(cache_file)
-        assert len(cache) == 3
-        assert cache.peek("key-b")["detail"] == "key-b"
-
-    def test_file_is_versioned_jsonl(self, cache_file):
-        lines = cache_file.read_text().splitlines()
-        assert json.loads(lines[0]) == {"version": 1}
-        assert len(lines) == 1 + len(KEYS)
-        for line in lines[1:]:
-            entry = json.loads(line)
-            assert set(entry) == {"key", "record"}
+class TestResultStoreRecovery:
+    def test_round_trip(self, log_file):
+        client = StoreClient(log_file, background=False)
+        assert len(client) == 3
+        assert client.peek("key-b")["detail"] == "key-b"
 
     def test_truncation_at_every_byte_of_the_last_record(
-        self, cache_file, caplog
+        self, log_file, caplog
     ):
-        data = cache_file.read_bytes()
+        data = log_file.read_bytes()
         assert data.endswith(b"\n")
         last_start = data.rfind(b"\n", 0, len(data) - 1) + 1
         last_line = data[last_start:].rstrip(b"\n")
-        surviving_key = json.loads(last_line)["key"]
-        others = [key for key in KEYS if key != surviving_key]
+        last_key = json.loads(last_line)["key"]
+        others = [key for key in KEYS if key != last_key]
         for cut in range(last_start, len(data)):
-            cache_file.write_bytes(data[:cut])
-            with caplog.at_level(logging.WARNING, logger="repro.obs"):
-                cache = ResultCache(cache_file)
-            # Every entry before the torn line survives, always.
+            log_file.write_bytes(data[:cut])
+            client = StoreClient(log_file, flush_every=1, background=False)
+            # Every entry before the torn line survives, always; the last
+            # one waits for its newline.
             for key in others:
-                assert cache.peek(key) is not None, f"lost {key} at cut {cut}"
-            torn = cache.peek(surviving_key) is None
-            # The only way the last entry survives is an intact line.
+                assert client.peek(key) is not None, f"lost {key} at cut {cut}"
+            assert client.peek(last_key) is None
+            with caplog.at_level(logging.WARNING, logger="repro.obs"):
+                client.put("fresh", make_record(detail="fresh"))
+                reopened = StoreClient(log_file, background=False)
+            # The write sealed the tail instead of merging into it.
+            for key in others + ["fresh"]:
+                assert reopened.peek(key) is not None, f"lost {key} at cut {cut}"
+            # Only a line that lost nothing but its newline comes back.
             intact = cut >= last_start + len(last_line)
-            assert torn != intact
-            if torn and cut > last_start:
-                assert "cache_recovered" in caplog.text
+            assert (reopened.peek(last_key) is not None) == intact
+            if cut > last_start and not intact:
+                assert "store_recovered" in caplog.text
             caplog.clear()
 
-    def test_legacy_blob_format_still_reads(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(
-            json.dumps(
-                {"version": 1, "entries": {"old-key": make_record()}}
-            )
-        )
-        cache = ResultCache(path)
-        assert cache.peek("old-key") is not None
-
-    def test_unknown_version_loads_nothing(self, tmp_path):
-        blob = tmp_path / "future-blob.json"
-        blob.write_text(json.dumps({"version": 99, "entries": {}}))
-        assert ResultCache(blob).stats["entries"] == 0
-        jsonl = tmp_path / "future.jsonl"
-        jsonl.write_text(
-            json.dumps({"version": 99})
-            + "\n"
-            + json.dumps({"key": "k", "record": make_record()})
-            + "\n"
-        )
-        assert ResultCache(jsonl).stats["entries"] == 0
-
-    def test_invalid_entry_lines_are_dropped_not_fatal(self, tmp_path):
-        path = tmp_path / "mixed.json"
+    def test_invalid_entry_lines_are_dropped_not_fatal(self, tmp_path, caplog):
+        path = tmp_path / "mixed.store.jsonl"
         path.write_text(
             json.dumps({"version": 1})
             + "\n"
@@ -111,9 +89,14 @@ class TestResultCacheRecovery:
             + "\n"
             + "{torn garbage\n"
         )
-        cache = ResultCache(path)
-        assert len(cache) == 1
-        assert cache.peek("good") is not None
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            client = StoreClient(path, background=False)
+        assert len(client) == 1
+        assert client.peek("good") is not None
+        events = [json.loads(r.getMessage()) for r in caplog.records]
+        assert [(e["event"], e["dropped_lines"]) for e in events] == [
+            ("store_recovered", 2)
+        ]
 
 
 class TestJobStoreRecovery:

@@ -82,10 +82,10 @@ class TestAnalysisKnob:
         assert service.stats()["triaged"] == 0
         assert service.stats()["analysis"] is False
 
-    def test_off_service_is_blind_to_static_records(self, warmup, tmp_path):
+    def test_off_service_is_blind_to_static_records(self, warmup):
         # Static records live under a dedicated key space, so a shared
         # cache never leaks them into an analysis-off configuration.
-        cache = ResultCache(tmp_path / "shared.json")
+        cache = ResultCache()
         on = make_service(warmup, analysis=True, cache=cache)
         off = make_service(warmup, analysis=False, cache=cache)
         assert on.grade("oddTuples-6.00", UNBOUND).record["status"] == STATIC

@@ -20,8 +20,9 @@ from repro.server import (
     UnknownProblem,
     warm_registry,
 )
-from repro.service import ResultCache
+from repro.service import BatchRunner
 from repro.service import workers as workers_mod
+from repro.service.store import ResultStore, StoreClient
 
 PROBLEM = get_problem("iterPower-6.00x")
 
@@ -135,13 +136,12 @@ class TestGrading:
         assert service.stats()["errors"] == 2
 
     def test_periodic_persistence(self, warmup, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "results.store.jsonl"
         service = make_service(
-            warmup, cache=ResultCache(path), persist_every=1
+            warmup, cache=StoreClient(path, flush_every=1, background=False)
         )
         service.grade("iterPower-6.00x", BUGGY)
-        assert path.exists()
-        assert len(ResultCache(path)) == 1
+        assert len(ResultStore(path).entries()) == 1
 
 
 class _SignalingInflight(dict):
@@ -245,14 +245,15 @@ class TestShutdown:
             service.grade("iterPower-6.00x", CORRECT)
 
     def test_close_persists_the_cache(self, warmup, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "results.store.jsonl"
         service = make_service(
-            warmup, cache=ResultCache(path), persist_every=10_000
+            warmup,
+            cache=StoreClient(path, flush_every=10_000, background=False),
         )
         service.grade("iterPower-6.00x", BUGGY)
-        assert not path.exists()  # below the periodic threshold
+        assert not path.exists()  # below the flush threshold
         service.close()
-        assert len(ResultCache(path)) == 1
+        assert len(ResultStore(path).entries()) == 1
 
 
 class TestCacheSharingUnderLoad:
@@ -283,15 +284,26 @@ class TestCacheSharingUnderLoad:
         for records in by_key.values():
             assert len(records) == 1  # identical record for every caller
 
-    def test_two_services_share_one_cache_file(self, warmup, tmp_path):
-        # Server + CLI batch (or two servers) sharing a cache file: the
-        # second process loads the first one's persisted gradings.
-        path = tmp_path / "cache.json"
-        first = make_service(warmup, cache=ResultCache(path))
-        first.grade("iterPower-6.00x", BUGGY)
-        first.close()
-        second = make_service(warmup, cache=ResultCache(path))
-        assert second.grade("iterPower-6.00x", BUGGY).cached
+    def test_batch_and_service_answer_each_other_from_one_store(
+        self, warmup, tmp_path
+    ):
+        # The CLI batch and the server derive identical keys, so a store
+        # log written by either one answers the other.
+        path = tmp_path / "results.store.jsonl"
+        batch_cache = StoreClient(path, background=False)
+        BatchRunner(PROBLEM, timeout_s=20.0, cache=batch_cache).run([BUGGY])
+        batch_cache.close()
+        service = make_service(
+            warmup, cache=StoreClient(path, background=False)
+        )
+        assert service.grade("iterPower-6.00x", BUGGY_RENAMED).cached
+        assert not service.grade("iterPower-6.00x", CORRECT).cached
+        service.close()
+        rerun = BatchRunner(
+            PROBLEM, timeout_s=20.0, cache=StoreClient(path, background=False)
+        )
+        rerun.run([CORRECT])
+        assert rerun.stats.cache_hits == 1 and rerun.stats.graded == 0
 
 
 class TestNodeIdentity:
@@ -319,13 +331,9 @@ class TestNodeIdentity:
     def test_store_client_backed_service_persists_through_the_log(
         self, warmup, tmp_path
     ):
-        from repro.service.store import StoreClient
-
         path = tmp_path / "results.store.jsonl"
         first = make_service(
-            warmup,
-            cache=StoreClient(path, background=False),
-            persist_every=1,
+            warmup, cache=StoreClient(path, flush_every=1, background=False)
         )
         first.grade("iterPower-6.00x", BUGGY)
         first.close()

@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.engines import CegisMinEngine
 from repro.problems import get_problem
 from repro.service import BatchItem, BatchRunner, JobStore, ResultCache
+from repro.service.store import ResultStore, StoreClient
 
 PROBLEM = get_problem("iterPower-6.00x")
 
@@ -70,6 +71,16 @@ class TestBatchRunner:
         assert rerun.stats.cache_hits == len(ITEMS)
         assert all(r.cached for r in results)
         assert [r.report.status for r in results] == EXPECTED
+
+    def test_run_flushes_a_store_client_cache(self, tmp_path):
+        path = tmp_path / "results.store.jsonl"
+        cache = StoreClient(path, flush_every=10_000, background=False)
+        runner = BatchRunner(PROBLEM, jobs=1, timeout_s=20, cache=cache)
+        runner.run(ITEMS)
+        # No close(): the end of the run is itself a flush point, so the
+        # three graded verdicts are on disk for the next process.
+        assert len(ResultStore(path).entries()) == runner.stats.graded == 3
+        assert cache.stats["pending_writes"] == 0
 
     def test_different_model_misses_cache(self):
         cache = ResultCache()
@@ -307,6 +318,28 @@ class TestCliBatch:
         empty.mkdir()
         with pytest.raises(SystemExit):
             main(["batch", str(empty), "--problem", PROBLEM.name])
+
+    def test_batch_cache_is_a_store_log_across_runs(
+        self, inbox, tmp_path, capsys
+    ):
+        log = tmp_path / "grading.store.jsonl"
+        argv = ["batch", str(inbox), "--problem", PROBLEM.name,
+                "--timeout", "20", "--cache", str(log)]
+        assert main(argv + ["--out", str(tmp_path / "first.jsonl")]) == 0
+        assert len(ResultStore(log).entries()) == 2  # buggy + correct
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "second.jsonl")]) == 0
+        assert "3 submissions: 0 graded, 3 cache hits" in capsys.readouterr().out
+
+    def test_batch_cache_refuses_a_file_that_is_not_a_store_log(
+        self, inbox, tmp_path
+    ):
+        blob = tmp_path / "cache.json"
+        blob.write_text(json.dumps({"version": 1, "entries": {}}))
+        with pytest.raises(SystemExit, match="not a result-store log"):
+            main(["batch", str(inbox), "--problem", PROBLEM.name,
+                  "--cache", str(blob)])
+        assert not (inbox / "results.jsonl").exists()  # nothing graded
 
 
 class TestStaleResume:

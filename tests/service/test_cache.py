@@ -1,12 +1,22 @@
-"""Result cache and record serialization tests."""
+"""Result cache, cache key and record serialization tests."""
 
-import json
+import threading
 
 import pytest
 
 from repro.core.api import FeedbackReport
 from repro.core.feedback import FeedbackItem
-from repro.service import ResultCache, cache_key, record_to_report, report_to_record
+from repro.problems import get_problem
+from repro.service import (
+    BatchRunner,
+    ResultCache,
+    cache_key,
+    canonicalize,
+    model_digest,
+    record_to_report,
+    report_to_record,
+    static_key,
+)
 
 
 def _record(status="fixed", cost=1):
@@ -58,38 +68,38 @@ class TestResultCache:
         assert cache.get(key)["status"] == "fixed"
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1 and key in cache
+        assert cache.flush() == 0  # memory-only: nothing to write
 
-    def test_save_and_load_roundtrip(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache(path)
-        cache.put(cache_key("p", "m", "c"), _record())
-        cache.save()
-        fresh = ResultCache(path)
-        assert len(fresh) == 1
-        assert fresh.peek(cache_key("p", "m", "c"))["cost"] == 1
+    def test_concurrent_threads_keep_exact_accounting(self):
+        """One instance backs every server thread: no lost puts, and
+        every get is counted exactly once as a hit or a miss."""
+        cache = ResultCache()
+        threads, rounds = 8, 200
+        start = threading.Barrier(threads)
+        wrong = []
 
-    def test_corrupt_file_ignored(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{ not json")
-        assert len(ResultCache(path)) == 0
+        def hammer(worker):
+            start.wait()
+            for i in range(rounds):
+                key = cache_key("p", "m", f"w{worker}-{i}")
+                cache.get(key)  # always a miss: nobody else writes it
+                cache.put(key, _record(cost=worker))
+                if cache.get(key)["cost"] != worker:
+                    wrong.append(key)
 
-    def test_wrong_version_ignored(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 99, "entries": {"k": _record()}}))
-        assert len(ResultCache(path)) == 0
-
-    def test_malformed_entries_skipped(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(
-            json.dumps(
-                {"version": 1, "entries": {"good": _record(), "bad": {"x": 1}}}
-            )
-        )
-        assert len(ResultCache(path)) == 1
-
-    def test_save_without_path_raises(self):
-        with pytest.raises(ValueError):
-            ResultCache().save()
+        pool = [
+            threading.Thread(target=hammer, args=(w,)) for w in range(threads)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert not wrong
+        assert cache.stats == {
+            "entries": threads * rounds,
+            "hits": threads * rounds,
+            "misses": threads * rounds,
+        }
 
 
 class TestKeyNormalization:
@@ -106,130 +116,61 @@ class TestKeyNormalization:
         assert cache_key("p", "m", "c", engine="enumerative") != cache_key(
             "p", "m", "c"
         )
-        assert cache_key("p", "m", "c", engine="cegismin+sweep") != cache_key(
+        assert cache_key("p", "m", "c", explorer=False) != cache_key(
             "p", "m", "c"
         )
 
-    def test_old_format_keys_migrate_on_load(self, tmp_path):
-        from repro.service import model_digest
-        from repro.problems import get_problem
 
-        digest = model_digest(get_problem("iterPower-6.00x").model)
-        canonical = "ab" * 32
-        old_key = f"iterPower-6.00x:{digest}:{canonical}"
-        old_budget_key = f"iterPower-6.00x:{digest}:t45:{canonical}"
-        path = tmp_path / "cache.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": {old_key: _record(), old_budget_key: _record(cost=2)},
-                }
-            )
+#: One fixed submission and its exact cache keys. Store files on disk
+#: hold keys spelled this way, so any change to them turns every stored
+#: verdict into a miss.
+BUGGY = """def iterPower(base, exp):
+    result = 0
+    for i in range(exp):
+        result = result * base
+    return result
+"""
+_PINNED_PREFIX = "iterPower-6.00x:c02c523bbb0b9426"
+_PINNED_DIGEST = (
+    "a97022e1ad0c8d37c9ff06b21358e0fb12debcf8ed383b6a716ec90a00a87c30"
+)
+PINNED = {
+    "default": f"{_PINNED_PREFIX}:cegismin:t45:{_PINNED_DIGEST}",
+    "explorer_off": f"{_PINNED_PREFIX}:cegismin+sweep:t45:{_PINNED_DIGEST}",
+    "enumerative": f"{_PINNED_PREFIX}:enumerative:t45:{_PINNED_DIGEST}",
+    "static": f"{_PINNED_PREFIX}:static:{_PINNED_DIGEST}",
+}
+
+
+class TestPinnedKeys:
+    @pytest.fixture(scope="class")
+    def parts(self):
+        problem = get_problem("iterPower-6.00x")
+        return (
+            problem.name,
+            model_digest(problem.model),
+            canonicalize(BUGGY, problem.spec).digest,
         )
-        cache = ResultCache(path)
-        hit = cache.get(
-            cache_key("iterPower-6.00x", digest, canonical, engine="cegismin")
+
+    def test_cache_key_strings(self, parts):
+        assert cache_key(*parts, timeout_s=45.0) == PINNED["default"]
+        assert (
+            cache_key(*parts, timeout_s=45.0, explorer=False)
+            == PINNED["explorer_off"]
         )
-        assert hit is not None and hit["cost"] == 1
-        budget_hit = cache.get(
-            cache_key("iterPower-6.00x", digest, canonical, timeout_s=45.0)
+        assert (
+            cache_key(*parts, engine="enumerative", timeout_s=45.0)
+            == PINNED["enumerative"]
         )
-        assert budget_hit is not None and budget_hit["cost"] == 2
+        assert static_key(*parts) == PINNED["static"]
 
-    def test_unrecognized_keys_pass_through(self):
-        from repro.service import normalize_key
-
-        assert normalize_key("not a cache key") == "not a cache key"
-        assert normalize_key("a:b") == "a:b"
-
-
-class TestConcurrentSave:
-    """Two writers sharing one cache file must merge, not clobber."""
-
-    def test_second_writer_keeps_first_writers_entries(self, tmp_path):
-        # The regression the old last-writer-wins save fails: both caches
-        # load the (empty) file, each learns a different entry, both
-        # save. The second save used to silently drop the first.
-        path = tmp_path / "cache.json"
-        first = ResultCache(path)
-        second = ResultCache(path)
-        first.put(cache_key("p", "m", "c1"), _record(cost=1))
-        second.put(cache_key("p", "m", "c2"), _record(cost=2))
-        first.save()
-        second.save()
-        merged = ResultCache(path)
-        assert merged.peek(cache_key("p", "m", "c1"))["cost"] == 1
-        assert merged.peek(cache_key("p", "m", "c2"))["cost"] == 2
-
-    def test_in_memory_entries_win_on_conflict(self, tmp_path):
-        path = tmp_path / "cache.json"
-        stale = ResultCache(path)
-        stale.put(cache_key("p", "m", "c"), _record(cost=1))
-        stale.save()
-        fresh = ResultCache(path)
-        fresh.put(cache_key("p", "m", "c"), _record(cost=9))
-        fresh.save()
-        assert ResultCache(path).peek(cache_key("p", "m", "c"))["cost"] == 9
-
-    def test_save_absorbs_other_writers_entries(self, tmp_path):
-        path = tmp_path / "cache.json"
-        mine = ResultCache(path)
-        other = ResultCache(path)
-        other.put(cache_key("p", "m", "other"), _record())
-        other.save()
-        mine.put(cache_key("p", "m", "mine"), _record())
-        mine.save()
-        # The merge flows both ways: my in-memory view now serves the
-        # other writer's entry too.
-        assert mine.peek(cache_key("p", "m", "other")) is not None
-
-    def test_two_process_stress_converges_to_the_union(self, tmp_path):
-        import multiprocessing
-
-        path = tmp_path / "cache.json"
-        workers = 4
-        entries_each = 8
-        ctx = multiprocessing.get_context("spawn")
-        barrier = ctx.Barrier(workers)
-        procs = [
-            ctx.Process(
-                target=_hammer_cache,
-                args=(str(path), worker, entries_each, barrier),
-            )
-            for worker in range(workers)
-        ]
-        for proc in procs:
-            proc.start()
-        for proc in procs:
-            proc.join(timeout=60)
-            assert proc.exitcode == 0
-        final = ResultCache(path)
-        for worker in range(workers):
-            for index in range(entries_each):
-                key = cache_key("p", "m", f"w{worker}e{index}")
-                assert final.peek(key) is not None, key
-
-    def test_stale_lock_is_broken(self, tmp_path):
-        import os
-        import time as time_mod
-
-        path = tmp_path / "cache.json"
-        lock = tmp_path / "cache.json.lock"
-        lock.write_text("dead-pid")
-        old = time_mod.time() - 120
-        os.utime(lock, (old, old))
-        cache = ResultCache(path)
-        cache.put(cache_key("p", "m", "c"), _record())
-        cache.save()  # must not deadlock on the abandoned lock
-        assert path.exists()
-
-
-def _hammer_cache(path, worker, entries_each, barrier):
-    """Child-process body for the two-process stress test (module level
-    so the spawn start method can pickle it)."""
-    cache = ResultCache(path)
-    barrier.wait()
-    for index in range(entries_each):
-        cache.put(cache_key("p", "m", f"w{worker}e{index}"), _record())
-        cache.save()
+    def test_batch_runner_derives_the_same_keys(self, parts):
+        problem = get_problem("iterPower-6.00x")
+        digest = parts[2]
+        runner = BatchRunner(problem, timeout_s=45.0)
+        assert runner._key(digest) == PINNED["default"]
+        assert runner._static_key(digest) == PINNED["static"]
+        off = BatchRunner(problem, timeout_s=45.0, explorer=False)
+        assert off._key(digest) == PINNED["explorer_off"]
+        enum = BatchRunner(problem, timeout_s=45.0, engine="enumerative")
+        assert enum._key(digest) == PINNED["enumerative"]

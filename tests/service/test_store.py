@@ -1,17 +1,23 @@
-"""The shared store tier: WAL recovery, convergence, read-through.
+"""The result store: WAL recovery, convergence, read-through.
 
-The acceptance bar from the fleet issue: the log survives byte-level
-truncation at *every* offset (losing at most the torn entries, never
-the file), and concurrent multi-client writes converge to the union.
+The acceptance bar: the log survives byte-level truncation at *every*
+offset (losing at most the torn entries, never the file), concurrent
+multi-client and multi-process writes converge to the union, and a file
+that is not a store log is never written to.
 """
 
 import json
+import logging
+import multiprocessing
 import os
 import threading
 
 import pytest
 
-from repro.service.cache import ResultCache
+from repro.cli import main
+from repro.obs import global_registry, reset_global_registry, using_obs
+from repro.resilience import faults
+from repro.service.jobstore import JobStore
 from repro.service.records import RECORD_VERSION
 from repro.service.store import (
     DEFAULT_FLUSH_EVERY,
@@ -39,6 +45,31 @@ def test_append_then_read_round_trips(log_path):
     entries = store.entries()
     assert sorted(entries) == ["k1", "k2", "k3"]
     assert entries["k2"]["tag"] == 2
+
+
+def test_log_is_versioned_jsonl(log_path):
+    ResultStore(log_path).append_many([("k1", record(1)), ("k2", record(2))])
+    lines = log_path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"version": 1, "kind": "store", "generation": 0}
+    assert [json.loads(line) for line in lines[1:]] == [
+        {"key": "k1", "record": record(1)},
+        {"key": "k2", "record": record(2)},
+    ]
+
+
+def test_reads_and_extends_a_bare_version_header_file(log_path):
+    """The ``{"version": 1}`` header plus ``{"key", "record"}`` lines is
+    a log too: such files keep answering and keep growing."""
+    log_path.write_text(
+        json.dumps({"version": 1})
+        + "\n"
+        + json.dumps({"key": "old", "record": record("old")})
+        + "\n"
+    )
+    client = StoreClient(log_path, flush_every=1, background=False)
+    assert client.get("old") == record("old")
+    client.put("new", record("new"))
+    assert sorted(ResultStore(log_path).entries()) == ["new", "old"]
 
 
 def test_later_appends_supersede_earlier_ones(log_path):
@@ -93,6 +124,74 @@ def test_garbage_line_in_the_middle_is_skipped(log_path):
         handle.write(json.dumps({"key": 7, "record": record(1)}) + "\n")
     store.append("b", record(2))
     assert sorted(store.entries()) == ["a", "b"]
+
+
+def test_torn_fresh_header_is_a_log_with_no_entries(log_path):
+    header = json.dumps({"version": 1, "kind": "store", "generation": 0})
+    log_path.write_text(header[:17])  # the creator died mid-write
+    store = ResultStore(log_path)
+    assert store.entries() == {}
+    store.append("k", record(1))
+    assert store.entries() == {"k": record(1)}
+
+
+def test_empty_existing_file_is_a_fresh_log(log_path):
+    log_path.touch()  # e.g. created by a deploy script ahead of the server
+    client = StoreClient(log_path, flush_every=1, background=False)
+    client.put("k", record(1))
+    lines = log_path.read_text().splitlines()
+    assert json.loads(lines[0])["kind"] == "store"
+    assert ResultStore(log_path).entries() == {"k": record(1)}
+
+
+# -- refusing files that are not store logs ---------------------------------
+
+
+def _put_through_a_client(path):
+    StoreClient(path, flush_every=1, background=False).put("k", record(1))
+
+
+def _compact_from_the_cli(path):
+    main(["cache", "compact", str(path)])
+
+
+@pytest.mark.parametrize(
+    "action", [_put_through_a_client, _compact_from_the_cli],
+    ids=["append", "compact"],
+)
+def test_jobstore_file_stays_byte_identical(tmp_path, action):
+    path = tmp_path / "results.jsonl"
+    jobs = JobStore(path)
+    jobs.append("alice.py", record("a"), key="p:m:cegismin:t45:aa")
+    jobs.append("bob.py", record("b"), key="p:m:cegismin:t45:bb")
+    before = path.read_bytes()
+    refused = None
+    try:
+        action(path)
+    except (ValueError, SystemExit) as exc:
+        refused = str(exc)
+    assert path.read_bytes() == before
+    assert len(JobStore(path).load()) == 2
+    assert refused is not None and f"{path} is not a result-store log" in refused
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [
+        # A pre-JSONL cache blob: one JSON object, no trailing newline.
+        json.dumps({"version": 1, "entries": {"k": record(1)}}),
+        json.dumps({"version": 99})
+        + "\n"
+        + json.dumps({"key": "k", "record": record(1)})
+        + "\n",
+    ],
+    ids=["legacy_blob", "unknown_version"],
+)
+def test_file_that_is_not_a_log_is_refused(log_path, contents):
+    log_path.write_text(contents)
+    with pytest.raises(ValueError, match="not a result-store log"):
+        StoreClient(log_path, background=False)
+    assert log_path.read_text() == contents
 
 
 def test_compact_drops_dead_lines_and_bumps_generation(log_path):
@@ -166,13 +265,26 @@ def test_read_through_sees_other_clients_appends(log_path):
     assert reader.stats["hits"] >= 1
 
 
-def test_save_is_a_flush_and_service_sees_a_path(log_path):
-    client = StoreClient(log_path, background=False)
-    assert client.path == log_path  # FeedbackService persistence engages
-    client.put("k", record(1))
-    saved = client.save()
-    assert saved == log_path
-    assert "k" in ResultStore(log_path).entries()
+def test_refresh_prefers_newer_log_lines_over_stale_memory(log_path):
+    stale = StoreClient(log_path, flush_every=1, background=False)
+    stale.put("k", record("old"))
+    fresh = StoreClient(log_path, flush_every=1, background=False)
+    fresh.put("k", record("new"))
+    assert stale.get("k") == record("old")  # a memory hit reads nothing
+    stale.refresh()
+    assert stale.peek("k") == record("new")
+    assert StoreClient(log_path, background=False).peek("k") == record("new")
+
+
+def test_refresh_keeps_own_unflushed_puts_over_the_log(log_path):
+    mine = StoreClient(log_path, flush_every=100, background=False)
+    mine.put("k", record("mine"))  # buffered, not yet in the log
+    other = StoreClient(log_path, flush_every=1, background=False)
+    other.put("k", record("other"))
+    mine.refresh()
+    assert mine.peek("k") == record("mine")
+    mine.flush()  # appended after the other line, so it supersedes it
+    assert ResultStore(log_path).entries()["k"] == record("mine")
 
 
 def test_concurrent_clients_converge_to_the_union(log_path):
@@ -189,6 +301,115 @@ def test_concurrent_clients_converge_to_the_union(log_path):
     assert len(final) == 80
     late = StoreClient(log_path, background=False)
     assert len(late._entries) == 80
+
+
+def test_spawned_processes_converge_to_the_union(log_path):
+    workers, entries_each = 4, 8
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(workers)
+    procs = [
+        ctx.Process(
+            target=_hammer_store,
+            args=(str(log_path), worker, entries_each, barrier),
+        )
+        for worker in range(workers)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    final = ResultStore(log_path).entries()
+    for worker in range(workers):
+        for index in range(entries_each):
+            assert final[f"w{worker}e{index}"] == record(worker), (worker, index)
+
+
+def _hammer_store(path, worker, entries_each, barrier):
+    """Child-process body for the multi-process stress test (module level
+    so the spawn start method can pickle it)."""
+    client = StoreClient(path, flush_every=1, background=False)
+    barrier.wait()
+    for index in range(entries_each):
+        client.put(f"w{worker}e{index}", record(worker))
+    client.close()
+
+
+def test_failed_flush_keeps_the_buffer_and_does_not_raise(log_path):
+    client = StoreClient(log_path, flush_every=1, background=False)
+    faults.arm("cache.write", count=1)
+    try:
+        client.put("k", record(1))  # the triggered flush fails
+    finally:
+        faults.reset()
+    assert client.peek("k") == record(1)  # still served
+    assert client.stats["pending_writes"] == 1
+    assert ResultStore(log_path).entries() == {}
+    assert client.flush() == 1  # retried, and written this time
+    assert ResultStore(log_path).entries() == {"k": record(1)}
+
+
+def test_failed_flush_is_reported_as_an_event_and_a_counter(log_path, caplog):
+    client = StoreClient(log_path, flush_every=1, background=False)
+    reset_global_registry()
+    logger = logging.getLogger("repro.obs")
+    saved = logger.propagate
+    logger.propagate = True  # the serve CLI may have turned it off
+    faults.arm("cache.write", count=1)
+    try:
+        with using_obs(True), caplog.at_level(
+            logging.ERROR, logger="repro.obs"
+        ):
+            client.put("k", record(1))
+    finally:
+        faults.reset()
+        logger.propagate = saved
+    events = [json.loads(r.getMessage()) for r in caplog.records]
+    assert [e["event"] for e in events] == ["cache_persist_failed"]
+    assert events[0]["path"] == str(log_path)
+    assert "injected cache.write fault" in events[0]["error"]
+    assert _persist_failures() == 1
+    reset_global_registry()
+
+
+def _persist_failures():
+    snapshot = global_registry().snapshot()
+    counter = snapshot.get("repro_cache_persist_failures_total")
+    return sum(counter["values"].values()) if counter else 0
+
+
+def test_close_absorbs_a_failed_final_flush(log_path):
+    client = StoreClient(log_path, flush_every=100, background=False)
+    client.put("k", record(1))
+    faults.arm("cache.write", count=1)
+    try:
+        client.close()  # must not raise out of shutdown
+    finally:
+        faults.reset()
+    assert ResultStore(log_path).entries() == {}
+    assert client.stats["pending_writes"] == 1
+    client.close()  # idempotent: the retry persists the kept buffer
+    assert ResultStore(log_path).entries() == {"k": record(1)}
+
+
+def test_background_flush_failure_is_retried(log_path):
+    reset_global_registry()
+    client = StoreClient(log_path, flush_every=10_000, flush_interval_s=0.1)
+    faults.arm("cache.write", count=1)
+    try:
+        with using_obs(True):
+            client.put("k", record(1))
+            for _ in range(50):
+                if "k" in ResultStore(log_path).entries():
+                    break
+                threading.Event().wait(0.1)
+        # The thread survived its failed flush and wrote on a later tick.
+        assert _persist_failures() == 1
+        assert ResultStore(log_path).entries() == {"k": record(1)}
+    finally:
+        faults.reset()
+        client.close()
+        reset_global_registry()
 
 
 def test_rotation_detection_after_foreign_compaction(log_path):
@@ -234,17 +455,6 @@ def test_background_thread_flushes_by_age(log_path):
         assert "aged" in ResultStore(log_path).entries()
     finally:
         client.close()
-
-
-def test_plain_resultcache_reads_a_store_log(log_path):
-    """The log keeps the cache family's grammar: every existing cache
-    consumer (CLI batch --cache, tooling) can read a store file."""
-    store = ResultStore(log_path)
-    store.append("k1", record(1))
-    store.append("k2", record(2))
-    legacy = ResultCache(log_path)
-    assert len(legacy) == 2
-    assert legacy.peek("k1") == record(1)
 
 
 def test_default_flush_threshold_is_sane():
