@@ -18,7 +18,6 @@ from repro.analysis.config import (
     default_analysis,
     resolve_analysis,
     set_default_analysis,
-    using_analysis,
 )
 from repro.analysis.diagnostics import (
     ERROR,
@@ -51,7 +50,6 @@ __all__ = [
     "default_analysis",
     "resolve_analysis",
     "set_default_analysis",
-    "using_analysis",
     "ProblemCoverage",
     "RuleStat",
     "coverage_from_results",

@@ -16,8 +16,7 @@ triage in :mod:`repro.analysis.triage`.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 ENV_VAR = "REPRO_ANALYSIS"
 
@@ -65,16 +64,3 @@ def set_default_analysis(value: Union[bool, str, None]) -> None:
 def resolve_analysis(value: Union[bool, str, None]) -> bool:
     """An explicit choice if given, else the process default."""
     return _validate(value) if value is not None else default_analysis()
-
-
-@contextmanager
-def using_analysis(value: Union[bool, str, None]) -> Iterator[bool]:
-    """Temporarily pin the process default (``None`` = leave as is)."""
-    global _default
-    saved = _default
-    if value is not None:
-        _default = _validate(value)
-    try:
-        yield default_analysis()
-    finally:
-        _default = saved

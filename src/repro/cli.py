@@ -294,8 +294,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.breaker_reset <= 0:
         raise SystemExit("--breaker-reset must be > 0")
     if args.faults:
-        # Explicit flag outranks REPRO_FAULTS; configured before any
-        # worker forks so children inherit the armed plan.
+        # Explicit flag outranks REPRO_FAULTS. Workers hold no plan of
+        # their own: this process draws their faults per request.
         from repro.resilience import faults as fault_injection
 
         try:

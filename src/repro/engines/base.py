@@ -277,23 +277,3 @@ class Engine(abc.ABC):
         already spent from it). ``None`` means the engine starts a fresh
         ``timeout_s`` clock — the standalone-call behavior.
         """
-
-    def config_label(self) -> str:
-        """The cache-key identity of this engine configuration.
-
-        The engine name plus every constructor parameter that differs
-        from the defaults, e.g. ``cegismin[max_cost=1]`` — two
-        differently-configured instances of one engine class must never
-        address the same cache entry (a ``no_fix`` under a tight budget
-        is not a verdict about the generous run). Relies on engines
-        being default-constructible and storing only configuration in
-        instance attributes. ``explorer`` is excluded: the cache key
-        encodes it separately (:func:`repro.service.cache.cache_key`).
-        """
-        defaults = vars(type(self)())
-        extras = ",".join(
-            f"{key}={value}"
-            for key, value in sorted(vars(self).items())
-            if key != "explorer" and defaults.get(key, value) != value
-        )
-        return f"{self.name}[{extras}]" if extras else self.name

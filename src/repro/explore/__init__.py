@@ -17,7 +17,6 @@ from repro.explore.config import (
     default_explorer,
     resolve_explorer,
     set_default_explorer,
-    using_explorer,
 )
 from repro.explore.forker import (
     ExplorationLimit,
@@ -49,5 +48,4 @@ __all__ = [
     "resolve_explorer",
     "set_default_explorer",
     "typed_equal",
-    "using_explorer",
 ]

@@ -11,8 +11,7 @@ candidate, the per-candidate sweep the exploration tables replace.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 ENV_VAR = "REPRO_EXPLORER"
 
@@ -54,16 +53,3 @@ def set_default_explorer(value: Union[bool, str, None]) -> None:
 def resolve_explorer(value: Union[bool, str, None]) -> bool:
     """An explicit choice if given, else the process default."""
     return _validate(value) if value is not None else default_explorer()
-
-
-@contextmanager
-def using_explorer(value: Union[bool, str, None]) -> Iterator[bool]:
-    """Temporarily pin the process default (``None`` = leave as is)."""
-    global _default
-    saved = _default
-    if value is not None:
-        _default = _validate(value)
-    try:
-        yield default_explorer()
-    finally:
-        _default = saved

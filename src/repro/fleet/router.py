@@ -57,13 +57,9 @@ from repro.problems import all_problems
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.server import codec
+from repro.service.cache import DEFAULT_TIMEOUT_S
 from repro.service.canonical import canonicalize
 from repro.fleet.ring import DEFAULT_VNODES, HashRing, routing_key
-
-#: Default solver budget assumed when a request carries no ``timeout_s``
-#: (matches the serve CLI default; only used for deadline bookkeeping —
-#: an untouched body leaves the backend's own default in charge).
-DEFAULT_TIMEOUT_S = 45.0
 
 #: Router wear a request may absorb before the forwarded ``timeout_s``
 #: is rewritten to the remaining budget. Below this the body passes
@@ -187,6 +183,9 @@ class FleetRouter:
             raise ValueError("a router needs at least one backend")
         self.host = host
         self.port = port
+        #: Budget assumed when a request carries no ``timeout_s``; only
+        #: deadline bookkeeping — an untouched body leaves the backend's
+        #: own default in charge.
         self.default_timeout_s = default_timeout_s
         self.nodes: Dict[str, BackendNode] = {}
         for address in backends:

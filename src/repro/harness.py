@@ -15,12 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.api import FIXED
 from repro.eml.rules import ErrorModel
 from repro.engines import BoundedVerifier
-from repro.engines.base import Engine
 from repro.problems import Problem, all_problems, get_problem
+from repro.service.cache import DEFAULT_TIMEOUT_S as DEFAULT_TIMEOUT
 from repro.service.runner import BatchItem, BatchRunner
 from repro.studentgen import Corpus, generate_corpus
-
-DEFAULT_TIMEOUT = 45.0
 
 
 @dataclass
@@ -79,7 +77,6 @@ def run_problem(
     corpus_size: int = 24,
     seed: int = 0,
     timeout_s: float = DEFAULT_TIMEOUT,
-    engine: Optional[Engine] = None,
     model: Optional[ErrorModel] = None,
     verifier: Optional[BoundedVerifier] = None,
     jobs: int = 1,
@@ -90,9 +87,8 @@ def run_problem(
 
     The corpus goes through the batch grading service: duplicate (and
     α-renamed) submissions are solved once, and ``jobs > 1`` fans the
-    distinct ones out over a process pool. ``engine`` instances are a
-    serial-only feature; parallel runs name their engine. ``backend``
-    selects the execution substrate (compiled closures by default);
+    distinct ones out over the served worker pool. ``backend`` selects
+    the execution substrate (compiled closures by default);
     ``explorer`` toggles exploration-table blocking (on by default —
     ``False`` is the per-candidate-sweep ablation).
     """
@@ -100,8 +96,6 @@ def run_problem(
         corpus = generate_corpus(
             problem, incorrect_count=corpus_size, seed=seed
         )
-    if model is None:
-        model = problem.model  # NB: an empty ErrorModel is falsy
     run = ProblemRun(
         problem=problem.name,
         corpus_correct=len(corpus.correct),
@@ -112,7 +106,6 @@ def run_problem(
         model=model,
         jobs=jobs,
         timeout_s=timeout_s,
-        engine=engine,
         verifier=verifier,
         backend=backend,
         explorer=explorer,

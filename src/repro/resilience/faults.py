@@ -20,15 +20,19 @@ triggers::
 - ``delay=S``  seconds to sleep for hang/slow points (default 30);
 - ``seed=N``   seed the plan's RNG (deterministic probabilistic chaos).
 
-Worker processes: the :class:`~repro.service.workers.ProcessExecutor`
-ships :func:`active_spec` to each worker at fork time, so a plan armed
-in the parent — even after startup, for respawn tests — governs the
-children regardless of the multiprocessing start method. Count triggers
-are therefore **per process**: each worker consumes its own copy.
+Worker processes never consult a plan of their own. The
+:class:`~repro.service.workers.ProcessExecutor` consumes the triggers of
+the points a worker acts out in the parent, with :func:`draw`: per
+request at dispatch, and ``worker.warm_crash`` at spawn. The fired
+points travel with the request and the worker acts them out. So a plan
+armed in the parent, even after startup, governs its workers under any
+multiprocessing start method, and ``n=K`` means K fires across the
+parent, its workers and every respawn, not K per process.
 
-Every fired fault counts into ``repro_faults_injected_total{point=...}``
-(observability on), so ``/metrics`` shows exactly what the chaos run
-actually injected.
+Every fired fault counts once into
+``repro_faults_injected_total{point=...}`` (observability on), in the
+process that consumed its trigger, so ``/metrics`` shows exactly what
+the chaos run injected, even for a worker that died acting it out.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import os
 import random
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -137,8 +141,8 @@ class FaultPlan:
             return fault.delay_s
 
     def spec(self) -> str:
-        """Serialize back to the ``REPRO_FAULTS`` grammar (for shipping
-        the live plan to a freshly forked worker)."""
+        """Serialize back to the ``REPRO_FAULTS`` grammar, remaining
+        counts included."""
         parts = []
         with self._lock:
             for fault in self._faults.values():
@@ -243,7 +247,7 @@ def reset() -> None:
 
 
 def active_spec() -> Optional[str]:
-    """The live plan serialized for a forked worker, or None."""
+    """The live plan in the ``REPRO_FAULTS`` grammar, or None."""
     if not enabled():
         return None
     assert _PLAN is not None
@@ -278,12 +282,6 @@ def inject(point: str, exc: Optional[BaseException] = None) -> None:
         raise exc if exc is not None else FaultInjected(point)
 
 
-def crash(point: str, code: int = 23) -> None:
-    """Kill the current process hard at an armed seam (worker faults)."""
-    if enabled() and should_fire(point):
-        os._exit(code)
-
-
 def sleep_if(point: str) -> bool:
     """Sleep the fault's ``delay`` at an armed seam; True when fired."""
     if enabled() and should_fire(point):
@@ -296,3 +294,17 @@ def sleep_if(point: str) -> bool:
 def fired(point: str) -> bool:
     """Bare trigger consultation for seams with custom fault behavior."""
     return enabled() and should_fire(point)
+
+
+def draw(points: Sequence[str]) -> Dict[str, float]:
+    """Consume ``points``' triggers here for another process to act out.
+
+    Returns the points that fired, each with its delay. Every point is
+    consulted, in order, once per call.
+    """
+    if not enabled():
+        return {}
+    assert _PLAN is not None
+    return {
+        point: _PLAN.delay_for(point) for point in points if should_fire(point)
+    }

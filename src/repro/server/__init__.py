@@ -4,9 +4,10 @@ The batch layer (:mod:`repro.service`) made *one invocation* grade many
 submissions; this package makes *one process* serve many invocations.
 On startup every registry problem is preloaded into a
 :class:`~repro.server.warm.WarmProblem` — parsed reference, parsed and
-digested error model, compiled-backend reference program, fully
-materialized bounded-verification table, and a priming grade that walks
-the entire pipeline — so a request never recompiles anything.
+digested error model, fully materialized bounded-verification table,
+and a priming grade that walks the entire pipeline — so a request never
+recompiles anything. Batch runs grade through the same
+:class:`~repro.server.service.FeedbackService`.
 
 - :mod:`repro.server.warm` — per-problem warm artifacts + startup
   self-test (primed with the *serving* engine configuration);

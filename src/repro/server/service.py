@@ -29,8 +29,9 @@ drive it directly with threads. One instance owns:
   :meth:`FeedbackService.close` flushes the rest.
 
 Cache keys come from :func:`~repro.service.cache.cache_key` and
-:func:`~repro.service.cache.static_key`, as the batch runner's do, so
-server, batch runner and one-shot CLI all hit each other's entries.
+:func:`~repro.service.cache.static_key`. The batch runner grades through
+this class too, so server, batch runner and one-shot CLI all hit each
+other's entries.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ from repro.resilience.breaker import HALF_OPEN, OPEN, BreakerBoard
 from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import submission_failing_tests
 from repro.server.warm import Warmup, warm_registry
-from repro.service.cache import ResultCache, cache_key, static_key
+from repro.service.cache import DEFAULT_TIMEOUT_S, ResultCache, cache_key, static_key
 from repro.service.canonical import canonicalize
-from repro.service.runner import DEFAULT_TIMEOUT_S
 from repro.service.records import (
     DEGRADED,
     ERROR,
@@ -254,7 +254,10 @@ class FeedbackService:
                     warm.primed for warm in self.warmup.problems.values()
                 )
             self._executor = ProcessExecutor(
-                problems=list(self.warmup.problems),
+                problems=[
+                    (warm.problem, warm.model)
+                    for warm in self.warmup.problems.values()
+                ],
                 workers=self.workers,
                 default_engine=default_engine,
                 backend=self.backend,

@@ -1,9 +1,9 @@
 """Warm per-problem artifacts: everything a request must never rebuild.
 
 A cold :func:`~repro.core.api.generate_feedback` call pays for parsing the
-reference, parsing + digesting the error model, compiling the reference to
-closures, and enumerating the reference's outcome on every input of the
-bounded space — none of which depends on the submission. A
+reference, parsing + digesting the error model, and enumerating the
+reference's outcome on every input of the bounded space — none of which
+depends on the submission. A
 :class:`WarmProblem` does all of that once at server startup, so a request
 costs only what is genuinely per-submission (rewrite + solve).
 
@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.compile import COMPILED, compile_program, resolve_backend
+from repro.compile import resolve_backend
 from repro.core.api import ALREADY_CORRECT, generate_feedback
 from repro.eml.rules import ErrorModel
 from repro.engines import engine_by_name
@@ -47,11 +47,6 @@ class WarmProblem:
     #: Reference-outcome table, fully materialized (``verifier.inputs``
     #: forced); request threads share it read-only.
     verifier: BoundedVerifier
-    #: The reference lowered to closures once, proof the compiled backend
-    #: is warm (the verifier's own reference executor is internal to it).
-    #: ``None`` when the server runs the interp backend — compiling an
-    #: artifact no request would use is pure startup waste.
-    reference_program: Optional[object]
     backend: str
     warm_time_s: float = 0.0
     #: Wall time of the priming grade (0.0 when priming was skipped).
@@ -83,6 +78,8 @@ class WarmProblem:
 
 def warm_problem(
     problem: Problem,
+    model: Optional[ErrorModel] = None,
+    verifier: Optional[BoundedVerifier] = None,
     backend: Optional[str] = None,
     prime: bool = True,
     prime_timeout_s: float = 30.0,
@@ -90,6 +87,11 @@ def warm_problem(
     explorer: Optional[bool] = None,
 ) -> WarmProblem:
     """Build the warm artifact for one problem.
+
+    ``model`` defaults to the problem's own error model; a batch grading
+    under another one (a rule-prefix ablation, a borrowed model) warms
+    that pair instead. A prebuilt ``verifier`` for the problem's spec is
+    reused rather than rebuilt.
 
     ``engine`` and ``explorer`` are the *serving* configuration: priming
     used to hardcode cegismin, so a server started with
@@ -99,24 +101,19 @@ def warm_problem(
     """
     started = time.perf_counter()
     spec = problem.spec
-    model = problem.model  # parses + checks the .eml file (lru-cached)
+    if model is None:
+        model = problem.model  # parses + checks the .eml file (lru-cached)
     digest = model_digest(model)
-    resolved = resolve_backend(backend)
-    verifier = BoundedVerifier(spec, backend=backend)
+    if verifier is None:
+        verifier = BoundedVerifier(spec, backend=backend)
     verifier.inputs  # materialize the reference-outcome table
     verifier.candidate_fuel  # and the calibrated candidate budget
-    reference_program = (
-        compile_program(spec.reference_module(), fuel=spec.fuel)
-        if resolved == COMPILED
-        else None
-    )
     warm = WarmProblem(
         problem=problem,
         model=model,
         model_digest=digest,
         verifier=verifier,
-        reference_program=reference_program,
-        backend=resolved,
+        backend=resolve_backend(backend),
         warm_time_s=time.perf_counter() - started,
     )
     if prime:

@@ -18,12 +18,13 @@ of trivially-reformatted resubmissions. This package turns
   append-log of results that batch runs and backend processes write
   behind and read through, with WAL-style torn-tail recovery and
   background compaction;
-- :mod:`repro.service.workers` — shared worker-process machinery and the
-  :class:`~repro.service.workers.ProcessExecutor` pool of preforked,
-  pre-warmed grading workers (problem sharding, crash/timeout
-  recycling) the feedback server scales cache misses across cores with;
-- :mod:`repro.service.runner` — parallel batch runner over a process
-  pool with deterministic ordering and progress callbacks.
+- :mod:`repro.service.workers` — the grading executors: the one grading
+  call, and the :class:`~repro.service.workers.ProcessExecutor` pool of
+  preforked, pre-warmed grading workers (problem sharding, crash/timeout
+  recycling) that scales cache misses across cores;
+- :mod:`repro.service.runner` — the batch runner: it grades through the
+  feedback server's grading call and adds job-store resume, input-order
+  results and progress callbacks.
 """
 
 from repro.service.cache import (

@@ -27,6 +27,10 @@ from typing import Dict, Optional
 #: configurations).
 DEFAULT_ENGINE = "cegismin"
 
+#: The default per-submission solver budget, in seconds, of every grading
+#: entry point: batch runs, the server, the fleet router and the harness.
+DEFAULT_TIMEOUT_S = 45.0
+
 
 def cache_key(
     problem: str,

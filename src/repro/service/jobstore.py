@@ -21,7 +21,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.obs.events import emit
 from repro.service.records import is_record
@@ -36,14 +36,17 @@ class JobStore:
     def exists(self) -> bool:
         return self.path.exists()
 
-    def load(self, key_prefix: Optional[str] = None) -> Dict[str, dict]:
+    def load(
+        self, key_prefix: Union[str, Tuple[str, ...], None] = None
+    ) -> Dict[str, dict]:
         """Completed entries keyed by submission id.
 
         Later lines win (a re-graded submission supersedes its earlier
-        record); malformed lines are skipped. With ``key_prefix``,
-        entries whose stored cache key does not start with it are dropped
-        — they were graded under a different problem, error model, engine
-        or solver budget and are stale for the resuming run.
+        record); malformed lines are skipped. With ``key_prefix`` (one
+        prefix or a tuple of them), entries whose stored cache key starts
+        with none of them are dropped — they were graded under a
+        different problem, error model, engine or solver budget and are
+        stale for the resuming run.
         """
         completed: Dict[str, dict] = {}
         if not self.path.exists():

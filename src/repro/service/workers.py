@@ -2,16 +2,17 @@
 
 The engine loop is pure-Python CPU work, so a thread per request buys
 *zero* extra throughput on a multi-core box — the GIL serializes every
-solve. This module owns the two ways a grading actually runs:
+solve. This module owns the way a grading actually runs:
 
-- the **shared worker-process machinery** the batch runner
-  (:class:`~repro.service.runner.BatchRunner`) forks per batch:
-  :func:`worker_init` / :func:`worker_grade` pin backend + explorer in
-  the child and prime one problem's verifier once per process;
-- :class:`ProcessExecutor`, the feedback server's long-lived pool of
-  **preforked, pre-warmed** worker processes. Each worker warms (and
-  primes, reusing :mod:`repro.server.warm`) its assigned problems once
-  at startup; requests are routed to a worker that owns the problem.
+- :func:`grade_record`, the one grading call every executor makes;
+- :class:`ProcessExecutor`, the pool of **preforked, pre-warmed** worker
+  processes behind ``serve --executor process`` and every parallel
+  batch (:class:`~repro.service.runner.BatchRunner` with ``jobs > 1``
+  grades through a :class:`~repro.server.service.FeedbackService` over
+  it). Each worker warms (and optionally primes, reusing
+  :mod:`repro.server.warm`) its assigned ``(problem, error model)``
+  pairs once at startup; requests are routed to a worker that owns the
+  problem.
   With ``shard=True`` the problem set is partitioned across workers so
   per-process warm memory stays bounded; without it every worker warms
   every problem and any free worker can take any request. A worker that
@@ -33,10 +34,12 @@ import logging
 import multiprocessing
 import os
 import threading
-from typing import Dict, List, Optional, Sequence
+import time
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compile import set_default_backend
 from repro.core.api import generate_feedback
+from repro.eml.rules import ErrorModel
 from repro.engines import engine_by_name
 from repro.explore import set_default_explorer
 from repro.obs import (
@@ -46,6 +49,7 @@ from repro.obs import (
     snapshot_delta,
 )
 from repro.obs.events import emit
+from repro.problems.registry import Problem
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline
 from repro.service.records import error_record, report_to_record
@@ -53,6 +57,13 @@ from repro.service.records import error_record, report_to_record
 THREAD = "thread"
 PROCESS = "process"
 EXECUTORS = (THREAD, PROCESS)
+
+#: The chaos seams a pool worker acts out for one request, in the order
+#: it reaches them; the parent draws them at dispatch.
+_WORKER_FAULTS = (
+    "worker.crash", "worker.hang", "grade.slow", "grade.error",
+    "worker.reply_drop", "worker.reply_malformed",
+)
 
 
 def default_executor() -> str:
@@ -112,7 +123,7 @@ def grade_record(
     backend: Optional[str],
     explorer: Optional[bool],
     deadline: Optional[Deadline] = None,
-    analysis: bool = False,
+    drawn: Optional[Dict[str, float]] = None,
 ) -> dict:
     """Grade one submission against warm per-problem state → record.
 
@@ -128,27 +139,19 @@ def grade_record(
     remaining seconds travel (as a shrunk ``timeout_s``) and the worker
     restarts a local clock here.
 
-    ``analysis=True`` runs the pre-grading triage pass
-    (:mod:`repro.analysis.triage`) first and short-circuits to a
-    ``status="static"`` record when it proves no candidate can fix the
-    submission. The batch runner's worker path opts in; the server's
-    executors leave it off because the service triages at admission.
+    ``drawn`` is the chaos a pool worker's parent drew for this request;
+    ``None`` consults the live fault plan here.
     """
-    if analysis:
-        from repro.analysis.triage import triage_record
-
-        static = triage_record(spec, model, verifier, source)
-        if static is not None:
-            if resolve_obs(None):
-                observe_grading(static, engine_name)
-            return static
     try:
         # Chaos seams (zero-cost disarmed): a grading that stalls, and a
         # grading that raises — the two failure shapes every layer above
         # must absorb without wedging a slot.
-        if faults.enabled():
-            faults.sleep_if("grade.slow")
-            faults.inject("grade.error")
+        if drawn is None:
+            drawn = faults.draw(("grade.slow", "grade.error"))
+        if "grade.slow" in drawn:
+            time.sleep(drawn["grade.slow"])
+        if "grade.error" in drawn:
+            raise faults.FaultInjected("grade.error")
         engine = engine_by_name(engine_name)
         engine.explorer = explorer
         report = generate_feedback(
@@ -172,99 +175,47 @@ def grade_record(
     return record
 
 
-# -- single-problem batch workers (ProcessPoolExecutor protocol) -------------
-#
-# Worker state is primed once per process by the pool initializer: the
-# bounded verifier's reference-outcome table is the expensive part of a
-# grading call, and must not be rebuilt per submission.
+# -- the preforked worker pool -------------------------------------------------
 
-_WORKER: dict = {}
-
-
-def worker_init(
-    spec,
-    model,
-    engine_name: str,
-    timeout_s: float,
-    backend: str,
-    explorer: bool,
-    analysis: bool = False,
-) -> None:
-    """Initializer for one-problem batch worker processes."""
-    from repro.engines.verify import BoundedVerifier
-
-    # Pin the execution backend and explorer mode explicitly: workers must
-    # match the parent runner's configuration even under spawn-based
-    # process start methods.
-    set_default_backend(backend)
-    set_default_explorer(explorer)
-    verifier = BoundedVerifier(spec)
-    verifier.inputs  # materialize the reference table up front
-    _WORKER.update(
-        spec=spec,
-        model=model,
-        engine_name=engine_name,
-        timeout_s=timeout_s,
-        backend=backend,
-        explorer=explorer,
-        analysis=analysis,
-        verifier=verifier,
-    )
-
-
-def worker_grade(source: str) -> dict:
-    """Grade one submission in a batch worker (see :func:`worker_init`)."""
-    return grade_record(
-        _WORKER["spec"],
-        _WORKER["model"],
-        _WORKER["verifier"],
-        source,
-        _WORKER["engine_name"],
-        _WORKER["timeout_s"],
-        _WORKER["backend"],
-        _WORKER["explorer"],
-        analysis=_WORKER.get("analysis", False),
-    )
-
-
-# -- the server's preforked worker pool --------------------------------------
+#: A pool's unit of work: a problem and the error model to grade it with.
+Pair = Tuple[Problem, ErrorModel]
 
 
 def _pool_worker_main(
     conn,
-    problem_names: List[str],
+    pairs: List[Pair],
     engine_name: str,
     backend: Optional[str],
     explorer: bool,
     prime: bool,
-    faults_spec: Optional[str] = None,
+    warm_crash: bool = False,
 ) -> None:
-    """One pool worker: warm the assigned problems, then serve the pipe.
+    """One pool worker: warm the assigned pairs, then serve the pipe.
 
     Runs in the child process. Imports of the server package happen here,
     not at module scope — :mod:`repro.server.warm` imports this package,
     and the service layer must stay importable without the server.
 
-    ``faults_spec`` is the parent's live fault plan at fork time —
-    shipped explicitly so chaos tests govern respawned workers under any
-    multiprocessing start method (module state only survives fork).
+    The worker consults no fault plan: it drops any it inherited or read
+    from the environment, and acts out only what the parent drew for it
+    (``warm_crash`` at spawn, a set of points per request).
     """
-    from repro.problems import get_problem
     from repro.server.warm import warm_problem
 
-    if faults_spec:
-        faults.configure(faults_spec)
+    faults.configure(None)
     try:
         # Chaos seam: a worker that dies during its warmup self-test —
         # the parent must cap respawns instead of thrashing forever.
-        faults.crash("worker.warm_crash", code=32)
+        if warm_crash:
+            os._exit(32)
         if backend is not None:
             set_default_backend(backend)
         set_default_explorer(explorer)
         state = {}
-        for name in problem_names:
-            state[name] = warm_problem(
-                get_problem(name),
+        for problem, model in pairs:
+            state[problem.name] = warm_problem(
+                problem,
+                model=model,
                 backend=backend,
                 prime=prime,
                 engine=engine_name,
@@ -289,18 +240,18 @@ def _pool_worker_main(
             return
         if not isinstance(message, tuple) or message[0] != "grade":
             return  # "stop" or garbage: either way, exit cleanly
-        _, problem, source, request_engine, timeout_s = message[:5]
-        request_id = message[5] if len(message) > 5 else ""
+        _, problem, source, request_engine, timeout_s, request_id, drawn = message
         # Restart the request's deadline locally the moment the message
         # lands: the shipped timeout_s is the budget *remaining* at
         # dispatch, and everything from here — injected stalls included —
         # must spend from it, not reset it.
         deadline = Deadline.after(timeout_s)
-        if faults.enabled():
-            # Chaos seams: die mid-grade (parent sees EOF → recycle) or
-            # stall past the watchdog grace (parent sees poll timeout).
-            faults.crash("worker.crash", code=31)
-            faults.sleep_if("worker.hang")
+        # Chaos seams: die mid-grade (parent sees EOF → recycle) or
+        # stall past the watchdog grace (parent sees poll timeout).
+        if "worker.crash" in drawn:
+            os._exit(31)
+        if "worker.hang" in drawn:
+            time.sleep(drawn["worker.hang"])
         warm = state.get(problem)
         if warm is None:
             record = error_record(
@@ -318,6 +269,7 @@ def _pool_worker_main(
                 backend,
                 explorer,
                 deadline=deadline,
+                drawn=drawn,
             )
         # Ship what this grading added to the worker's registry alongside
         # the record; the parent merges it so one scrape covers the fleet.
@@ -334,19 +286,18 @@ def _pool_worker_main(
             current = global_registry().snapshot()
             delta = snapshot_delta(current, last_snapshot)
             last_snapshot = current
-        if faults.enabled():
-            # Chaos seams on the result pipe: a reply that never arrives
-            # (watchdog path) and one the parent cannot parse (recycle
-            # path). Either way this worker keeps serving — the *parent*
-            # decides its fate.
-            if faults.fired("worker.reply_drop"):
-                continue
-            if faults.fired("worker.reply_malformed"):
-                try:
-                    conn.send(("bogus",))
-                except (BrokenPipeError, OSError):
-                    return
-                continue
+        # Chaos seams on the result pipe: a reply that never arrives
+        # (watchdog path) and one the parent cannot parse (recycle path).
+        # Either way this worker keeps serving — the *parent* decides its
+        # fate.
+        if "worker.reply_drop" in drawn:
+            continue
+        if "worker.reply_malformed" in drawn:
+            try:
+                conn.send(("bogus",))
+            except (BrokenPipeError, OSError):
+                return
+            continue
         try:
             conn.send(("record", record, delta))
         except (BrokenPipeError, OSError):
@@ -387,10 +338,11 @@ class ProcessExecutor:
     """A pool of preforked, pre-warmed grading worker processes.
 
     Construction spawns the workers immediately; each warms (and primes)
-    its assigned problems in parallel with its siblings. Call
-    :meth:`wait_ready` to block until every worker has reported in —
-    the service does this before taking traffic, so the first cache miss
-    never pays a warmup.
+    its assigned ``(problem, error model)`` pairs in parallel with its
+    siblings. Both objects pickle, so the pairs reach a worker under any
+    multiprocessing start method. Call :meth:`wait_ready` to block until
+    every worker has reported in — the service does this before taking
+    traffic, so the first cache miss never pays a warmup.
     """
 
     kind = PROCESS
@@ -407,7 +359,7 @@ class ProcessExecutor:
 
     def __init__(
         self,
-        problems: Sequence[str],
+        problems: Sequence[Pair],
         workers: int = 2,
         default_engine: str = "cegismin",
         backend: Optional[str] = None,
@@ -421,7 +373,11 @@ class ProcessExecutor:
             raise ValueError("workers must be >= 1")
         if not problems:
             raise ValueError("a ProcessExecutor needs at least one problem")
-        self.problems = sorted(set(problems))
+        #: problem name -> its pair; one model per problem.
+        self._pairs: Dict[str, Pair] = {
+            problem.name: (problem, model) for problem, model in problems
+        }
+        self.problems = sorted(self._pairs)
         self.default_engine = default_engine
         self.backend = backend
         self.explorer = explorer
@@ -462,12 +418,14 @@ class ProcessExecutor:
             target=_pool_worker_main,
             args=(
                 child_conn,
-                handle.problems,
+                [self._pairs[name] for name in handle.problems],
                 self.default_engine,
                 self.backend,
                 self.explorer,
                 self.prime,
-                faults.active_spec(),
+                # Drawn per spawn, so a one-shot warm crash kills one
+                # worker, not every respawn.
+                faults.fired("worker.warm_crash"),
             ),
             name=f"repro-grader-{handle.index}",
             daemon=True,
@@ -705,6 +663,7 @@ class ProcessExecutor:
                         engine_name,
                         timeout_s,
                         request_id,
+                        faults.draw(_WORKER_FAULTS),
                     )
                 )
                 if handle.conn.poll(window):

@@ -5,17 +5,18 @@ service or executor, and asserts the system *converges*: no wedged
 slots, no corrupted cache, and — once the faults are disarmed — records
 identical to a never-faulted run.
 
-Worker-process faults note: the parent's fault plan is shipped to
-workers at fork time and each worker consumes its *own* trigger counts,
-so a respawned worker is re-armed until the parent disarms. Convergence
-tests therefore disarm and then loop-grade until a clean record — the
-loop settles within a couple of recycles by construction.
+Worker-process faults note: the parent draws every worker fault at
+dispatch (or spawn) and the worker only acts it out, so a count trigger
+is consumed once across the pool and its respawns: a one-shot fault
+costs one request, and the next one grades clean.
 """
 
 import time
 
 import pytest
 
+from repro.obs import reset_global_registry
+from repro.problems import get_problem
 from repro.resilience import faults
 from repro.server import FeedbackService, warm_registry
 from repro.service import workers as workers_mod
@@ -68,7 +69,8 @@ def make_service(warmup, **kwargs):
 
 
 def make_pool(**kwargs):
-    kwargs.setdefault("problems", [PROBLEM])
+    problem = get_problem(PROBLEM)
+    kwargs.setdefault("problems", [(problem, problem.model)])
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("prime", False)
     return ProcessExecutor(**kwargs)
@@ -286,6 +288,30 @@ class TestWorkerFaults:
             assert grade_until_clean(pool)["status"] == "fixed"
         finally:
             pool.close()
+
+    def test_one_shot_fault_fires_once_across_respawns(self):
+        registry = reset_global_registry()
+        faults.configure("worker.reply_drop:n=1")
+        pool = make_pool(grace_s=1.0)
+        try:
+            pool.wait_ready()
+            lost = pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)
+            assert lost["status"] == "error"
+            assert "still busy" in lost["detail"]
+            # The respawned worker is not re-armed: still armed in the
+            # parent, the spent trigger never fires again.
+            assert pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)["status"] == (
+                "fixed"
+            )
+            assert pool.info()["recycled"] == 1
+        finally:
+            pool.close()
+        fired = registry.counter(
+            "repro_faults_injected_total",
+            help="Faults fired by the injection harness",
+            labelnames=("point",),
+        )
+        assert fired.value(point="worker.reply_drop") == 1
 
     def test_reply_malformed_recycles_the_worker(self):
         faults.arm("worker.reply_malformed", count=1)

@@ -86,7 +86,10 @@ class TestShardAssignment:
 @pytest.fixture(scope="module")
 def pool():
     executor = ProcessExecutor(
-        problems=["iterPower-6.00x", "prodBySum-6.00"],
+        problems=[
+            (problem, problem.model)
+            for problem in map(get_problem, ["iterPower-6.00x", "prodBySum-6.00"])
+        ],
         workers=2,
         shard=True,
     )

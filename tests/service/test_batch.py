@@ -5,13 +5,15 @@ so the whole module stays in the seconds range.
 """
 
 import json
+import sys
 
 import pytest
 
 from repro.cli import main
-from repro.engines import CegisMinEngine
 from repro.problems import get_problem
+from repro.resilience import faults
 from repro.service import BatchItem, BatchRunner, JobStore, ResultCache
+from repro.service.records import comparable_record, report_to_record
 from repro.service.store import ResultStore, StoreClient
 
 PROBLEM = get_problem("iterPower-6.00x")
@@ -113,75 +115,130 @@ class TestBatchRunner:
         assert [s[0] for s in seen] == list(range(1, len(ITEMS) + 1))
         assert all(s[1] == len(ITEMS) for s in seen)
 
-    def test_engine_instance_serial_only(self):
-        runner = BatchRunner(
-            PROBLEM, jobs=1, timeout_s=20, engine=CegisMinEngine()
-        )
-        assert runner.run([ITEMS[0]])[0].report.status == "fixed"
-        with pytest.raises(ValueError):
-            BatchRunner(PROBLEM, jobs=2, engine=CegisMinEngine())
-
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             BatchRunner(PROBLEM, jobs=0)
 
     def test_parallel_matches_serial(self):
-        serial = BatchRunner(PROBLEM, jobs=1, timeout_s=20).run(ITEMS)
-        parallel = BatchRunner(PROBLEM, jobs=2, timeout_s=20).run(ITEMS)
-        assert [r.report.status for r in parallel] == [
-            r.report.status for r in serial
+        serial = BatchRunner(PROBLEM, jobs=1, timeout_s=20)
+        parallel = BatchRunner(PROBLEM, jobs=2, timeout_s=20)
+        serial_rows, parallel_rows = serial.run(ITEMS), parallel.run(ITEMS)
+        assert [r.sid for r in parallel_rows] == [r.sid for r in serial_rows]
+        assert [r.canonical for r in parallel_rows] == [
+            r.canonical for r in serial_rows
         ]
-        assert [r.sid for r in parallel] == [r.sid for r in serial]
+        counts = ("total", "graded", "cache_hits", "dedup_hits", "resumed")
+        assert [getattr(parallel.stats, name) for name in counts] == [
+            getattr(serial.stats, name) for name in counts
+        ]
+        assert parallel.stats.by_status == serial.stats.by_status
+        # Each distinct submission is graded once, by whichever copy
+        # reaches the service first (alice and her renamed copy bob are
+        # dispatched together), and every copy carries the record a
+        # serial batch of that graded copy alone returns.
+        alone = {
+            item.sid: records(BatchRunner(PROBLEM, timeout_s=20).run([item]))
+            for item in ITEMS
+        }
+        graded = {r.canonical: r.sid for r in parallel_rows if not r.cached}
+        assert len(graded) == serial.stats.graded
+        for row in parallel_rows:
+            assert records([row]) == alone[graded[row.canonical]]
+        for row, serial_row in zip(parallel_rows, serial_rows):
+            if not (row.cached or serial_row.cached):
+                assert records([row]) == records([serial_row])
 
 
-class TestEngineInstanceCacheKeys:
-    def test_differently_configured_engines_do_not_share_entries(self):
-        # Regression: keys used to be derived from type(engine).__name__,
-        # so CegisMinEngine(max_cost=0) and CegisMinEngine() shared cache
-        # entries — the tight budget's no_fix was replayed verbatim to
-        # the generous run.
+def records(rows):
+    return [comparable_record(report_to_record(r.report)) for r in rows]
+
+
+class TestParallelBatchAccounting:
+    def test_client_threads_lose_no_update(self, tmp_path):
+        # More client threads than cores, switching as often as the
+        # interpreter allows: every item still settles exactly once, in
+        # input order, and the ledger balances.
+        items = [
+            BatchItem(f"s{index:02d}.py", item.source)
+            for index, item in enumerate(ITEMS * 3)
+        ]
+        seen = []
+        store = JobStore(tmp_path / "results.jsonl")
+        runner = BatchRunner(
+            PROBLEM,
+            jobs=4,
+            timeout_s=20,
+            store=store,
+            progress=lambda done, total, result: seen.append(
+                (done, result.sid)
+            ),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = runner.run(items)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.sid for r in results] == [item.sid for item in items]
+        assert [r.report.status for r in results] == EXPECTED * 3
+        assert sorted(done for done, _ in seen) == list(
+            range(1, len(items) + 1)
+        )
+        assert sorted(sid for _, sid in seen) == sorted(
+            item.sid for item in items
+        )
+        stats = runner.stats
+        assert stats.total == len(items)
+        assert stats.graded + stats.cache_hits + stats.dedup_hits == len(items)
+        assert sum(stats.by_status.values()) == len(items)
+        assert len(store.load()) == len(items)
+
+
+#: Distinct iterPower submissions: four canonical forms, four gradings.
+DISTINCT = [
+    BatchItem("alice.py", BUGGY),
+    BatchItem("carol.py", CORRECT),
+    BatchItem("eve.py", BROKEN),
+    BatchItem(
+        "frank.py",
+        CORRECT.replace("range(exp)", "range(exp - 1)"),
+    ),
+]
+
+
+class TestParallelBatchChaos:
+    def test_worker_crash_costs_one_item_and_resume_regrades_it(
+        self, tmp_path
+    ):
         cache = ResultCache()
-        tight = BatchRunner(
-            PROBLEM,
-            jobs=1,
-            timeout_s=20,
-            engine=CegisMinEngine(max_cost=0),
-            cache=cache,
+        store = JobStore(tmp_path / "results.jsonl")
+        faults.configure("worker.crash:n=1")
+        try:
+            runner = BatchRunner(
+                PROBLEM, jobs=2, timeout_s=20, cache=cache, store=store
+            )
+            results = runner.run(DISTINCT)
+        finally:
+            faults.reset()
+        assert [r.sid for r in results] == [item.sid for item in DISTINCT]
+        errors = [r for r in results if r.report.status == "error"]
+        assert len(errors) == 1
+        assert "died mid-request" in errors[0].report.detail
+        assert runner.stats.failures == 1
+        # The lost grading is neither cached nor stored...
+        assert cache.peek(errors[0].canonical) is None
+        assert errors[0].sid not in store.load()
+        assert len(store.load()) == len(DISTINCT) - 1
+        # ...so a clean resume grades exactly that one submission.
+        resumed = BatchRunner(
+            PROBLEM, jobs=2, timeout_s=20, store=store, resume=True
         )
-        assert tight.run([ITEMS[0]])[0].report.status == "no_fix"
-        generous = BatchRunner(
-            PROBLEM,
-            jobs=1,
-            timeout_s=20,
-            engine=CegisMinEngine(),
-            cache=cache,
-        )
-        results = generous.run([ITEMS[0]])
-        assert results[0].report.status == "fixed"
-        assert not results[0].cached  # the no_fix entry was never offered
-        assert generous.stats.cache_hits == 0
-
-    def test_config_label_distinguishes_and_defaults_collapse(self):
-        cache = ResultCache()
-        by_instance = BatchRunner(
-            PROBLEM, jobs=1, timeout_s=20, engine=CegisMinEngine(), cache=cache
-        )
-        by_name = BatchRunner(
-            PROBLEM, jobs=1, timeout_s=20, engine="cegismin", cache=cache
-        )
-        # A default-constructed instance is the named configuration: the
-        # two runners must share entries...
-        assert by_instance._key_prefix == by_name._key_prefix
-        # ...while any non-default parameter forks the address.
-        tight = BatchRunner(
-            PROBLEM,
-            jobs=1,
-            timeout_s=20,
-            engine=CegisMinEngine(max_cost=1),
-            cache=cache,
-        )
-        assert tight._key_prefix != by_name._key_prefix
-        assert "max_cost=1" in tight._key_prefix
+        again = resumed.run(DISTINCT)
+        assert resumed.stats.graded == 1
+        assert resumed.stats.resumed == len(DISTINCT) - 1
+        assert resumed.stats.failures == 0
+        serial = BatchRunner(PROBLEM, jobs=1, timeout_s=20).run(DISTINCT)
+        assert records(again) == records(serial)
 
 
 class TestJobStoreResume:
@@ -342,6 +399,53 @@ class TestCliBatch:
         assert not (inbox / "results.jsonl").exists()  # nothing graded
 
 
+ODD = get_problem("oddTuples-6.00")
+
+#: Triage proves this unfixable (an unbound name): a ``static`` record,
+#: filed under the engine-independent static key.
+UNBOUND = """def oddTuples(aTup):
+  result = len(resutl)
+  return aTup
+"""
+
+
+class TestTriagedResume:
+    @pytest.fixture
+    def inbox(self, tmp_path):
+        directory = tmp_path / "inbox"
+        directory.mkdir()
+        (directory / "reference.py").write_text(ODD.spec.reference_source)
+        (directory / "unbound.py").write_text(UNBOUND)
+        return directory
+
+    def test_cli_resume_serves_triaged_files(self, inbox, capsys):
+        argv = ["batch", str(inbox), "--problem", ODD.name, "--timeout", "20"]
+        assert main(argv) == 0
+        assert "static" in capsys.readouterr().out
+        assert main(argv + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "0 graded" in out
+        assert "2 resumed" in out
+        assert len((inbox / "results.jsonl").read_text().splitlines()) == 2
+
+    def test_analysis_off_resume_grades_the_triaged_file(self, tmp_path):
+        items = [
+            BatchItem("reference.py", ODD.spec.reference_source),
+            BatchItem("unbound.py", UNBOUND),
+        ]
+        store = JobStore(tmp_path / "results.jsonl")
+        first = BatchRunner(ODD, timeout_s=20, analysis=True, store=store)
+        assert first.run(items)[1].report.status == "static"
+        off = BatchRunner(
+            ODD, timeout_s=20, analysis=False, store=store, resume=True
+        )
+        results = off.run(items)
+        assert off.stats.resumed == 1
+        assert off.stats.graded == 1
+        assert not results[1].resumed
+        assert results[1].report.status == "no_fix"
+
+
 class TestStaleResume:
     def test_load_key_prefix_drops_stale_entries(self, tmp_path):
         store = JobStore(tmp_path / "results.jsonl")
@@ -366,15 +470,17 @@ class TestStaleResume:
 
 
 class TestErrorRecords:
-    def test_serial_grading_exception_becomes_error_record(self, monkeypatch):
-        from repro.service import runner as runner_mod
+    def _grading_exception_becomes_error_record(self, monkeypatch, jobs):
+        from repro.service import workers as workers_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(runner_mod, "generate_feedback", boom)
+        # The one grading call: a pool forks after the patch, so its
+        # workers raise too.
+        monkeypatch.setattr(workers_mod, "generate_feedback", boom)
         cache = ResultCache()
-        runner = BatchRunner(PROBLEM, jobs=1, timeout_s=20, cache=cache)
+        runner = BatchRunner(PROBLEM, jobs=jobs, timeout_s=20, cache=cache)
         results = runner.run([ITEMS[0]])
         assert results[0].report.status == "error"
         assert "engine exploded" in results[0].report.detail
@@ -383,32 +489,25 @@ class TestErrorRecords:
         # Error records are transient: never cached, so a retry re-grades.
         assert len(cache) == 0
 
+    def test_serial_grading_exception_becomes_error_record(self, monkeypatch):
+        self._grading_exception_becomes_error_record(monkeypatch, jobs=1)
+
+    def test_parallel_grading_exception_becomes_error_record(
+        self, monkeypatch
+    ):
+        self._grading_exception_becomes_error_record(monkeypatch, jobs=2)
+
     def test_error_records_not_persisted_to_store(self, monkeypatch, tmp_path):
-        from repro.service import runner as runner_mod
+        from repro.service import workers as workers_mod
 
         monkeypatch.setattr(
-            runner_mod,
+            workers_mod,
             "generate_feedback",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         store = JobStore(tmp_path / "results.jsonl")
         BatchRunner(PROBLEM, jobs=1, timeout_s=20, store=store).run([ITEMS[0]])
         assert store.load() == {}
-
-    def test_worker_grade_exception_becomes_error_record(self, monkeypatch):
-        from repro.service import workers as workers_mod
-
-        workers_mod.worker_init(
-            PROBLEM.spec, PROBLEM.model, "cegismin", 20.0, "compiled", True
-        )
-        monkeypatch.setattr(
-            workers_mod,
-            "generate_feedback",
-            lambda *a, **k: (_ for _ in ()).throw(ValueError("worker boom")),
-        )
-        record = workers_mod.worker_grade(BUGGY)
-        assert record["status"] == "error"
-        assert "worker boom" in record["detail"]
 
 
 class TestBatchExitCode:

@@ -164,13 +164,14 @@ class TestPinnedKeys:
         )
         assert static_key(*parts) == PINNED["static"]
 
-    def test_batch_runner_derives_the_same_keys(self, parts):
+    def test_batch_runner_derives_the_same_keys(self):
         problem = get_problem("iterPower-6.00x")
-        digest = parts[2]
-        runner = BatchRunner(problem, timeout_s=45.0)
-        assert runner._key(digest) == PINNED["default"]
-        assert runner._static_key(digest) == PINNED["static"]
-        off = BatchRunner(problem, timeout_s=45.0, explorer=False)
-        assert off._key(digest) == PINNED["explorer_off"]
-        enum = BatchRunner(problem, timeout_s=45.0, engine="enumerative")
-        assert enum._key(digest) == PINNED["enumerative"]
+        for config, options in (
+            ("default", {}),
+            ("explorer_off", {"explorer": False}),
+            ("enumerative", {"engine": "enumerative"}),
+        ):
+            runner = BatchRunner(problem, timeout_s=45.0, **options)
+            (result,) = runner.run([BUGGY])
+            assert result.report.status == "fixed"
+            assert result.canonical == PINNED[config]
