@@ -24,7 +24,9 @@ Worker processes never consult a plan of their own. The
 :class:`~repro.service.workers.ProcessExecutor` consumes the triggers of
 the points a worker acts out in the parent, with :func:`draw`: per
 request at dispatch, and ``worker.warm_crash`` at spawn. The fired
-points travel with the request and the worker acts them out. So a plan
+points travel with the request and the worker acts them out; a drawn
+fault that ends the request (a crash, a dropped reply) leaves the
+triggers of the points after it unconsumed. So a plan
 armed in the parent, even after startup, governs its workers under any
 multiprocessing start method, and ``n=K`` means K fires across the
 parent, its workers and every respawn, not K per process.
@@ -40,8 +42,7 @@ from __future__ import annotations
 import os
 import random
 import threading
-import time
-from typing import Dict, Optional, Sequence
+from typing import Collection, Dict, Optional, Sequence
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -96,7 +97,6 @@ class FaultPlan:
     """A set of armed faults with their triggers (thread-safe)."""
 
     def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
         self._rng = random.Random(seed)
         self._faults: Dict[str, _Fault] = {}
         self._lock = threading.Lock()
@@ -139,24 +139,6 @@ class FaultPlan:
             if fault is None or fault.delay_s is None:
                 return DEFAULT_DELAY_S
             return fault.delay_s
-
-    def spec(self) -> str:
-        """Serialize back to the ``REPRO_FAULTS`` grammar, remaining
-        counts included."""
-        parts = []
-        with self._lock:
-            for fault in self._faults.values():
-                piece = fault.point
-                if fault.probability < 1.0:
-                    piece += f":p={fault.probability:g}"
-                if fault.remaining is not None:
-                    piece += f":n={fault.remaining}"
-                if fault.delay_s is not None:
-                    piece += f":delay={fault.delay_s:g}"
-                parts.append(piece)
-        if self.seed is not None and parts:
-            parts[0] += f":seed={self.seed}"
-        return ",".join(parts)
 
 
 def parse_spec(spec: str) -> FaultPlan:
@@ -246,14 +228,6 @@ def reset() -> None:
         _env_read = False
 
 
-def active_spec() -> Optional[str]:
-    """The live plan in the ``REPRO_FAULTS`` grammar, or None."""
-    if not enabled():
-        return None
-    assert _PLAN is not None
-    return _PLAN.spec() or None
-
-
 def _count(point: str) -> None:
     # Deferred import: obs is cheap, but faults must stay importable from
     # the lowest layers without dragging the telemetry stack into them
@@ -282,29 +256,26 @@ def inject(point: str, exc: Optional[BaseException] = None) -> None:
         raise exc if exc is not None else FaultInjected(point)
 
 
-def sleep_if(point: str) -> bool:
-    """Sleep the fault's ``delay`` at an armed seam; True when fired."""
-    if enabled() and should_fire(point):
-        assert _PLAN is not None
-        time.sleep(_PLAN.delay_for(point))
-        return True
-    return False
-
-
 def fired(point: str) -> bool:
     """Bare trigger consultation for seams with custom fault behavior."""
     return enabled() and should_fire(point)
 
 
-def draw(points: Sequence[str]) -> Dict[str, float]:
+def draw(points: Sequence[str], ends: Collection[str] = ()) -> Dict[str, float]:
     """Consume ``points``' triggers here for another process to act out.
 
-    Returns the points that fired, each with its delay. Every point is
-    consulted, in order, once per call.
+    Returns the points that fired, each with its delay. The points are
+    consulted in order, once per call, up to the first fired point in
+    ``ends``: that fault ends the request, so the points after it would
+    never be acted out and keep their triggers.
     """
     if not enabled():
         return {}
     assert _PLAN is not None
-    return {
-        point: _PLAN.delay_for(point) for point in points if should_fire(point)
-    }
+    drawn: Dict[str, float] = {}
+    for point in points:
+        if should_fire(point):
+            drawn[point] = _PLAN.delay_for(point)
+            if point in ends:
+                break
+    return drawn

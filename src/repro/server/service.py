@@ -30,8 +30,8 @@ drive it directly with threads. One instance owns:
 
 Cache keys come from :func:`~repro.service.cache.cache_key` and
 :func:`~repro.service.cache.static_key`. The batch runner grades through
-this class too, so server, batch runner and one-shot CLI all hit each
-other's entries.
+this class too (and groups a corpus's copies by :meth:`FeedbackService.key`),
+so server, batch runner and one-shot CLI all hit each other's entries.
 """
 
 from __future__ import annotations
@@ -321,6 +321,19 @@ class FeedbackService:
 
     # -- public API ---------------------------------------------------------
 
+    def key(self, problem: str, source: str) -> str:
+        """The cache key :meth:`grade` gives ``source`` at the default
+        engine and budget: α-renamed copies share it."""
+        warm = self._warm(problem)
+        return cache_key(
+            warm.name,
+            warm.model_digest,
+            canonicalize(source, warm.spec).digest,
+            engine=self.default_engine,
+            timeout_s=self.default_timeout_s,
+            explorer=self.explorer,
+        )
+
     def grade(
         self,
         problem: str,
@@ -443,7 +456,16 @@ class FeedbackService:
 
         future: Future = Future()
         with self._lock:
-            leader_future = self._inflight.setdefault(key, future)
+            # An identical grading may have cached its record and left
+            # in-flight since the lookup above: serve it, do not regrade.
+            record = self.cache.peek(key)
+            if record is None:
+                leader_future = self._inflight.setdefault(key, future)
+        if record is not None:
+            return self._finish(
+                "cache_hit", record, key, started, request_id, stages,
+                cached=True,
+            )
         if leader_future is not future:
             # Follower: an identical submission is being graded right
             # now — await its record instead of solving it again.

@@ -3,9 +3,10 @@
 :class:`BatchRunner` sends every pending submission through
 :meth:`FeedbackService.grade <repro.server.service.FeedbackService.grade>`,
 the call ``serve`` answers requests with: cache keys, triage, the cache,
-in-flight dedup, error records and the executors are the service's. Each
+error records and the executors are the service's. Each
 :meth:`BatchRunner.run` builds a service over the runner's own problem,
-error model and verifier, and closes it at the end. ``jobs > 1`` feeds
+error model and verifier (by default the process-wide one corpus
+generation fills), and closes it at the end. ``jobs > 1`` feeds
 the served :class:`~repro.service.workers.ProcessExecutor` pool from
 ``jobs`` client threads, so a crashed or wedged worker costs one
 submission an ``error`` record. The runner adds what a batch has and a
@@ -19,9 +20,11 @@ are phrased in terms of the representative's text. Such results are
 flagged ``cached=True`` so callers needing letter-perfect feedback for
 every copy can re-render; the classroom payoff (the one conceptual error
 half the class shares is solved once) is why dedup is the default. The
-representative is the first copy to reach the service: the first in
-input order with ``jobs=1``; with ``jobs > 1`` α-renamed copies in
-flight together race for it, as concurrent requests to ``serve`` do.
+representative is the first copy in input order at any ``jobs``: with
+``jobs > 1`` the copies sharing a :meth:`FeedbackService.key
+<repro.server.service.FeedbackService.key>` go to one client thread,
+first copy first, so the rest are cache hits that never hold a thread
+while it grades.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.analysis.config import resolve_analysis
 from repro.core.api import TIMEOUT as TIMEOUT_STATUS
-from repro.core.api import FeedbackReport
+from repro.core.api import FeedbackReport, _verifier_cache
 from repro.eml.rules import ErrorModel
 from repro.explore import resolve_explorer
 from repro.problems.registry import Problem
@@ -178,7 +181,7 @@ class BatchRunner:
             index: int, record: dict, key: str, outcome: Optional["GradeOutcome"]
         ) -> None:
             """File one result; ``outcome`` is None for a resumed one."""
-            cached = outcome is None or outcome.cached or outcome.deduped
+            cached = outcome is None or outcome.cached
             report = record_to_report(record)
             result = BatchResult(batch[index].sid, report, key, cached, outcome is None)
             with lock:
@@ -213,18 +216,22 @@ class BatchRunner:
         if pending:
             service = self._service(workers=min(self.jobs, len(pending)))
 
-            def grade(index: int) -> None:
-                outcome = service.grade(self.problem.name, batch[index].source)
-                settle(index, outcome.record, outcome.key, outcome)
+            def grade(indices: List[int]) -> None:
+                for index in indices:
+                    outcome = service.grade(self.problem.name, batch[index].source)
+                    settle(index, outcome.record, outcome.key, outcome)
 
             try:
                 if self.jobs == 1:
-                    for index in pending:
-                        grade(index)
+                    grade(pending)
                 else:
-                    clients = ThreadPoolExecutor(self.jobs)
+                    copies: Dict[str, List[int]] = {}
+                    for index in pending:
+                        key = service.key(self.problem.name, batch[index].source)
+                        copies.setdefault(key, []).append(index)
+                    clients = ThreadPoolExecutor(min(self.jobs, len(copies)))
                     try:
-                        list(clients.map(grade, pending))
+                        list(clients.map(grade, copies.values()))
                     finally:
                         clients.shutdown(cancel_futures=True)
             finally:
@@ -242,10 +249,14 @@ class BatchRunner:
         from repro.server.service import FeedbackService
         from repro.server.warm import Warmup, warm_problem
 
+        verifier = self.verifier
+        if verifier is None and self.backend is None:
+            # Shared with corpus generation; an explicit backend gets its own.
+            verifier = _verifier_cache(self.problem.spec)
         warm = warm_problem(
             self.problem,
             model=self.model,
-            verifier=self.verifier,
+            verifier=verifier,
             backend=self.backend,
             prime=False,
         )
@@ -274,12 +285,11 @@ def _count(
 ) -> BatchStats:
     """Account a finished run.
 
-    A cached or followed outcome is a duplicate when another item of the
-    run graded its key, else a cache hit. Counting after the run keeps
-    ``jobs > 1`` completion order from moving an item between the two.
+    A cached outcome is a duplicate when another item of the run graded
+    its key, else a cache hit.
     """
-    served = [o for o in outcomes.values() if o.cached or o.deduped]
-    graded_keys = {o.key for o in outcomes.values() if not (o.cached or o.deduped)}
+    served = [o for o in outcomes.values() if o.cached]
+    graded_keys = {o.key for o in outcomes.values() if not o.cached}
     dedup_hits = sum(o.key in graded_keys for o in served)
     return BatchStats(
         total=len(results),

@@ -64,6 +64,9 @@ _WORKER_FAULTS = (
     "worker.crash", "worker.hang", "grade.slow", "grade.error",
     "worker.reply_drop", "worker.reply_malformed",
 )
+#: The seams after which a worker acts out nothing more of the request:
+#: it is dead, or its reply is gone.
+_WORKER_FAULT_ENDS = ("worker.crash", "worker.reply_drop")
 
 
 def default_executor() -> str:
@@ -663,7 +666,7 @@ class ProcessExecutor:
                         engine_name,
                         timeout_s,
                         request_id,
-                        faults.draw(_WORKER_FAULTS),
+                        faults.draw(_WORKER_FAULTS, _WORKER_FAULT_ENDS),
                     )
                 )
                 if handle.conn.poll(window):

@@ -313,6 +313,33 @@ class TestWorkerFaults:
         )
         assert fired.value(point="worker.reply_drop") == 1
 
+    def test_a_dropped_reply_leaves_the_next_fault_armed(self):
+        # Both armed: the first request's reply is dropped, so its
+        # malformed reply is never sent and that shot goes to the next
+        # request instead. Each fault is acted out, and counted, once.
+        registry = reset_global_registry()
+        faults.configure("worker.reply_drop:n=1,worker.reply_malformed:n=1")
+        pool = make_pool(grace_s=1.0)
+        try:
+            pool.wait_ready()
+            lost = pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)
+            assert "still busy" in lost["detail"]
+            garbled = pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)
+            assert "malformed reply" in garbled["detail"]
+            assert pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)["status"] == (
+                "fixed"
+            )
+            assert pool.info()["recycled"] == 2
+        finally:
+            pool.close()
+        fired = registry.counter(
+            "repro_faults_injected_total",
+            help="Faults fired by the injection harness",
+            labelnames=("point",),
+        )
+        assert fired.value(point="worker.reply_drop") == 1
+        assert fired.value(point="worker.reply_malformed") == 1
+
     def test_reply_malformed_recycles_the_worker(self):
         faults.arm("worker.reply_malformed", count=1)
         pool = make_pool()

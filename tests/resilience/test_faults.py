@@ -1,11 +1,9 @@
 """Fault-injection harness unit tests: grammar, triggers, plan state."""
 
-import time
-
 import pytest
 
 from repro.resilience import faults
-from repro.resilience.faults import FaultInjected, FaultPlan, parse_spec
+from repro.resilience.faults import FaultInjected, parse_spec
 
 
 class TestSpecGrammar:
@@ -51,31 +49,10 @@ class TestSpecGrammar:
         assert fires[0] == fires[1]
         assert any(fires[0]) and not all(fires[0])
 
-    def test_spec_round_trip_preserves_remaining_counts(self):
-        plan = parse_spec("worker.crash:n=3,grade.slow:delay=2")
-        plan.should_fire("worker.crash")  # consume one
-        respawned = parse_spec(plan.spec())
-        # A worker forked now inherits the *remaining* budget, not the
-        # original one.
-        assert respawned.should_fire("worker.crash")
-        assert respawned.should_fire("worker.crash")
-        assert not respawned.should_fire("worker.crash")
-        assert respawned.delay_for("grade.slow") == 2.0
-
-    def test_spec_round_trip_preserves_seed(self):
-        plan = FaultPlan(seed=42)
-        plan.arm("grade.error", probability=0.25)
-        again = parse_spec(plan.spec())
-        assert again.seed == 42
-        assert [plan.should_fire("grade.error") for _ in range(40)] == [
-            again.should_fire("grade.error") for _ in range(40)
-        ]
-
 
 class TestProcessWidePlan:
     def test_disarmed_is_the_default(self):
         assert not faults.enabled()
-        assert faults.active_spec() is None
         assert not faults.should_fire("worker.crash")
         faults.inject("grade.error")  # no-op disarmed, must not raise
 
@@ -112,24 +89,28 @@ class TestProcessWidePlan:
         faults.configure(None)
         assert not faults.enabled()
 
-    def test_sleep_if_uses_armed_delay(self):
+    def test_draw_carries_the_armed_delay(self):
         faults.arm("grade.slow", count=1, delay_s=0.05)
-        started = time.monotonic()
-        assert faults.sleep_if("grade.slow")
-        assert time.monotonic() - started >= 0.05
-        # Exhausted: no sleep, no fire.
-        assert not faults.sleep_if("grade.slow")
+        assert faults.draw(("grade.slow",)) == {"grade.slow": 0.05}
+        # Exhausted: nothing drawn.
+        assert faults.draw(("grade.slow",)) == {}
 
     def test_fired_consumes_trigger(self):
         faults.arm("worker.reply_drop", count=1)
         assert faults.fired("worker.reply_drop")
         assert not faults.fired("worker.reply_drop")
 
-    def test_active_spec_ships_the_live_plan(self):
-        faults.arm("worker.crash", count=2)
-        spec = faults.active_spec()
-        assert spec is not None
-        plan = parse_spec(spec)
-        assert plan.should_fire("worker.crash")
-        assert plan.should_fire("worker.crash")
-        assert not plan.should_fire("worker.crash")
+    def test_draw_stops_at_a_fault_that_ends_the_request(self):
+        # A crash ends the request: the slow point after it is never
+        # acted out, so it keeps its shot for the next draw.
+        faults.configure("worker.crash:n=1,grade.slow:n=1:delay=0.01")
+        points = ("worker.crash", "grade.slow")
+        ends = ("worker.crash",)
+        assert faults.draw(points, ends) == {"worker.crash": faults.DEFAULT_DELAY_S}
+        assert faults.draw(points, ends) == {"grade.slow": 0.01}
+        assert faults.draw(points, ends) == {}
+
+    def test_draw_without_an_ending_fault_takes_every_point(self):
+        faults.configure("grade.slow:n=1:delay=0.01,grade.error:n=1")
+        drawn = faults.draw(("grade.slow", "grade.error"), ("worker.crash",))
+        assert set(drawn) == {"grade.slow", "grade.error"}

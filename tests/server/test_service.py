@@ -284,6 +284,31 @@ class TestCacheSharingUnderLoad:
         for records in by_key.values():
             assert len(records) == 1  # identical record for every caller
 
+    def test_a_grading_that_lands_after_the_lookup_is_served(self, warmup):
+        # A misses the cache, then B grades the same submission and
+        # leaves in-flight before A registers: A must take B's record,
+        # not grade again.
+        service = make_service(warmup)
+        admit = service.breakers.admit
+        a_in_admit, b_done = threading.Event(), threading.Event()
+
+        def admit_a_after_b(keys):
+            if not a_in_admit.is_set():
+                a_in_admit.set()
+                assert b_done.wait(20)
+            return admit(keys)
+
+        service.breakers.admit = admit_a_after_b
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            a = pool.submit(service.grade, "iterPower-6.00x", BUGGY)
+            assert a_in_admit.wait(20)
+            b = service.grade("iterPower-6.00x", BUGGY_RENAMED)
+            b_done.set()
+            outcome = a.result()
+        assert not b.cached and outcome.cached
+        assert outcome.record == b.record
+        assert service.stats()["graded"] == 1
+
     def test_batch_and_service_answer_each_other_from_one_store(
         self, warmup, tmp_path
     ):

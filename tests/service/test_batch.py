@@ -6,12 +6,14 @@ so the whole module stays in the seconds range.
 
 import json
 import sys
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.problems import get_problem
 from repro.resilience import faults
+from repro.server.service import FeedbackService
 from repro.service import BatchItem, BatchRunner, JobStore, ResultCache
 from repro.service.records import comparable_record, report_to_record
 from repro.service.store import ResultStore, StoreClient
@@ -115,6 +117,26 @@ class TestBatchRunner:
         assert [s[0] for s in seen] == list(range(1, len(ITEMS) + 1))
         assert all(s[1] == len(ITEMS) for s in seen)
 
+    def test_runs_reuse_the_process_wide_verifier(self, monkeypatch):
+        # Corpus generation fills the process-wide verifier; a run that
+        # is handed none warms on it instead of building its own table.
+        from repro.core.api import _verifier_cache
+        from repro.server import warm
+
+        handed = []
+        real = warm.warm_problem
+
+        def spy(*args, **kwargs):
+            handed.append(kwargs["verifier"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(warm, "warm_problem", spy)
+        BatchRunner(PROBLEM, timeout_s=20).run([CORRECT])
+        BatchRunner(PROBLEM, timeout_s=20, backend="interp").run([CORRECT])
+        assert handed[0] is _verifier_cache(PROBLEM.spec)
+        # An explicit backend gets a table of its own.
+        assert handed[1] is None
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             BatchRunner(PROBLEM, jobs=0)
@@ -132,21 +154,12 @@ class TestBatchRunner:
             getattr(serial.stats, name) for name in counts
         ]
         assert parallel.stats.by_status == serial.stats.by_status
-        # Each distinct submission is graded once, by whichever copy
-        # reaches the service first (alice and her renamed copy bob are
-        # dispatched together), and every copy carries the record a
-        # serial batch of that graded copy alone returns.
-        alone = {
-            item.sid: records(BatchRunner(PROBLEM, timeout_s=20).run([item]))
-            for item in ITEMS
-        }
-        graded = {r.canonical: r.sid for r in parallel_rows if not r.cached}
-        assert len(graded) == serial.stats.graded
-        for row in parallel_rows:
-            assert records([row]) == alone[graded[row.canonical]]
-        for row, serial_row in zip(parallel_rows, serial_rows):
-            if not (row.cached or serial_row.cached):
-                assert records([row]) == records([serial_row])
+        # The first copy in input order is graded at any jobs, so bob
+        # quotes alice's identifiers in both runs.
+        assert [r.cached for r in parallel_rows] == [
+            r.cached for r in serial_rows
+        ]
+        assert records(parallel_rows) == records(serial_rows)
 
 
 def records(rows):
@@ -154,6 +167,35 @@ def records(rows):
 
 
 class TestParallelBatchAccounting:
+    def test_copies_of_one_submission_never_grade_together(
+        self, monkeypatch
+    ):
+        # alice, bob and dave share a key. Sent to the service together,
+        # two of them would hold client threads waiting on the first.
+        grade = FeedbackService.grade
+        copies = {BUGGY, BUGGY_RENAMED}
+        active, overlaps = [0], []
+        lock = threading.Lock()
+
+        def tracked(service, problem, source, *args, **kwargs):
+            copy = source in copies
+            with lock:
+                active[0] += copy
+                if active[0] > 1:
+                    overlaps.append(source)
+            try:
+                return grade(service, problem, source, *args, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= copy
+
+        monkeypatch.setattr(FeedbackService, "grade", tracked)
+        runner = BatchRunner(PROBLEM, jobs=2, timeout_s=20)
+        results = runner.run(ITEMS)
+        assert overlaps == []
+        assert [r.report.status for r in results] == EXPECTED
+        assert runner.stats.dedup_hits == 2
+
     def test_client_threads_lose_no_update(self, tmp_path):
         # More client threads than cores, switching as often as the
         # interpreter allows: every item still settles exactly once, in
