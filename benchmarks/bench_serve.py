@@ -46,6 +46,7 @@ import pytest
 
 from repro.problems import get_problem
 from repro.server import FeedbackClient, FeedbackHTTPServer, FeedbackService, warm_registry
+from repro.service import GradingConfig
 from repro.studentgen import generate_corpus
 
 PROBLEM_NAME = "evalPoly-6.00x"
@@ -104,7 +105,7 @@ def submissions(tmp_path_factory):
 def served():
     warmup = warm_registry(names=[PROBLEM_NAME])
     service = FeedbackService(
-        warmup=warmup, jobs=2, queue_limit=64, default_timeout_s=TIMEOUT_S
+        warmup=warmup, jobs=2, queue_limit=64, config=GradingConfig(timeout_s=TIMEOUT_S)
     )
     server = FeedbackHTTPServer(service, port=0)
     server.serve_in_thread()
@@ -323,7 +324,7 @@ def _cache_miss_throughput(executor: str, sources) -> dict:
         warmup=warmup,
         jobs=SCALE_WORKERS,
         queue_limit=256,
-        default_timeout_s=TIMEOUT_S,
+        config=GradingConfig(timeout_s=TIMEOUT_S),
         executor=executor,
         workers=SCALE_WORKERS,
     )
@@ -512,7 +513,7 @@ def _fleet_cache_miss_throughput(n, sources, log_dir) -> dict:
         only=[PROBLEM_NAME],
         jobs=SCALE_WORKERS,
         queue=256,
-        timeout_s=TIMEOUT_S,
+        config=GradingConfig(timeout_s=TIMEOUT_S),
         log_dir=str(log_dir),
     )
     statuses: dict = {}

@@ -9,9 +9,9 @@ Three consumers, one layer:
 - :mod:`repro.analysis.coverage` — the post-grading join of corpus
   results against the static rule inventory (the ``coverage`` verb).
 
-The serving-path triage is gated by ``--analysis on|off`` /
-``REPRO_ANALYSIS`` (:mod:`repro.analysis.config`); the explicit verbs
-ignore the knob.
+The triage is gated by ``--analysis on|off`` / ``REPRO_ANALYSIS``
+(:mod:`repro.analysis.config`) wherever a submission is graded, the
+``coverage`` verb included; ``lint`` ignores the knob.
 """
 
 from repro.analysis.config import (

@@ -8,9 +8,10 @@ pre-grading triage anywhere — every submission takes the full grading
 path and produces records byte-identical (via ``comparable_record``) to
 an analysis-on run for everything triage would have passed through.
 
-The linter (:mod:`repro.analysis.emllint`) and coverage reporter are
-explicit CLI verbs and ignore this knob; it gates only the serving-path
-triage in :mod:`repro.analysis.triage`.
+It gates the triage of :mod:`repro.analysis.triage` wherever a
+submission is graded: in the server and the batch runner, and so in the
+coverage reporter, which grades through the batch runner. The linter
+(:mod:`repro.analysis.emllint`) ignores it.
 """
 
 from __future__ import annotations

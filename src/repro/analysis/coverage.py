@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eml.rules import ErrorModel
+from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S
 from repro.problems.registry import Problem
 
 #: Statuses that mean "the submission never reached the solver" — they
@@ -165,8 +166,8 @@ def run_coverage(
     problem: Problem,
     sources: Optional[Sequence[Tuple[str, str]]] = None,
     jobs: int = 1,
-    timeout_s: float = 45.0,
-    engine: str = "cegismin",
+    timeout_s: float = DEFAULT_TIMEOUT_S,
+    engine: str = DEFAULT_ENGINE,
     seed: int = 0,
     count: int = 24,
     cache: Optional[Any] = None,

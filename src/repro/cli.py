@@ -41,18 +41,10 @@ from typing import Optional
 from repro.compile import BACKENDS, set_default_backend
 from repro.core import generate_feedback, grade_submission
 from repro.core.feedback import FeedbackLevel
-from repro.engines import CegisMinEngine, EnumerativeEngine
+from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES, engine_by_name
 from repro.explore import set_default_explorer
 from repro.obs import set_default_obs, set_default_slow_ms
 from repro.problems import all_problems, get_problem
-
-
-def _engine_for(name: str):
-    if name == "cegismin":
-        return CegisMinEngine()
-    if name == "enumerative":
-        return EnumerativeEngine()
-    raise SystemExit(f"unknown engine {name!r}")
 
 
 def cmd_problems(args: argparse.Namespace) -> int:
@@ -80,9 +72,8 @@ def cmd_feedback(args: argparse.Namespace) -> int:
         source,
         problem.spec,
         problem.model,
-        engine=_engine_for(args.engine),
+        engine=engine_by_name(args.engine),
         timeout_s=args.timeout,
-        backend=args.backend,
     )
     print(report.render(FeedbackLevel(args.level)))
     if args.show_fix and report.fixed_source:
@@ -106,8 +97,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         problems=args.only,
         jobs=args.jobs,
-        backend=args.backend,
-        explorer=args.explorer,
     )
     print(format_table1(rows))
     return 0
@@ -245,8 +234,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         store=store,
         resume=args.resume,
         progress=progress,
-        backend=args.backend,
-        explorer=args.explorer,
     )
     results = runner.run(items)
     stats = runner.stats
@@ -280,6 +267,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         resolve_executor,
         warm_registry,
     )
+    from repro.service import GradingConfig
 
     if args.fleet is not None:
         return _serve_fleet(args)
@@ -334,16 +322,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
             + ("" if warm.primed else "  (priming skipped)")
         )
 
+    config = GradingConfig(args.engine, args.timeout)
     print(f"warming {'all' if not args.only else len(args.only)} problems ...")
     warmup = warm_registry(
         names=args.only,
-        backend=args.backend,
+        config=config,
         # In process mode the workers prime (and self-test) their own
         # copies — the parent's primed caches would never grade a
         # request, so priming the registry N+1 times is skipped.
         prime=not args.no_prime and executor != "process",
-        engine=args.engine,
-        explorer=args.explorer,
         progress=warmed,
     )
     print(f"warmup done: {len(warmup)} problems in {warmup.total_time_s:.2f}s")
@@ -360,10 +347,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         queue_limit=args.queue,
         cache=cache,
-        default_engine=args.engine,
-        default_timeout_s=args.timeout,
-        backend=args.backend,
-        explorer=args.explorer,
+        config=config,
         executor=executor,
         workers=args.workers,
         shard=args.shard_problems,
@@ -394,11 +378,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_fleet(args: argparse.Namespace) -> int:
-    """``serve --fleet N``: N backend processes behind one router."""
+    """``serve --fleet N``: N backend processes behind one router, each
+    started with every backend flag this command was given."""
     from repro.fleet import start_fleet
+    from repro.service import GradingConfig
 
     if args.fleet < 1:
         raise SystemExit("--fleet must be >= 1")
+    extra_args = [
+        "--breaker-threshold", str(args.breaker_threshold),
+        "--breaker-reset", str(args.breaker_reset),
+    ]
+    if args.shard_problems:
+        extra_args.append("--shard-problems")
+    if args.slow_ms is not None:
+        extra_args += ["--slow-ms", str(args.slow_ms)]
+    if args.faults:
+        extra_args += ["--faults", args.faults]
+    if args.verbose:
+        extra_args.append("--verbose")
     print(f"launching fleet: {args.fleet} backend(s) + router ...")
     fleet = start_fleet(
         args.fleet,
@@ -410,10 +408,10 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         workers=args.workers,
         only=args.only,
         store=args.store,
-        engine=args.engine,
-        timeout_s=args.timeout,
+        config=GradingConfig(args.engine, args.timeout),
         no_prime=args.no_prime,
         log_dir=args.fleet_logs,
+        extra_args=extra_args,
         progress=print,
     )
     for backend in fleet.backends:
@@ -477,6 +475,22 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grading_args(
+    parser: argparse.ArgumentParser, timeout_s: float, engine: bool = True
+) -> None:
+    """A verb's ``--engine`` (unless it grades with the default engine
+    only) and ``--timeout``: what a grading config takes besides the
+    global flags."""
+    if engine:
+        parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES)
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=timeout_s,
+        help=f"per-submission solver budget in seconds (default {timeout_s:g})",
+    )
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-feedback",
@@ -526,7 +540,8 @@ def main(argv: Optional[list] = None) -> int:
             "statically-unfixable submissions before they cost a grading "
             "slot; 'off' grades everything (records are byte-identical on "
             "every non-triaged path); also settable via REPRO_ANALYSIS. "
-            "The lint/coverage verbs ignore this knob."
+            "The batch, serve, table1 and coverage verbs triage; feedback "
+            "and lint ignore this knob."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -547,10 +562,7 @@ def main(argv: Optional[list] = None) -> int:
         choices=[1, 2, 3, 4],
         help="feedback level: 1=location .. 4=full correction",
     )
-    feedback.add_argument("--timeout", type=float, default=60.0)
-    feedback.add_argument(
-        "--engine", default="cegismin", choices=["cegismin", "enumerative"]
-    )
+    _grading_args(feedback, 60.0)
     feedback.add_argument(
         "--show-fix", action="store_true", help="print the corrected program"
     )
@@ -563,10 +575,7 @@ def main(argv: Optional[list] = None) -> int:
     batch.add_argument(
         "--jobs", type=int, default=1, help="parallel worker processes"
     )
-    batch.add_argument("--timeout", type=float, default=45.0)
-    batch.add_argument(
-        "--engine", default="cegismin", choices=["cegismin", "enumerative"]
-    )
+    _grading_args(batch, DEFAULT_TIMEOUT_S)
     batch.add_argument(
         "--pattern", default="*.py", help="submission filename glob"
     )
@@ -653,15 +662,7 @@ def main(argv: Optional[list] = None) -> int:
         help="with --fleet: write each backend's stdout/stderr to "
         "DIR/node-K.log (default: discarded)",
     )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=45.0,
-        help="default per-submission solver budget",
-    )
-    serve.add_argument(
-        "--engine", default="cegismin", choices=["cegismin", "enumerative"]
-    )
+    _grading_args(serve, DEFAULT_TIMEOUT_S)
     serve.add_argument(
         "--only", nargs="*", default=None, help="warm only these problems"
     )
@@ -789,10 +790,7 @@ def main(argv: Optional[list] = None) -> int:
         "--pattern", default="*.py", help="submission filename glob"
     )
     coverage.add_argument("--jobs", type=int, default=1)
-    coverage.add_argument("--timeout", type=float, default=45.0)
-    coverage.add_argument(
-        "--engine", default="cegismin", choices=["cegismin", "enumerative"]
-    )
+    _grading_args(coverage, DEFAULT_TIMEOUT_S)
     coverage.add_argument(
         "--seed", type=int, default=0, help="studentgen corpus seed"
     )
@@ -815,7 +813,7 @@ def main(argv: Optional[list] = None) -> int:
     table1 = sub.add_parser("table1", help="run the Table 1 experiment")
     table1.add_argument("--corpus-size", type=int, default=24)
     table1.add_argument("--seed", type=int, default=0)
-    table1.add_argument("--timeout", type=float, default=60.0)
+    _grading_args(table1, 60.0, engine=False)
     table1.add_argument(
         "--jobs", type=int, default=1, help="parallel worker processes"
     )
@@ -824,19 +822,15 @@ def main(argv: Optional[list] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    # Process defaults: each GradingConfig resolves them once.
     if args.backend is not None:
-        # Global default: covers grade/feedback paths; batch/table1 also
-        # pass it explicitly so worker processes are pinned.
         set_default_backend(args.backend)
     if args.explorer is not None:
-        # Same pattern for the exploration-table ablation knob.
         set_default_explorer(args.explorer)
     if args.obs is not None:
-        # And for the telemetry knob — batch/serve workers inherit it.
+        # Telemetry stays a process default: batch/serve workers inherit it.
         set_default_obs(args.obs)
     if args.analysis is not None:
-        # And for the pre-grading triage knob: batch runners and the
-        # service resolve the process default at construction.
         from repro.analysis import set_default_analysis
 
         set_default_analysis(args.analysis)

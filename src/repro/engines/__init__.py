@@ -20,6 +20,13 @@ from repro.engines.verify import BoundedVerifier, Outcome, outcomes_match
 
 ENGINES = ("cegismin", "enumerative")
 
+#: The engine a grading configuration names when it names none.
+DEFAULT_ENGINE = "cegismin"
+
+#: The default per-submission solver budget, in seconds, of every grading
+#: entry point: batch runs, the server, the fleet router and the harness.
+DEFAULT_TIMEOUT_S = 45.0
+
 
 def engine_by_name(name: str) -> Engine:
     """A fresh engine instance for a configuration name.
@@ -37,6 +44,8 @@ def engine_by_name(name: str) -> Engine:
 
 
 __all__ = [
+    "DEFAULT_ENGINE",
+    "DEFAULT_TIMEOUT_S",
     "ENGINES",
     "engine_by_name",
     "Engine",

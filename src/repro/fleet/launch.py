@@ -7,6 +7,12 @@ launched with a stable ``--node-id`` and optionally a shared
 ``--store`` path, health-polled until its warmup self-test passes, then
 placed on the router's hash ring.
 
+Every backend grades under the launcher's
+:class:`~repro.service.cache.GradingConfig`, so every node derives the
+keys the launcher would: the config's ``--backend``/``--explorer``/
+``--analysis`` (and the launcher's ``--obs``) precede ``serve`` on its
+command line, and ``--engine``/``--timeout`` follow it.
+
 The same pieces serve the tests and benchmarks: :func:`start_fleet`
 returns a :class:`Fleet` handle exposing the router address, the
 backend processes (killable mid-run — the chaos smoke does exactly
@@ -28,7 +34,9 @@ from typing import IO, List, Optional, Sequence
 
 import repro
 from repro.fleet.router import FleetRouter
+from repro.obs import resolve_obs
 from repro.server.client import FeedbackClient
+from repro.service.cache import GradingConfig
 
 #: How long one backend may take to warm and pass its health check.
 #: Process-executor backends prime every worker's problem copies; on a
@@ -72,8 +80,7 @@ class BackendProcess:
         workers: Optional[int] = None,
         only: Optional[Sequence[str]] = None,
         store: Optional[str] = None,
-        engine: Optional[str] = None,
-        timeout_s: Optional[float] = None,
+        config: GradingConfig,
         no_prime: bool = False,
         extra_args: Sequence[str] = (),
         log_path: Optional[str] = None,
@@ -82,10 +89,15 @@ class BackendProcess:
         self.port = port
         self.node_id = node_id
         self.log_path = log_path
+        on_off = {True: "on", False: "off"}
         command: List[str] = [
             sys.executable,
             "-m",
             "repro.cli",
+            "--backend", str(config.backend),
+            "--explorer", on_off[bool(config.explorer)],
+            "--analysis", on_off[bool(config.analysis)],
+            "--obs", on_off[resolve_obs(None)],
             "serve",
             "--host",
             host,
@@ -97,6 +109,8 @@ class BackendProcess:
             str(queue),
             "--node-id",
             node_id,
+            "--engine", config.engine,
+            "--timeout", str(config.timeout_s),
         ]
         if executor:
             command += ["--executor", executor]
@@ -106,10 +120,6 @@ class BackendProcess:
             command += ["--only", *only]
         if store:
             command += ["--store", store]
-        if engine:
-            command += ["--engine", engine]
-        if timeout_s is not None:
-            command += ["--timeout", str(timeout_s)]
         if no_prime:
             command.append("--no-prime")
         command += list(extra_args)
@@ -251,8 +261,7 @@ def start_fleet(
     workers: Optional[int] = None,
     only: Optional[Sequence[str]] = None,
     store: Optional[str] = None,
-    engine: Optional[str] = None,
-    timeout_s: Optional[float] = None,
+    config: Optional[GradingConfig] = None,
     no_prime: bool = False,
     warmup_timeout_s: float = DEFAULT_WARMUP_TIMEOUT_S,
     log_dir: Optional[str] = None,
@@ -263,12 +272,17 @@ def start_fleet(
 ) -> Fleet:
     """Launch N backends, wait until all are healthy, front with a router.
 
+    Every backend grades under ``config`` (the process defaults when
+    ``None``), and the router assumes its budget for a request that
+    names none; ``extra_args`` are further ``serve`` flags for each.
     Backends are started concurrently (their warmups overlap), then
     health-polled sequentially. Any failure tears down everything
     already started — no half-fleets.
     """
     if n < 1:
         raise ValueError("a fleet needs at least one backend")
+    if config is None:
+        config = GradingConfig()
     backends: List[BackendProcess] = []
     try:
         for index in range(n):
@@ -288,8 +302,7 @@ def start_fleet(
                     workers=workers,
                     only=only,
                     store=store,
-                    engine=engine,
-                    timeout_s=timeout_s,
+                    config=config,
                     no_prime=no_prime,
                     extra_args=extra_args,
                     log_path=log_path,
@@ -305,6 +318,7 @@ def start_fleet(
             port=port,
             breaker_threshold=breaker_threshold,
             breaker_reset_s=breaker_reset_s,
+            default_timeout_s=config.timeout_s,
             problems=only,
         )
         router.serve_in_thread()

@@ -80,17 +80,14 @@ def run_problem(
     model: Optional[ErrorModel] = None,
     verifier: Optional[BoundedVerifier] = None,
     jobs: int = 1,
-    backend: Optional[str] = None,
-    explorer: Optional[bool] = None,
 ) -> ProblemRun:
     """Run the feedback pipeline over a problem's (synthetic) test set.
 
     The corpus goes through the batch grading service: duplicate (and
     α-renamed) submissions are solved once, and ``jobs > 1`` fans the
-    distinct ones out over the served worker pool. ``backend`` selects
-    the execution substrate (compiled closures by default);
-    ``explorer`` toggles exploration-table blocking (on by default —
-    ``False`` is the per-candidate-sweep ablation).
+    distinct ones out over the served worker pool. The execution backend,
+    exploration tables and triage are the process defaults (the CLI's
+    global flags).
     """
     if corpus is None:
         corpus = generate_corpus(
@@ -107,8 +104,6 @@ def run_problem(
         jobs=jobs,
         timeout_s=timeout_s,
         verifier=verifier,
-        backend=backend,
-        explorer=explorer,
     )
     items = [
         BatchItem(sid=f"s{index:04d}", source=submission.source)
@@ -138,8 +133,6 @@ def run_table1(
     timeout_s: float = DEFAULT_TIMEOUT,
     problems: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    backend: Optional[str] = None,
-    explorer: Optional[bool] = None,
 ) -> List[Tuple[Problem, ProblemRun]]:
     selected = (
         [get_problem(name) for name in problems]
@@ -154,8 +147,6 @@ def run_table1(
             seed=seed,
             timeout_s=timeout_s,
             jobs=jobs,
-            backend=backend,
-            explorer=explorer,
         )
         results.append((problem, run))
     return results

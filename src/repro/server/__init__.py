@@ -30,18 +30,21 @@ recompiles anything. Batch runs grade through the same
 - :mod:`repro.server.client` — stdlib client used by benchmarks and CI
   (speaks to either tier).
 
+The transport names (``FeedbackHTTPServer``, ``FeedbackRequestHandler``,
+``FeedbackClient``, ``ServerError``) load on first use, so a batch run
+never imports ``http.server``, ``http.client`` or ``ssl``.
+
 Telemetry (see :mod:`repro.obs`) is cross-layer: every grading is traced
 per stage, worker processes ship metric deltas back with each result,
 and the parent's registry — scraped at ``/metrics`` — covers the fleet.
 
-Start it with ``repro-feedback serve --port 8321 --jobs 4`` (or
-``python -m repro.server``); ``--executor process --workers 4`` is the
-default on a multi-core box.
+Start it with ``repro-feedback serve --port 8321 --jobs 4``;
+``--executor process --workers 4`` is the default on a multi-core box.
 """
 
+import importlib
+
 from repro.server import codec
-from repro.server.client import FeedbackClient, ServerError
-from repro.server.http import FeedbackHTTPServer, FeedbackRequestHandler
 from repro.server.service import (
     FeedbackService,
     GradeOutcome,
@@ -63,6 +66,16 @@ from repro.server.warm import (
     warm_problem,
     warm_registry,
 )
+
+_TRANSPORT = {"FeedbackClient": "client", "ServerError": "client",
+              "FeedbackHTTPServer": "http", "FeedbackRequestHandler": "http"}
+
+
+def __getattr__(name: str):
+    if name not in _TRANSPORT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_TRANSPORT[name]}"), name)
+
 
 __all__ = [
     "EXECUTORS",

@@ -28,10 +28,12 @@ drive it directly with threads. One instance owns:
   client writes puts behind to its append-log by count and by age, and
   :meth:`FeedbackService.close` flushes the rest.
 
-Cache keys come from :func:`~repro.service.cache.cache_key` and
-:func:`~repro.service.cache.static_key`. The batch runner grades through
-this class too (and groups a corpus's copies by :meth:`FeedbackService.key`),
-so server, batch runner and one-shot CLI all hit each other's entries.
+Every key comes from the service's one
+:class:`~repro.service.cache.GradingConfig`, resolved at construction;
+a miss grades under it with the request's engine and remaining budget.
+The batch runner grades through this class too (and groups a corpus's
+copies by :meth:`FeedbackService.key`), so server, batch runner and
+fleet all hit each other's entries.
 """
 
 from __future__ import annotations
@@ -45,11 +47,8 @@ from typing import Dict, Optional, Tuple
 
 from concurrent.futures import Future
 
-from repro.analysis.config import resolve_analysis
 from repro.analysis.triage import triage_record
-from repro.compile import resolve_backend
 from repro.engines import ENGINES
-from repro.explore import resolve_explorer
 from repro.obs import (
     global_registry,
     new_request_id,
@@ -62,7 +61,7 @@ from repro.resilience.breaker import HALF_OPEN, OPEN, BreakerBoard
 from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import submission_failing_tests
 from repro.server.warm import Warmup, warm_registry
-from repro.service.cache import DEFAULT_TIMEOUT_S, ResultCache, cache_key, static_key
+from repro.service.cache import GradingConfig, ResultCache
 from repro.service.canonical import canonicalize
 from repro.service.records import (
     DEGRADED,
@@ -129,36 +128,19 @@ class ThreadExecutor:
 
     kind = THREAD
 
-    def __init__(
-        self,
-        warmup: Warmup,
-        backend: Optional[str],
-        explorer: bool,
-    ):
+    def __init__(self, warmup: Warmup):
         self._warmup = warmup
-        self._backend = backend
-        self._explorer = explorer
 
     def grade(
         self,
         problem: str,
         source: str,
-        engine_name: str,
-        timeout_s: float,
+        config: GradingConfig,
         request_id: str = "",
         deadline: Optional[Deadline] = None,
     ) -> dict:
-        warm = self._warmup[problem]
         return grade_record(
-            warm.spec,
-            warm.model,
-            warm.verifier,
-            source,
-            engine_name,
-            timeout_s,
-            self._backend,
-            self._explorer,
-            deadline=deadline,
+            self._warmup[problem], source, config, deadline=deadline
         )
 
     def close(self) -> None:
@@ -180,10 +162,7 @@ class FeedbackService:
         jobs: int = 2,
         queue_limit: int = 16,
         cache: Optional[ResultCache] = None,
-        default_engine: str = "cegismin",
-        default_timeout_s: float = DEFAULT_TIMEOUT_S,
-        backend: Optional[str] = None,
-        explorer: Optional[bool] = None,
+        config: Optional[GradingConfig] = None,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         shard: bool = False,
@@ -191,7 +170,6 @@ class FeedbackService:
         slow_ms: Optional[float] = None,
         breaker_threshold: int = 5,
         breaker_reset_s: float = 30.0,
-        analysis: Optional[bool] = None,
         node_id: Optional[str] = None,
     ):
         if jobs < 1:
@@ -200,10 +178,10 @@ class FeedbackService:
             raise ValueError("queue_limit must be >= 0")
         if breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
-        if default_engine not in ENGINES:
-            raise ValueError(f"unknown engine {default_engine!r}")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
+        #: Resolved once here (``None`` = the process defaults now).
+        self.config = config if config is not None else GradingConfig()
         self.executor = resolve_executor(executor)
         if warmup is None:
             # In process mode the parent's warm state never grades a
@@ -212,9 +190,7 @@ class FeedbackService:
             if self.executor == PROCESS and prime_workers is None:
                 prime_workers = True
             warmup = warm_registry(
-                engine=default_engine,
-                explorer=explorer,
-                prime=self.executor != PROCESS,
+                config=self.config, prime=self.executor != PROCESS
             )
         # The parent warmup stays fully materialized even in process
         # mode: /problems reports table sizes from it, canonicalize
@@ -226,17 +202,6 @@ class FeedbackService:
         self.jobs = jobs
         self.queue_limit = queue_limit
         self.cache = cache if cache is not None else ResultCache()
-        self.default_engine = default_engine
-        self.default_timeout_s = default_timeout_s
-        # Both knobs resolve once at construction: every request grades
-        # under the startup configuration, and the cache-key label always
-        # matches the grading mode.
-        self.backend = resolve_backend(backend)
-        self.explorer = resolve_explorer(explorer)
-        #: Pre-grading triage on/off, resolved once at startup (explicit
-        #: argument, else ``REPRO_ANALYSIS`` / the process default): every
-        #: request is admitted under the startup configuration.
-        self.analysis = resolve_analysis(analysis)
         #: Slow-grading event threshold, resolved once at startup
         #: (explicit argument, else ``REPRO_SLOW_MS`` / the process
         #: default) — per-request event emission must not re-read the
@@ -258,10 +223,8 @@ class FeedbackService:
                     (warm.problem, warm.model)
                     for warm in self.warmup.problems.values()
                 ],
+                config=self.config,
                 workers=self.workers,
-                default_engine=default_engine,
-                backend=self.backend,
-                explorer=self.explorer,
                 prime=prime_workers,
                 shard=shard,
             )
@@ -271,9 +234,7 @@ class FeedbackService:
             # does).
             self._executor.wait_ready()
         else:
-            self._executor = ThreadExecutor(
-                self.warmup, self.backend, self.explorer
-            )
+            self._executor = ThreadExecutor(self.warmup)
 
         self._slots = threading.Semaphore(jobs)
         self._inflight: Dict[str, Future] = {}
@@ -322,16 +283,11 @@ class FeedbackService:
     # -- public API ---------------------------------------------------------
 
     def key(self, problem: str, source: str) -> str:
-        """The cache key :meth:`grade` gives ``source`` at the default
-        engine and budget: α-renamed copies share it."""
+        """The cache key :meth:`grade` gives ``source`` under the
+        service's config: α-renamed copies share it."""
         warm = self._warm(problem)
-        return cache_key(
-            warm.name,
-            warm.model_digest,
-            canonicalize(source, warm.spec).digest,
-            engine=self.default_engine,
-            timeout_s=self.default_timeout_s,
-            explorer=self.explorer,
+        return self.config.key(
+            warm.name, warm.model_digest, canonicalize(source, warm.spec).digest
         )
 
     def grade(
@@ -353,10 +309,9 @@ class FeedbackService:
         request_id = request_id or (new_request_id() if obs_on else "")
         stages: Optional[Dict[str, float]] = {} if obs_on else None
         warm = self._warm(problem)
-        engine_name = engine or self.default_engine
-        if engine_name not in ENGINES:
-            raise ValueError(f"unknown engine {engine_name!r}")
-        budget = timeout_s if timeout_s is not None else self.default_timeout_s
+        if engine and engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
+        budget = timeout_s if timeout_s is not None else self.config.timeout_s
         # The end-to-end deadline: everything from here — canonicalize,
         # queue wait, worker dispatch, the solve itself — spends from one
         # monotonic budget, so a pathological submission cannot hold its
@@ -364,21 +319,15 @@ class FeedbackService:
         deadline = Deadline.after(budget)
 
         form = canonicalize(source, warm.spec)
-        key = cache_key(
-            warm.name,
-            warm.model_digest,
-            form.digest,
-            engine=engine_name,
-            timeout_s=budget,
-            explorer=self.explorer,
+        # A request config is built on a miss only.
+        key = self.config.key(
+            warm.name, warm.model_digest, form.digest, engine, budget
         )
         # ``None`` with analysis off — the normal key space is then the
         # only one consulted, so analysis-off behavior is untouched by
         # construction.
-        triage_key = (
-            static_key(warm.name, warm.model_digest, form.digest)
-            if self.analysis
-            else None
+        triage_key = self.config.static_key(
+            warm.name, warm.model_digest, form.digest
         )
         breaker_keys = (
             f"problem:{warm.name}",
@@ -398,7 +347,7 @@ class FeedbackService:
             self._pending += 1
         try:
             return self._graded_outcome(
-                warm, source, engine_name, budget, key, started,
+                warm, source, engine, budget, key, started,
                 request_id, stages, deadline, breaker_keys, triage_key,
             )
         finally:
@@ -407,7 +356,7 @@ class FeedbackService:
                 self._idle.notify_all()
 
     def _graded_outcome(
-        self, warm, source, engine_name, budget, key, started,
+        self, warm, source, engine, budget, key, started,
         request_id, stages, deadline, breaker_keys, triage_key=None,
     ) -> GradeOutcome:
         lookup_started = time.monotonic()
@@ -477,7 +426,7 @@ class FeedbackService:
 
         try:
             record, cacheable = self._admit_and_grade(
-                warm, source, engine_name, budget, request_id, stages,
+                warm, source, engine, budget, request_id, stages,
                 deadline, breaker_keys,
             )
             # Cache before dropping the in-flight entry: an identical
@@ -628,9 +577,9 @@ class FeedbackService:
             "queue_limit": self.queue_limit,
             "active": active,
             "queued": queued,
-            "backend": self.backend,
-            "explorer": self.explorer,
-            "analysis": self.analysis,
+            "backend": self.config.backend,
+            "explorer": self.config.explorer,
+            "analysis": self.config.analysis,
             "executor": executor_info,
             #: Which grading unit owns which problems: the worker shard
             #: map in sharded process mode, else one shard holding the
@@ -773,7 +722,7 @@ class FeedbackService:
         self,
         warm,
         source: str,
-        engine_name: str,
+        engine: Optional[str],
         budget: float,
         request_id: str,
         stages: Optional[Dict[str, float]],
@@ -812,13 +761,12 @@ class FeedbackService:
                 return record, False
             # Ship the *remaining* budget, not the requested one: across
             # the worker pipe monotonic instants mean nothing, so the
-            # shrunk timeout_s is the deadline's travel form. In-process
-            # executors additionally get the deadline object itself.
-            effective = min(budget, remaining)
+            # config's shrunk timeout_s is the deadline's travel form.
+            # In-process executors additionally get the deadline itself.
+            config = self.config.override(engine, min(budget, remaining))
             try:
                 record = self._executor.grade(
-                    warm.name, source, engine_name, effective, request_id,
-                    deadline=deadline,
+                    warm.name, source, config, request_id, deadline=deadline
                 )
             except Exception as exc:
                 # Executors return error records themselves; this catches

@@ -15,6 +15,9 @@ the process is still single-threaded — after priming, request threads
 only ever read that state — and doubles as a startup self-test: a problem
 whose reference does not come back ``already_correct`` is misconfigured
 and refuses to serve.
+
+Both run under the serving :class:`~repro.service.cache.GradingConfig`,
+so the self-test covers, and warms, what requests grade under.
 """
 
 from __future__ import annotations
@@ -23,14 +26,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.compile import resolve_backend
 from repro.core.api import ALREADY_CORRECT, generate_feedback
 from repro.eml.rules import ErrorModel
 from repro.engines import engine_by_name
 from repro.engines.verify import BoundedVerifier
-from repro.explore import resolve_explorer
 from repro.problems import Problem, all_problems, get_problem
+from repro.service.cache import GradingConfig
 from repro.service.canonical import model_digest
+
+#: The solver budget of a priming grade: the reference of every registry
+#: problem comes back ``already_correct`` well inside it.
+PRIME_TIMEOUT_S = 30.0
 
 
 class WarmupError(RuntimeError):
@@ -78,34 +84,28 @@ class WarmProblem:
 
 def warm_problem(
     problem: Problem,
+    config: Optional[GradingConfig] = None,
     model: Optional[ErrorModel] = None,
     verifier: Optional[BoundedVerifier] = None,
-    backend: Optional[str] = None,
     prime: bool = True,
-    prime_timeout_s: float = 30.0,
-    engine: str = "cegismin",
-    explorer: Optional[bool] = None,
 ) -> WarmProblem:
-    """Build the warm artifact for one problem.
+    """Build the warm artifact for one problem under ``config`` (the
+    process defaults when ``None``).
 
     ``model`` defaults to the problem's own error model; a batch grading
     under another one (a rule-prefix ablation, a borrowed model) warms
     that pair instead. A prebuilt ``verifier`` for the problem's spec is
     reused rather than rebuilt.
-
-    ``engine`` and ``explorer`` are the *serving* configuration: priming
-    used to hardcode cegismin, so a server started with
-    ``default_engine="enumerative"`` never filled the caches its
-    requests actually hit, and the startup self-test silently covered a
-    configuration that would never serve a request.
     """
+    if config is None:
+        config = GradingConfig()
     started = time.perf_counter()
     spec = problem.spec
     if model is None:
         model = problem.model  # parses + checks the .eml file (lru-cached)
     digest = model_digest(model)
     if verifier is None:
-        verifier = BoundedVerifier(spec, backend=backend)
+        verifier = BoundedVerifier(spec, backend=config.backend)
     verifier.inputs  # materialize the reference-outcome table
     verifier.candidate_fuel  # and the calibrated candidate budget
     warm = WarmProblem(
@@ -113,21 +113,21 @@ def warm_problem(
         model=model,
         model_digest=digest,
         verifier=verifier,
-        backend=resolve_backend(backend),
+        backend=config.backend,
         warm_time_s=time.perf_counter() - started,
     )
     if prime:
         prime_started = time.perf_counter()
-        prime_engine = engine_by_name(engine)
-        prime_engine.explorer = resolve_explorer(explorer)
+        prime_engine = engine_by_name(config.engine)
+        prime_engine.explorer = config.explorer
         report = generate_feedback(
             spec.reference_source,
             spec,
             model,
             engine=prime_engine,
-            timeout_s=prime_timeout_s,
+            timeout_s=PRIME_TIMEOUT_S,
             verifier=verifier,
-            backend=backend,
+            backend=config.backend,
         )
         if report.status != ALREADY_CORRECT:
             raise WarmupError(
@@ -159,14 +159,12 @@ class Warmup:
 
 def warm_registry(
     names: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
+    config: Optional[GradingConfig] = None,
     prime: bool = True,
-    prime_timeout_s: float = 30.0,
-    engine: str = "cegismin",
-    explorer: Optional[bool] = None,
     progress: Optional[Callable[[WarmProblem], None]] = None,
 ) -> Warmup:
-    """Warm every named registry problem (default: all of them).
+    """Warm every named registry problem (default: all of them) under
+    ``config`` (the process defaults when ``None``).
 
     ``progress`` fires after each problem (the CLI prints the warmup
     table from it). Raises :class:`WarmupError` on a failed self-test —
@@ -177,17 +175,12 @@ def warm_registry(
         if names
         else list(all_problems())
     )
+    if config is None:
+        config = GradingConfig()
     started = time.perf_counter()
     warmup = Warmup()
     for problem in selected:
-        warm = warm_problem(
-            problem,
-            backend=backend,
-            prime=prime,
-            prime_timeout_s=prime_timeout_s,
-            engine=engine,
-            explorer=explorer,
-        )
+        warm = warm_problem(problem, config, prime=prime)
         warmup.problems[problem.name] = warm
         if progress is not None:
             progress(warm)

@@ -10,8 +10,9 @@ of trivially-reformatted resubmissions. This package turns
 - :mod:`repro.service.canonical` — submission canonicalizer: normalized,
   α-renamed AST hashing so duplicate and renamed submissions coincide;
 - :mod:`repro.service.cache` — the in-memory content-addressed result
-  cache and the one place its keys are derived (``problem``, model
-  digest, engine, budget, canonical hash);
+  cache and :class:`~repro.service.cache.GradingConfig`, the one grading
+  configuration (engine, budget, backend, explorer, analysis) and the one
+  place its keys are derived;
 - :mod:`repro.service.records` — JSON-serializable feedback records;
 - :mod:`repro.service.jobstore` — JSONL persistence with batch resume;
 - :mod:`repro.service.store` — the only on-disk result format: one
@@ -29,6 +30,7 @@ of trivially-reformatted resubmissions. This package turns
 
 from repro.service.cache import (
     DEFAULT_ENGINE,
+    GradingConfig,
     ResultCache,
     cache_key,
     static_key,
@@ -64,6 +66,7 @@ __all__ = [
     "CanonicalForm",
     "DEFAULT_ENGINE",
     "EXECUTORS",
+    "GradingConfig",
     "JobStore",
     "ProcessExecutor",
     "ResultCache",

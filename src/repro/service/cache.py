@@ -4,10 +4,10 @@ Keys are ``problem:model-digest:engine[:budget]:canonical-hash``: a cached
 report is valid exactly when the same problem, the same error model, the
 same solver configuration, and a behaviorally identical submission come
 back — which in classroom traffic is constantly (resubmissions, copied
-solutions, the one conceptual error half the class shares). Every key is
-derived here, by :func:`cache_key` and :func:`static_key`, so the batch
-runner, the feedback server and the one-shot CLI all address the same
-entries.
+solutions, the one conceptual error half the class shares). That
+configuration is a :class:`GradingConfig`, and every key is derived by
+it, over the formats of :func:`cache_key` and :func:`static_key`, so the
+batch runner, the feedback server and the fleet address the same entries.
 
 :class:`ResultCache` keeps results in memory only: a thread-safe dict
 with hit/miss accounting, so one instance can back many server threads.
@@ -19,17 +19,13 @@ append-only log shared across runs and processes.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
-#: The engine a key with no explicit engine component means. ``engine=""``
-#: and ``engine=DEFAULT_ENGINE`` describe the same work and must address
-#: the same entry (distinct keys here caused spurious misses on identical
-#: configurations).
-DEFAULT_ENGINE = "cegismin"
-
-#: The default per-submission solver budget, in seconds, of every grading
-#: entry point: batch runs, the server, the fleet router and the harness.
-DEFAULT_TIMEOUT_S = 45.0
+from repro.analysis.config import resolve_analysis
+from repro.compile import resolve_backend
+from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES
+from repro.explore import resolve_explorer
 
 
 def cache_key(
@@ -46,7 +42,9 @@ def cache_key(
     produced under a 5 s budget is *not* a valid answer for a 300 s run.
     Different engines may produce different (equally minimal) fixes, so
     the engine is always part of the address; an empty ``engine`` means
-    :data:`DEFAULT_ENGINE`, *not* a distinct configuration. Explorer
+    ``DEFAULT_ENGINE`` and addresses the same entry, *not* a distinct
+    configuration (distinct keys here once caused spurious misses on
+    identical configurations). Explorer
     on/off yields equally minimal but possibly different fixes too, so
     the off state is suffixed ``+sweep``: the ablation is never served
     results from the default configuration, or vice versa.
@@ -69,6 +67,63 @@ def static_key(problem: str, model_digest: str, canonical: str) -> str:
     blind to these records.
     """
     return cache_key(problem, model_digest, canonical, engine="static")
+
+
+@dataclass(frozen=True)
+class GradingConfig:
+    """What fixes a verdict besides the problem and the submission.
+
+    ``None`` for ``backend``, ``explorer`` or ``analysis`` means the
+    process default (CLI flag, else environment, else built-in), resolved
+    here: an instance holds resolved values only, so its keys and the
+    gradings it configures agree in every process it is pickled to.
+    """
+
+    engine: str = DEFAULT_ENGINE
+    timeout_s: float = DEFAULT_TIMEOUT_S
+    backend: Optional[str] = None
+    explorer: Optional[bool] = None
+    analysis: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
+        object.__setattr__(self, "backend", resolve_backend(self.backend))
+        object.__setattr__(self, "explorer", resolve_explorer(self.explorer))
+        object.__setattr__(self, "analysis", resolve_analysis(self.analysis))
+
+    def key(
+        self, problem: str, model_digest: str, canonical: str,
+        engine: Optional[str] = None, timeout_s: Optional[float] = None,
+    ) -> str:
+        """A grading's address; a request's own engine and budget, when
+        given, replace this config's."""
+        if timeout_s is None:
+            timeout_s = self.timeout_s
+        return cache_key(
+            problem, model_digest, canonical, engine or self.engine,
+            timeout_s, bool(self.explorer),
+        )
+
+    def static_key(
+        self, problem: str, model_digest: str, canonical: str
+    ) -> Optional[str]:
+        """A triage verdict's address; ``None`` with analysis off."""
+        if self.analysis:
+            return static_key(problem, model_digest, canonical)
+        return None
+
+    def prefixes(self, problem: str, model_digest: str) -> Tuple[str, ...]:
+        """The key prefixes a stored batch result resumes under."""
+        triaged = self.static_key(problem, model_digest, "")
+        graded = self.key(problem, model_digest, "")
+        return (graded,) if triaged is None else (graded, triaged)
+
+    def override(self, engine: Optional[str], timeout_s: float) -> "GradingConfig":
+        """This config under a request's budget and its own engine, if any."""
+        return replace(self, engine=engine or self.engine, timeout_s=timeout_s)
 
 
 class ResultCache:

@@ -36,18 +36,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.config import resolve_analysis
 from repro.core.api import TIMEOUT as TIMEOUT_STATUS
 from repro.core.api import FeedbackReport, _verifier_cache
 from repro.eml.rules import ErrorModel
-from repro.explore import resolve_explorer
 from repro.problems.registry import Problem
 from repro.service.cache import (
     DEFAULT_ENGINE,
     DEFAULT_TIMEOUT_S,
+    GradingConfig,
     ResultCache,
-    cache_key,
-    static_key,
 )
 from repro.service.canonical import model_digest
 from repro.service.jobstore import JobStore
@@ -126,41 +123,32 @@ class BatchRunner:
         resume: bool = False,
         progress: Optional[ProgressFn] = None,
         verifier: Optional["BoundedVerifier"] = None,
-        backend: Optional[str] = None,
-        explorer: Optional[bool] = None,
-        analysis: Optional[bool] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.problem = problem
         self.model = model if model is not None else problem.model
         self.jobs = jobs
-        self.timeout_s = timeout_s
-        self.engine = engine or DEFAULT_ENGINE
+        #: Resolved once here (backend, explorer and triage from the
+        #: process defaults *now*), so the resume prefixes and every
+        #: run's gradings agree.
+        self.config = GradingConfig(engine or DEFAULT_ENGINE, timeout_s)
         self.cache = cache if cache is not None else ResultCache()
         self.store = store
         self.resume = resume
         self.progress = progress
-        #: A prebuilt verifier for the problem's spec, reused by each run.
-        self.verifier = verifier
-        #: Execution substrate ("compiled" / "interp"); ``None`` defers to
-        #: the process default when a run starts.
-        self.backend = backend
-        #: Explorer and triage on/off, resolved once here (``None`` = the
-        #: process default *now*), so the resume prefixes and the grading
-        #: always agree.
-        self.explorer = resolve_explorer(explorer)
-        self.analysis = resolve_analysis(analysis)
+        #: The verifier for the problem's spec, reused by each run; by
+        #: default the one corpus generation shares.
+        self.verifier = (
+            verifier if verifier is not None else _verifier_cache(problem.spec)
+        )
         self.stats = BatchStats()
-        digest = model_digest(self.model)
         #: A stored result resumes only under the same problem, model,
         #: engine and budget; with triage on, so do triage verdicts, filed
         #: under the engine-independent static address.
-        self._resume_prefixes: Tuple[str, ...] = (
-            cache_key(problem.name, digest, "", self.engine, timeout_s, self.explorer),
+        self._resume_prefixes: Tuple[str, ...] = self.config.prefixes(
+            problem.name, model_digest(self.model)
         )
-        if self.analysis:
-            self._resume_prefixes += (static_key(problem.name, digest, ""),)
 
     def run(
         self, items: Sequence[Union[BatchItem, str]]
@@ -249,15 +237,11 @@ class BatchRunner:
         from repro.server.service import FeedbackService
         from repro.server.warm import Warmup, warm_problem
 
-        verifier = self.verifier
-        if verifier is None and self.backend is None:
-            # Shared with corpus generation; an explicit backend gets its own.
-            verifier = _verifier_cache(self.problem.spec)
         warm = warm_problem(
             self.problem,
+            self.config,
             model=self.model,
-            verifier=verifier,
-            backend=self.backend,
+            verifier=self.verifier,
             prime=False,
         )
         return FeedbackService(
@@ -265,11 +249,7 @@ class BatchRunner:
             jobs=self.jobs,
             queue_limit=0,  # at most ``jobs`` requests are ever in flight
             cache=self.cache,
-            default_engine=self.engine,
-            default_timeout_s=self.timeout_s,
-            backend=self.backend,
-            explorer=self.explorer,
-            analysis=self.analysis,
+            config=self.config,
             # Explicit, so REPRO_EXECUTOR cannot make a serial batch a pool.
             executor=THREAD if self.jobs == 1 else PROCESS,
             workers=workers,

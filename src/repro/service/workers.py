@@ -20,11 +20,13 @@ solve. This module owns the way a grading actually runs:
   and respawned — so one pathological submission can never permanently
   wedge a grading slot.
 
-The thread executor (grade on the calling request thread, the PR-4
-behavior) lives next to :class:`~repro.server.service.FeedbackService`;
-both satisfy the same two-method contract: ``grade(problem, source,
-engine_name, timeout_s) -> record`` and ``close()``, plus an ``info()``
-payload for ``GET /stats``.
+The thread executor (grade on the calling request thread) lives next to
+:class:`~repro.server.service.FeedbackService`; both satisfy the same
+contract: ``grade(problem, source, config, request_id, deadline) ->
+record``, ``close()``, and ``info()``/``health()`` payloads. ``config``
+is the service's :class:`~repro.service.cache.GradingConfig` under the
+request's engine and remaining budget. A pool worker gets the service's
+config at spawn, to warm and prime, and each request's on the pipe.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compile import set_default_backend
 from repro.core.api import generate_feedback
 from repro.eml.rules import ErrorModel
 from repro.engines import engine_by_name
-from repro.explore import set_default_explorer
 from repro.obs import (
     global_registry,
     observe_grading,
@@ -52,6 +52,7 @@ from repro.obs.events import emit
 from repro.problems.registry import Problem
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline
+from repro.service.cache import GradingConfig
 from repro.service.records import error_record, report_to_record
 
 THREAD = "thread"
@@ -117,30 +118,25 @@ def shard_problems(
 
 
 def grade_record(
-    spec,
-    model,
-    verifier,
+    warm,
     source: str,
-    engine_name: str,
-    timeout_s: float,
-    backend: Optional[str],
-    explorer: Optional[bool],
+    config: GradingConfig,
     deadline: Optional[Deadline] = None,
     drawn: Optional[Dict[str, float]] = None,
 ) -> dict:
     """Grade one submission against warm per-problem state → record.
 
-    The one grading call every executor shares: configuration is pinned
-    per call (fresh engine with an explicit explorer, explicit
-    ``backend=``), never via process-wide defaults, so records are
-    byte-identical whichever executor ran them. A raising grading comes
-    back as an error record, not an exception — one pathological
-    submission must cost its own slot only.
+    The one grading call every executor shares: ``config`` is pinned per
+    call (fresh engine with its explorer, explicit ``backend=``), never
+    via process-wide defaults, so records are byte-identical whichever
+    executor ran them. A raising grading comes back as an error record,
+    not an exception — one pathological submission must cost its own
+    slot only.
 
     ``deadline`` is the request's end-to-end deadline when the grading
     runs in the requesting process; across the worker pipe only the
-    remaining seconds travel (as a shrunk ``timeout_s``) and the worker
-    restarts a local clock here.
+    remaining seconds travel (as the config's shrunk ``timeout_s``) and
+    the worker restarts a local clock here.
 
     ``drawn`` is the chaos a pool worker's parent drew for this request;
     ``None`` consults the live fault plan here.
@@ -155,26 +151,26 @@ def grade_record(
             time.sleep(drawn["grade.slow"])
         if "grade.error" in drawn:
             raise faults.FaultInjected("grade.error")
-        engine = engine_by_name(engine_name)
-        engine.explorer = explorer
+        engine = engine_by_name(config.engine)
+        engine.explorer = config.explorer
         report = generate_feedback(
             source,
-            spec,
-            model,
+            warm.spec,
+            warm.model,
             engine=engine,
-            timeout_s=timeout_s,
-            verifier=verifier,
-            backend=backend,
+            timeout_s=config.timeout_s,
+            verifier=warm.verifier,
+            backend=config.backend,
             deadline=deadline,
         )
         record = report_to_record(report)
     except Exception as exc:
-        record = error_record(spec.name, exc)
+        record = error_record(warm.name, exc)
     if resolve_obs(None):
         # The single record → registry ingestion point: it runs in
         # whichever process graded, so worker registries fill exactly
         # like the thread executor's and delta shipping stays uniform.
-        observe_grading(record, engine_name)
+        observe_grading(record, config.engine)
     return record
 
 
@@ -187,9 +183,7 @@ Pair = Tuple[Problem, ErrorModel]
 def _pool_worker_main(
     conn,
     pairs: List[Pair],
-    engine_name: str,
-    backend: Optional[str],
-    explorer: bool,
+    config: GradingConfig,
     prime: bool,
     warm_crash: bool = False,
 ) -> None:
@@ -211,19 +205,10 @@ def _pool_worker_main(
         # the parent must cap respawns instead of thrashing forever.
         if warm_crash:
             os._exit(32)
-        if backend is not None:
-            set_default_backend(backend)
-        set_default_explorer(explorer)
-        state = {}
-        for problem, model in pairs:
-            state[problem.name] = warm_problem(
-                problem,
-                model=model,
-                backend=backend,
-                prime=prime,
-                engine=engine_name,
-                explorer=explorer,
-            )
+        state = {
+            problem.name: warm_problem(problem, config, model=model, prime=prime)
+            for problem, model in pairs
+        }
         conn.send(("ready", sorted(state)))
     except BaseException as exc:  # report, then die: parent decides
         try:
@@ -243,12 +228,12 @@ def _pool_worker_main(
             return
         if not isinstance(message, tuple) or message[0] != "grade":
             return  # "stop" or garbage: either way, exit cleanly
-        _, problem, source, request_engine, timeout_s, request_id, drawn = message
+        _, problem, source, request_config, request_id, drawn = message
         # Restart the request's deadline locally the moment the message
         # lands: the shipped timeout_s is the budget *remaining* at
         # dispatch, and everything from here — injected stalls included —
         # must spend from it, not reset it.
-        deadline = Deadline.after(timeout_s)
+        deadline = Deadline.after(request_config.timeout_s)
         # Chaos seams: die mid-grade (parent sees EOF → recycle) or
         # stall past the watchdog grace (parent sees poll timeout).
         if "worker.crash" in drawn:
@@ -263,16 +248,7 @@ def _pool_worker_main(
             )
         else:
             record = grade_record(
-                warm.spec,
-                warm.model,
-                warm.verifier,
-                source,
-                request_engine,
-                timeout_s,
-                backend,
-                explorer,
-                deadline=deadline,
-                drawn=drawn,
+                warm, source, request_config, deadline=deadline, drawn=drawn
             )
         # Ship what this grading added to the worker's registry alongside
         # the record; the parent merges it so one scrape covers the fleet.
@@ -341,9 +317,9 @@ class ProcessExecutor:
     """A pool of preforked, pre-warmed grading worker processes.
 
     Construction spawns the workers immediately; each warms (and primes)
-    its assigned ``(problem, error model)`` pairs in parallel with its
-    siblings. Both objects pickle, so the pairs reach a worker under any
-    multiprocessing start method. Call :meth:`wait_ready` to block until
+    its assigned ``(problem, error model)`` pairs under ``config`` in
+    parallel with its siblings. All three pickle, so they reach a worker
+    under any multiprocessing start method. Call :meth:`wait_ready` to block until
     every worker has reported in — the service does this before taking
     traffic, so the first cache miss never pays a warmup.
     """
@@ -363,10 +339,8 @@ class ProcessExecutor:
     def __init__(
         self,
         problems: Sequence[Pair],
+        config: Optional[GradingConfig] = None,
         workers: int = 2,
-        default_engine: str = "cegismin",
-        backend: Optional[str] = None,
-        explorer: Optional[bool] = None,
         prime: bool = True,
         shard: bool = False,
         grace_s: Optional[float] = None,
@@ -381,9 +355,7 @@ class ProcessExecutor:
             problem.name: (problem, model) for problem, model in problems
         }
         self.problems = sorted(self._pairs)
-        self.default_engine = default_engine
-        self.backend = backend
-        self.explorer = explorer
+        self.config = config if config is not None else GradingConfig()
         self.prime = prime
         self.sharded = shard
         if grace_s is not None:
@@ -422,9 +394,7 @@ class ProcessExecutor:
             args=(
                 child_conn,
                 [self._pairs[name] for name in handle.problems],
-                self.default_engine,
-                self.backend,
-                self.explorer,
+                self.config,
                 self.prime,
                 # Drawn per spawn, so a one-shot warm crash kills one
                 # worker, not every respawn.
@@ -610,8 +580,7 @@ class ProcessExecutor:
         self,
         problem: str,
         source: str,
-        engine_name: str,
-        timeout_s: float,
+        config: GradingConfig,
         request_id: str = "",
         deadline: Optional[Deadline] = None,
     ) -> dict:
@@ -619,11 +588,11 @@ class ProcessExecutor:
 
         ``deadline`` is accepted for executor-contract parity but unused
         here: monotonic instants do not cross process boundaries, so the
-        service ships the *remaining* budget as a shrunk ``timeout_s``
-        and the worker restarts a local clock.
+        service ships the *remaining* budget as the config's shrunk
+        ``timeout_s`` and the worker restarts a local clock.
         """
         handle = self._acquire(problem)
-        window = max(0.0, timeout_s) + self.grace_s
+        window = max(0.0, config.timeout_s) + self.grace_s
         try:
             if not handle.ready:
                 # A freshly recycled worker re-warms asynchronously; wait
@@ -663,8 +632,7 @@ class ProcessExecutor:
                         "grade",
                         problem,
                         source,
-                        engine_name,
-                        timeout_s,
+                        config,
                         request_id,
                         faults.draw(_WORKER_FAULTS, _WORKER_FAULT_ENDS),
                     )
@@ -713,8 +681,8 @@ class ProcessExecutor:
                 problem,
                 TimeoutError(
                     f"grading worker {handle.index} still busy "
-                    f"{self.grace_s:.0f}s past the {timeout_s:.0f}s budget; "
-                    "worker recycled"
+                    f"{self.grace_s:.0f}s past the {config.timeout_s:.0f}s "
+                    "budget; worker recycled"
                 ),
             )
         finally:

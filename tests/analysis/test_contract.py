@@ -15,6 +15,7 @@ Three guarantees, in increasing cost:
 
 import pytest
 
+from repro.analysis import config as analysis_config
 from repro.analysis import triage_submission
 from repro.analysis.triage import SHORT_CIRCUIT_VERDICTS
 from repro.core.api import generate_feedback
@@ -77,11 +78,13 @@ IDENTITY_PROBLEMS = ("oddTuples-6.00", "iterPower-6.00x")
 
 
 @pytest.mark.parametrize("name", IDENTITY_PROBLEMS)
-def test_analysis_off_records_are_byte_identical(name):
+def test_analysis_off_records_are_byte_identical(name, monkeypatch):
     problem = get_problem(name)
     items = corpus_items(problem, count=4)
-    on = BatchRunner(problem, timeout_s=20, analysis=True).run(items)
-    off = BatchRunner(problem, timeout_s=20, analysis=False).run(items)
+    monkeypatch.setattr(analysis_config, "_default", True)
+    on = BatchRunner(problem, timeout_s=20).run(items)
+    monkeypatch.setattr(analysis_config, "_default", False)
+    off = BatchRunner(problem, timeout_s=20).run(items)
     assert [r.sid for r in on] == [r.sid for r in off]
     for row_on, row_off in zip(on, off):
         if row_on.report.status == STATIC:
@@ -109,7 +112,7 @@ UNBOUND = """def oddTuples(aTup):
 """
 
 
-def test_pool_workers_triage_like_serial():
+def test_pool_workers_triage_like_serial(monkeypatch):
     problem = get_problem("oddTuples-6.00")
     items = [
         BatchItem(sid="unbound", source=UNBOUND),
@@ -117,10 +120,9 @@ def test_pool_workers_triage_like_serial():
             sid="correct", source=problem.spec.reference_source
         ),
     ]
-    serial = BatchRunner(problem, timeout_s=20, analysis=True).run(items)
-    pooled = BatchRunner(
-        problem, jobs=2, timeout_s=20, analysis=True
-    ).run(items)
+    monkeypatch.setattr(analysis_config, "_default", True)
+    serial = BatchRunner(problem, timeout_s=20).run(items)
+    pooled = BatchRunner(problem, jobs=2, timeout_s=20).run(items)
     by_sid = lambda rows: {r.sid: r.report for r in rows}
     s, p = by_sid(serial), by_sid(pooled)
     assert s["unbound"].status == STATIC

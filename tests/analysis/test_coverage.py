@@ -121,6 +121,21 @@ def test_run_coverage_with_explicit_sources():
     assert cov.by_status.get("already_correct") == 1
 
 
+def test_run_coverage_honours_the_analysis_setting(monkeypatch):
+    # The coverage verb grades through the batch runner, so --analysis
+    # applies: an unbound name is triaged with it on, graded with it off.
+    from repro.analysis import config
+
+    unbound = "def oddTuples(aTup):\n  result = len(resutl)\n  return aTup\n"
+    sources = [("unbound.py", unbound)]
+    monkeypatch.setattr(config, "_default", True)
+    on = run_coverage(PROBLEM, sources=sources, timeout_s=20)
+    assert on.by_status == {"static": 1}
+    monkeypatch.setattr(config, "_default", False)
+    off = run_coverage(PROBLEM, sources=sources, timeout_s=20)
+    assert off.by_status == {"no_fix": 1}
+
+
 def test_render_coverage_table():
     cov = coverage_from_results(
         PROBLEM.name,

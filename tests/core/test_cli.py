@@ -97,3 +97,10 @@ class TestCli:
                     "quantum",
                 ]
             )
+
+    def test_table1_takes_no_engine(self):
+        # Table 1 grades with the default engine only; an --engine flag
+        # it ignored would mislabel the whole table.
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--engine", "enumerative", "--only", "nope"])
+        assert exc.value.code == 2

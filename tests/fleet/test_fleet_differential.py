@@ -21,6 +21,7 @@ from repro.server import (
     FeedbackService,
     warm_registry,
 )
+from repro.service import GradingConfig
 from repro.service.records import comparable_record
 
 TIMEOUT_S = 30.0
@@ -86,7 +87,7 @@ def tiers(request, warmup):
     kwargs = dict(
         warmup=warmup,
         jobs=2,
-        default_timeout_s=TIMEOUT_S,
+        config=GradingConfig(timeout_s=TIMEOUT_S),
         executor=executor,
     )
     if executor == "process":

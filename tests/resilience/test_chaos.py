@@ -19,6 +19,7 @@ from repro.obs import reset_global_registry
 from repro.problems import get_problem
 from repro.resilience import faults
 from repro.server import FeedbackService, warm_registry
+from repro.service import GradingConfig
 from repro.service import workers as workers_mod
 from repro.service.records import comparable_record
 from repro.service.store import ResultStore, StoreClient
@@ -63,7 +64,7 @@ def warmup():
 def make_service(warmup, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("queue_limit", 8)
-    kwargs.setdefault("default_timeout_s", 20.0)
+    kwargs.setdefault("config", GradingConfig(timeout_s=20.0))
     kwargs.setdefault("executor", "thread")
     return FeedbackService(warmup=warmup, **kwargs)
 
@@ -80,7 +81,7 @@ def grade_until_clean(pool, attempts=8, timeout_s=20.0):
     """Grade until the pool serves a non-error record (convergence)."""
     record = None
     for _ in range(attempts):
-        record = pool.grade(PROBLEM, BUGGY, "cegismin", timeout_s)
+        record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=timeout_s))
         if record["status"] != "error":
             return record
     raise AssertionError(f"pool never converged; last record: {record}")
@@ -248,7 +249,7 @@ class TestWorkerFaults:
         pool = make_pool()
         try:
             pool.wait_ready()
-            record = pool.grade(PROBLEM, BUGGY, "cegismin", 20.0)
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=20.0))
             assert record["status"] == "error"
             assert "died mid-request" in record["detail"]
             faults.reset()
@@ -265,7 +266,7 @@ class TestWorkerFaults:
         try:
             pool.wait_ready()
             started = time.monotonic()
-            record = pool.grade(PROBLEM, BUGGY, "cegismin", 0.5)
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=0.5))
             wall = time.monotonic() - started
             assert record["status"] == "error"
             assert "still busy" in record["detail"]
@@ -281,7 +282,7 @@ class TestWorkerFaults:
         pool = make_pool(grace_s=1.0)
         try:
             pool.wait_ready()
-            record = pool.grade(PROBLEM, BUGGY, "cegismin", 0.5)
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=0.5))
             assert record["status"] == "error"
             assert "still busy" in record["detail"]
             faults.reset()
@@ -295,14 +296,13 @@ class TestWorkerFaults:
         pool = make_pool(grace_s=1.0)
         try:
             pool.wait_ready()
-            lost = pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)
+            lost = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=2.0))
             assert lost["status"] == "error"
             assert "still busy" in lost["detail"]
             # The respawned worker is not re-armed: still armed in the
             # parent, the spent trigger never fires again.
-            assert pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)["status"] == (
-                "fixed"
-            )
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=2.0))
+            assert record["status"] == "fixed"
             assert pool.info()["recycled"] == 1
         finally:
             pool.close()
@@ -322,13 +322,12 @@ class TestWorkerFaults:
         pool = make_pool(grace_s=1.0)
         try:
             pool.wait_ready()
-            lost = pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)
+            lost = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=2.0))
             assert "still busy" in lost["detail"]
-            garbled = pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)
+            garbled = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=2.0))
             assert "malformed reply" in garbled["detail"]
-            assert pool.grade(PROBLEM, BUGGY, "cegismin", 2.0)["status"] == (
-                "fixed"
-            )
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=2.0))
+            assert record["status"] == "fixed"
             assert pool.info()["recycled"] == 2
         finally:
             pool.close()
@@ -345,7 +344,7 @@ class TestWorkerFaults:
         pool = make_pool()
         try:
             pool.wait_ready()
-            record = pool.grade(PROBLEM, BUGGY, "cegismin", 20.0)
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=20.0))
             assert record["status"] == "error"
             assert "malformed reply" in record["detail"]
             assert pool.info()["recycled"] >= 1
@@ -364,12 +363,12 @@ class TestWorkerFaults:
             pool._workers[0].process.kill()
 
             # The in-flight generation dies with the worker...
-            record = pool.grade(PROBLEM, BUGGY, "cegismin", 5.0)
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=5.0))
             assert record["status"] == "error"
             # ...and each respawn crashes in warmup, burning the budget.
-            record = pool.grade(PROBLEM, BUGGY, "cegismin", 5.0)
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=5.0))
             assert record["status"] == "error"
-            record = pool.grade(PROBLEM, BUGGY, "cegismin", 5.0)
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=5.0))
             assert record["status"] == "error"
             assert "permanently retired" in record["detail"]
 
@@ -378,7 +377,7 @@ class TestWorkerFaults:
             assert health["workers_ready"] == 0
             # No workers left for the problem: refuse, don't thrash.
             with pytest.raises(RuntimeError, match="permanently failed"):
-                pool.grade(PROBLEM, BUGGY, "cegismin", 5.0)
+                pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=5.0))
         finally:
             faults.reset()
             pool.close()

@@ -16,6 +16,7 @@ from repro.problems import get_problem
 from repro.resilience.deadline import Deadline, DeadlineTicker
 from repro.sat import SAT, UNSAT, Solver
 from repro.server.warm import warm_problem
+from repro.service import GradingConfig
 from repro.service.workers import grade_record
 
 #: Engine-overshoot allowance, mirroring the service acceptance
@@ -124,14 +125,9 @@ class TestEngineDeadline:
     ):
         started = time.monotonic()
         record = grade_record(
-            rush.spec,
-            rush.model,
-            rush.verifier,
+            rush,
             slow_submission,
-            "cegismin",
-            30.0,
-            None,
-            None,
+            GradingConfig(timeout_s=30.0),
             deadline=Deadline(time.monotonic() - 1.0),
         )
         assert record["status"] == "timeout"
@@ -145,14 +141,7 @@ class TestEngineDeadline:
         budget = 1.5
         started = time.monotonic()
         record = grade_record(
-            rush.spec,
-            rush.model,
-            rush.verifier,
-            slow_submission,
-            engine,
-            budget,
-            None,
-            None,
+            rush, slow_submission, GradingConfig(engine, budget)
         )
         wall = time.monotonic() - started
         assert record["status"] == "timeout"
@@ -170,14 +159,9 @@ class TestEngineDeadline:
         # ~1.2 s left — the engine must spend the *minimum* of the two.
         started = time.monotonic()
         record = grade_record(
-            rush.spec,
-            rush.model,
-            rush.verifier,
+            rush,
             slow_submission,
-            "cegismin",
-            30.0,
-            None,
-            None,
+            GradingConfig(timeout_s=30.0),
             deadline=Deadline.after(1.2),
         )
         wall = time.monotonic() - started

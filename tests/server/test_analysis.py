@@ -4,7 +4,7 @@ import pytest
 
 from repro.problems import get_problem
 from repro.server import FeedbackService, warm_registry
-from repro.service import ResultCache
+from repro.service import GradingConfig, ResultCache
 from repro.service.records import STATIC
 
 PROBLEM = get_problem("oddTuples-6.00")
@@ -28,10 +28,10 @@ def warmup():
     return warm_registry(names=["oddTuples-6.00"])
 
 
-def make_service(warmup, **kwargs):
+def make_service(warmup, analysis=None, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("queue_limit", 4)
-    kwargs.setdefault("default_timeout_s", 20.0)
+    kwargs.setdefault("config", GradingConfig(timeout_s=20.0, analysis=analysis))
     return FeedbackService(warmup=warmup, **kwargs)
 
 
@@ -101,7 +101,7 @@ class TestAnalysisKnob:
         monkeypatch.setattr(config, "_default", None)
         monkeypatch.setattr(config, "_env_analysis", None)
         monkeypatch.setenv("REPRO_ANALYSIS", "off")
-        assert make_service(warmup).analysis is False
+        assert make_service(warmup).config.analysis is False
         monkeypatch.setattr(config, "_env_analysis", None)
         monkeypatch.setenv("REPRO_ANALYSIS", "on")
-        assert make_service(warmup).analysis is True
+        assert make_service(warmup).config.analysis is True

@@ -19,6 +19,7 @@ import pytest
 
 from repro.problems import all_problems, get_problem
 from repro.server import FeedbackService, warm_registry
+from repro.service import GradingConfig
 from repro.service.records import comparable_record
 
 TIMEOUT_S = 30.0
@@ -73,14 +74,14 @@ def executors():
     thread_service = FeedbackService(
         warmup=warmup,
         jobs=2,
-        default_timeout_s=TIMEOUT_S,
+        config=GradingConfig(timeout_s=TIMEOUT_S),
         executor="thread",
     )
     process_service = FeedbackService(
         warmup=warmup,
         jobs=2,
         workers=2,
-        default_timeout_s=TIMEOUT_S,
+        config=GradingConfig(timeout_s=TIMEOUT_S),
         executor="process",
         shard=True,
     )

@@ -12,6 +12,7 @@ import pytest
 from repro.problems import get_problem
 from repro.server import FeedbackService, warm_registry
 from repro.server import warm as warm_mod
+from repro.service import GradingConfig
 from repro.service.workers import (
     ProcessExecutor,
     default_executor,
@@ -107,26 +108,26 @@ class TestProcessExecutor:
         assert owned == ["iterPower-6.00x", "prodBySum-6.00"]
         # Disjoint shards: each worker warmed exactly one problem.
         assert all(len(bucket) == 1 for bucket in assignments.values())
-        record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 20.0)
+        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
         reference = get_problem("prodBySum-6.00").spec.reference_source
-        record = pool.grade("prodBySum-6.00", reference, "cegismin", 20.0)
+        record = pool.grade("prodBySum-6.00", reference, GradingConfig(timeout_s=20.0))
         assert record["status"] == "already_correct"
 
     def test_unrouted_problem_is_an_error(self, pool):
         with pytest.raises(KeyError):
-            pool.grade("not-a-problem", BUGGY, "cegismin", 5.0)
+            pool.grade("not-a-problem", BUGGY, GradingConfig(timeout_s=5.0))
 
     def test_crashed_worker_is_recycled_and_slot_recovers(self, pool):
         recycled_before = pool.info()["recycled"]
         handle = pool._routes["iterPower-6.00x"][0]
         handle.process.kill()  # simulate a segfaulting grading
         handle.process.join(10.0)
-        record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 20.0)
+        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "error"
         assert "recycled" in record["detail"]
         # The replacement worker re-warms and serves the next request.
-        record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 20.0)
+        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
         assert pool.info()["recycled"] == recycled_before + 1
 
@@ -137,7 +138,7 @@ class TestProcessExecutor:
         saved = pool.grace_s
         pool.grace_s = 0.05  # don't sit out the real grace period
         try:
-            record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 0.0)
+            record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=0.0))
         finally:
             pool.grace_s = saved
         assert record["status"] == "error"
@@ -145,7 +146,7 @@ class TestProcessExecutor:
         assert pool.info()["recycled"] == recycled_before + 1
         # _start() replaced the wedged connection with the fresh one.
         assert not isinstance(handle.conn, WedgedConn)
-        record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 20.0)
+        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
 
     def test_rewarming_worker_is_not_killed_by_impatient_requests(
@@ -164,7 +165,7 @@ class TestProcessExecutor:
         saved = pool.grace_s
         pool.grace_s = 0.05
         try:
-            record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 0.0)
+            record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=0.0))
         finally:
             pool.grace_s = saved
             handle.conn = real_conn
@@ -173,7 +174,7 @@ class TestProcessExecutor:
         assert "did not finish warming" in record["detail"]
         assert pool.info()["recycled"] == recycled_before  # left alone
         assert handle.process.is_alive()
-        record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 20.0)
+        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
 
     def test_worker_crashing_mid_warm_is_recycled(self, pool):
@@ -185,10 +186,10 @@ class TestProcessExecutor:
         handle.ready = False  # the warmup never completed...
         handle.process.kill()  # ...because the worker died during it
         handle.process.join(10.0)
-        record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 20.0)
+        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "error"
         assert pool.info()["recycled"] == recycled_before + 1
-        record = pool.grade("iterPower-6.00x", BUGGY, "cegismin", 20.0)
+        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
 
 
@@ -200,7 +201,7 @@ class TestServiceIntegration:
             jobs=2,
             executor="process",
             workers=2,
-            default_timeout_s=20.0,
+            config=GradingConfig(timeout_s=20.0),
         )
         try:
             outcome = service.grade("iterPower-6.00x", BUGGY)
@@ -214,7 +215,7 @@ class TestServiceIntegration:
     def test_thread_service_reports_executor(self):
         warmup = warm_registry(names=["iterPower-6.00x"])
         service = FeedbackService(
-            warmup=warmup, executor="thread", default_timeout_s=20.0
+            warmup=warmup, executor="thread", config=GradingConfig(timeout_s=20.0)
         )
         try:
             assert service.stats()["executor"] == {"kind": "thread"}
@@ -258,8 +259,8 @@ class TestCliExecutorResolution:
 
 class TestWarmPrimingConfiguration:
     def test_prime_uses_the_serving_engine(self, monkeypatch):
-        # Regression: priming hardcoded cegismin, so a server with
-        # default_engine="enumerative" self-tested (and warmed) a
+        # Regression: priming hardcoded cegismin, so a server grading
+        # with the enumerative engine self-tested (and warmed) a
         # configuration no request would ever hit.
         used = []
         real = warm_mod.engine_by_name
@@ -270,7 +271,7 @@ class TestWarmPrimingConfiguration:
 
         monkeypatch.setattr(warm_mod, "engine_by_name", spying)
         problem = get_problem("iterPower-6.00x")
-        warm = warm_mod.warm_problem(problem, engine="enumerative")
+        warm = warm_mod.warm_problem(problem, GradingConfig("enumerative"))
         assert warm.primed
         assert used == ["enumerative"]
 
@@ -284,7 +285,7 @@ class TestWarmPrimingConfiguration:
 
         monkeypatch.setattr(warm_mod, "generate_feedback", spying)
         problem = get_problem("iterPower-6.00x")
-        warm_mod.warm_problem(problem, explorer=False)
+        warm_mod.warm_problem(problem, GradingConfig(explorer=False))
         assert captured["explorer"] is False
 
     def test_warm_registry_threads_engine_through(self, monkeypatch):
@@ -297,6 +298,6 @@ class TestWarmPrimingConfiguration:
 
         monkeypatch.setattr(warm_mod, "engine_by_name", spying)
         warm_mod.warm_registry(
-            names=["iterPower-6.00x"], engine="enumerative"
+            names=["iterPower-6.00x"], config=GradingConfig("enumerative")
         )
         assert used == ["enumerative"]

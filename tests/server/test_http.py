@@ -2,6 +2,9 @@
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -14,6 +17,7 @@ from repro.server import (
     ServerError,
     warm_registry,
 )
+from repro.service import GradingConfig
 from repro.service import workers as workers_mod
 
 PROBLEM = get_problem("iterPower-6.00x")
@@ -34,7 +38,7 @@ def warmup():
 @pytest.fixture
 def served(warmup):
     service = FeedbackService(
-        warmup=warmup, jobs=2, queue_limit=4, default_timeout_s=20.0
+        warmup=warmup, jobs=2, queue_limit=4, config=GradingConfig(timeout_s=20.0)
     )
     server = FeedbackHTTPServer(service, port=0)
     server.serve_in_thread()
@@ -182,7 +186,7 @@ class TestBackpressure:
 class TestGracefulShutdown:
     def test_shutdown_drains_and_then_refuses(self, warmup):
         service = FeedbackService(
-            warmup=warmup, jobs=2, queue_limit=4, default_timeout_s=20.0
+            warmup=warmup, jobs=2, queue_limit=4, config=GradingConfig(timeout_s=20.0)
         )
         server = FeedbackHTTPServer(service, port=0)
         server.serve_in_thread()
@@ -256,12 +260,22 @@ class TestKeepAliveHygiene:
         assert client.grade("iterPower-6.00x", BUGGY)["record"]["status"]
 
 
-class TestMainModule:
-    def test_global_flags_are_hoisted_before_the_subcommand(self):
-        from repro.server.__main__ import _split_global_flags
-
-        flags, rest = _split_global_flags(
-            ["--backend", "interp", "--port", "0", "--explorer=off"]
+class TestLazyTransport:
+    def test_grading_imports_no_http_transport(self):
+        # A batch process grades through FeedbackService; the HTTP
+        # transport loads only when a transport name is used.
+        script = (
+            "import sys\n"
+            "import repro.service.runner, repro.server.service\n"
+            "print(sorted({'http.server', 'http.client', 'ssl'} & set(sys.modules)))\n"
+            "from repro.server import FeedbackClient, FeedbackHTTPServer\n"
+            "print(FeedbackHTTPServer.__module__, FeedbackClient.__module__)\n"
         )
-        assert flags == ["--backend", "interp", "--explorer=off"]
-        assert rest == ["--port", "0"]
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        ).stdout.splitlines()
+        assert out == ["[]", "repro.server.http repro.server.client"]

@@ -22,6 +22,7 @@ from repro.server import (
     FeedbackService,
     warm_registry,
 )
+from repro.service import GradingConfig
 from repro.service.records import comparable_record
 
 PROBLEM = get_problem("iterPower-6.00x")
@@ -59,7 +60,7 @@ def fresh_registry():
 def make_service(warmup, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("queue_limit", 4)
-    kwargs.setdefault("default_timeout_s", 20.0)
+    kwargs.setdefault("config", GradingConfig(timeout_s=20.0))
     return FeedbackService(warmup=warmup, **kwargs)
 
 

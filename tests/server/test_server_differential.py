@@ -17,6 +17,7 @@ from repro.core.api import generate_feedback
 from repro.engines import BoundedVerifier, engine_by_name
 from repro.problems import all_problems, get_problem
 from repro.server import FeedbackClient, FeedbackHTTPServer, FeedbackService, warm_registry
+from repro.service import GradingConfig
 from repro.service.records import comparable_record, report_to_record
 
 TIMEOUT_S = 30.0
@@ -82,10 +83,9 @@ def direct_record(problem, source: str, backend: str) -> dict:
 @pytest.fixture(scope="module", params=["compiled", "interp"])
 def served(request):
     backend = request.param
-    warmup = warm_registry(backend=backend)
-    service = FeedbackService(
-        warmup=warmup, jobs=2, default_timeout_s=TIMEOUT_S, backend=backend
-    )
+    config = GradingConfig(timeout_s=TIMEOUT_S, backend=backend)
+    warmup = warm_registry(config=config)
+    service = FeedbackService(warmup=warmup, jobs=2, config=config)
     server = FeedbackHTTPServer(service, port=0)
     server.serve_in_thread()
     client = FeedbackClient(port=server.port)

@@ -20,7 +20,7 @@ from repro.server import (
     UnknownProblem,
     warm_registry,
 )
-from repro.service import BatchRunner
+from repro.service import BatchRunner, GradingConfig
 from repro.service import workers as workers_mod
 from repro.service.store import ResultStore, StoreClient
 
@@ -57,7 +57,7 @@ def warmup():
 def make_service(warmup, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("queue_limit", 4)
-    kwargs.setdefault("default_timeout_s", 20.0)
+    kwargs.setdefault("config", GradingConfig(timeout_s=20.0))
     return FeedbackService(warmup=warmup, **kwargs)
 
 

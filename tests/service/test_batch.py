@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.analysis import config as analysis_config
 from repro.cli import main
 from repro.problems import get_problem
 from repro.resilience import faults
@@ -132,10 +133,8 @@ class TestBatchRunner:
 
         monkeypatch.setattr(warm, "warm_problem", spy)
         BatchRunner(PROBLEM, timeout_s=20).run([CORRECT])
-        BatchRunner(PROBLEM, timeout_s=20, backend="interp").run([CORRECT])
-        assert handed[0] is _verifier_cache(PROBLEM.spec)
-        # An explicit backend gets a table of its own.
-        assert handed[1] is None
+        (verifier,) = handed
+        assert verifier is _verifier_cache(PROBLEM.spec)
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -470,17 +469,19 @@ class TestTriagedResume:
         assert "2 resumed" in out
         assert len((inbox / "results.jsonl").read_text().splitlines()) == 2
 
-    def test_analysis_off_resume_grades_the_triaged_file(self, tmp_path):
+    def test_analysis_off_resume_grades_the_triaged_file(
+        self, tmp_path, monkeypatch
+    ):
         items = [
             BatchItem("reference.py", ODD.spec.reference_source),
             BatchItem("unbound.py", UNBOUND),
         ]
         store = JobStore(tmp_path / "results.jsonl")
-        first = BatchRunner(ODD, timeout_s=20, analysis=True, store=store)
+        monkeypatch.setattr(analysis_config, "_default", True)
+        first = BatchRunner(ODD, timeout_s=20, store=store)
         assert first.run(items)[1].report.status == "static"
-        off = BatchRunner(
-            ODD, timeout_s=20, analysis=False, store=store, resume=True
-        )
+        monkeypatch.setattr(analysis_config, "_default", False)
+        off = BatchRunner(ODD, timeout_s=20, store=store, resume=True)
         results = off.run(items)
         assert off.stats.resumed == 1
         assert off.stats.graded == 1

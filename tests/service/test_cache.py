@@ -1,14 +1,18 @@
 """Result cache, cache key and record serialization tests."""
 
+import pickle
 import threading
 
 import pytest
 
 from repro.core.api import FeedbackReport
+from repro.explore import config as explore_config
 from repro.core.feedback import FeedbackItem
 from repro.problems import get_problem
+from repro.server import FeedbackService, Warmup, warm_problem
 from repro.service import (
     BatchRunner,
+    GradingConfig,
     ResultCache,
     cache_key,
     canonicalize,
@@ -163,15 +167,77 @@ class TestPinnedKeys:
             == PINNED["enumerative"]
         )
         assert static_key(*parts) == PINNED["static"]
+        # The same strings, derived by the one grading config.
+        config = GradingConfig(timeout_s=45.0)
+        assert config.key(*parts) == PINNED["default"]
+        assert (
+            GradingConfig(timeout_s=45.0, explorer=False).key(*parts)
+            == PINNED["explorer_off"]
+        )
+        assert (
+            GradingConfig("enumerative", 45.0).key(*parts)
+            == PINNED["enumerative"]
+        )
+        # A request's own engine and budget, passed as arguments.
+        assert config.key(*parts, "enumerative", 45.0) == PINNED["enumerative"]
+        assert GradingConfig(timeout_s=9.0).key(*parts, timeout_s=45.0) == (
+            PINNED["default"]
+        )
+        assert GradingConfig(analysis=True).static_key(*parts) == PINNED["static"]
+        assert GradingConfig(analysis=False).static_key(*parts) is None
 
-    def test_batch_runner_derives_the_same_keys(self):
+    def test_grading_config_resume_prefixes(self, parts):
+        name, digest, _ = parts
+        assert GradingConfig(timeout_s=45.0, analysis=True).prefixes(
+            name, digest
+        ) == (f"{_PINNED_PREFIX}:cegismin:t45:", f"{_PINNED_PREFIX}:static:")
+        assert GradingConfig(
+            "enumerative", 45.0, explorer=False, analysis=False
+        ).prefixes(name, digest) == (f"{_PINNED_PREFIX}:enumerative+sweep:t45:",)
+
+    def test_grading_config_value_semantics(self):
+        config = GradingConfig("enumerative", 12.0, "interp", False, False)
+        assert pickle.loads(pickle.dumps(config)) == config
+        assert config.override(None, 12.0) == config
+        assert config.override(None, 3.0) == GradingConfig(
+            "enumerative", 3.0, "interp", False, False
+        )
+        assert config.override("cegismin", 3.0).engine == "cegismin"
+        with pytest.raises(ValueError):
+            GradingConfig(engine="magic")
+
+    def test_service_key_matches_the_batch_runner(self, monkeypatch):
         problem = get_problem("iterPower-6.00x")
-        for config, options in (
-            ("default", {}),
-            ("explorer_off", {"explorer": False}),
-            ("enumerative", {"engine": "enumerative"}),
+        config = GradingConfig("enumerative", 45.0, explorer=False)
+        service = FeedbackService(
+            warmup=Warmup({problem.name: warm_problem(problem, config, prime=False)}),
+            config=config,
+            executor="thread",
+        )
+        try:
+            key = service.key(problem.name, BUGGY)
+        finally:
+            service.close()
+        monkeypatch.setattr(explore_config, "_default", False)
+        runner = BatchRunner(problem, timeout_s=45.0, engine="enumerative")
+        (result,) = runner.run([BUGGY])
+        assert key == result.canonical
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_runner_derives_the_same_keys(self, jobs, monkeypatch):
+        # The runner resolves the process defaults at construction and
+        # grades under them after they change; at jobs=2 the grading runs
+        # in a pool worker, so the config (explorer off included) crosses
+        # the worker pipe.
+        problem = get_problem("iterPower-6.00x")
+        for config, engine, explorer in (
+            ("default", None, True),
+            ("explorer_off", None, False),
+            ("enumerative", "enumerative", True),
         ):
-            runner = BatchRunner(problem, timeout_s=45.0, **options)
+            monkeypatch.setattr(explore_config, "_default", explorer)
+            runner = BatchRunner(problem, jobs=jobs, timeout_s=45.0, engine=engine)
+            monkeypatch.undo()
             (result,) = runner.run([BUGGY])
             assert result.report.status == "fixed"
             assert result.canonical == PINNED[config]
