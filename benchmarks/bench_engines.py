@@ -13,7 +13,7 @@
 import pytest
 
 from benchmarks.conftest import save_result
-from repro.compile import using_backend
+from repro.compile import BACKEND
 from repro.core.rewriter import rewrite_submission
 from repro.engines import BoundedVerifier, CegisMinEngine, EnumerativeEngine
 from repro.mpy import parse_program
@@ -101,7 +101,7 @@ class TestExecutionBackend:
         problem, tilde, registry, verifier = workload
 
         def solve():
-            with using_backend(backend):
+            with BACKEND.using(backend):
                 return CegisMinEngine().solve(
                     tilde, registry, problem.spec, verifier, timeout_s=60
                 )
@@ -116,7 +116,7 @@ class TestExecutionBackend:
         problem, tilde, registry, verifier = workload
 
         def solve():
-            with using_backend(backend):
+            with BACKEND.using(backend):
                 return EnumerativeEngine(
                     max_cost=2, max_candidates=50_000
                 ).solve(

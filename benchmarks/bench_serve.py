@@ -233,7 +233,7 @@ def test_obs_overhead_contract(served, submissions):
     lottery that swamps a 3% bar; CPU seconds charge exactly the code
     under test.
     """
-    from repro.obs.config import using_obs
+    from repro.obs import OBS
 
     _, client = served
     sources, _ = submissions
@@ -270,11 +270,11 @@ def test_obs_overhead_contract(served, submissions):
             # disagreement measures what the runner's noise floor is —
             # the only way to tell a 2% telemetry cost from a 5% noise
             # burst on a shared box.
-            with using_obs(False):
+            with OBS.using(False):
                 off_before = run()
-            with using_obs(True):
+            with OBS.using(True):
                 on = run()
-            with using_obs(False):
+            with OBS.using(False):
                 off_after = run()
             signals.append(2.0 * on / (off_before + off_after))
             noises.append(abs(off_before / off_after - 1.0))

@@ -14,11 +14,7 @@ The triage is gated by ``--analysis on|off`` / ``REPRO_ANALYSIS``
 ``coverage`` verb included; ``lint`` ignores the knob.
 """
 
-from repro.analysis.config import (
-    default_analysis,
-    resolve_analysis,
-    set_default_analysis,
-)
+from repro.analysis.config import ANALYSIS
 from repro.analysis.diagnostics import (
     ERROR,
     INFO,
@@ -42,14 +38,12 @@ from repro.analysis.emllint import (
 from repro.analysis.triage import TriageResult, triage_record, triage_submission
 
 __all__ = [
+    "ANALYSIS",
     "Diagnostic",
     "LintReport",
     "ERROR",
     "INFO",
     "WARNING",
-    "default_analysis",
-    "resolve_analysis",
-    "set_default_analysis",
     "ProblemCoverage",
     "RuleStat",
     "coverage_from_results",

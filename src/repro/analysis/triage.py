@@ -49,7 +49,7 @@ from repro.eml.transform import apply_error_model
 from repro.mpy import nodes as N
 from repro.mpy import parse_program
 from repro.mpy.errors import FrontendError, UnsupportedFeature
-from repro.obs import global_registry, observe_stage, resolve_obs
+from repro.obs import OBS, global_registry, observe_stage
 from repro.service.records import static_record
 from repro.tilde.nodes import CHOICE_NODE_TYPES
 
@@ -477,7 +477,7 @@ def triage_record(
     except Exception:
         result = None
     elapsed = time.perf_counter() - start
-    if resolve_obs(None):
+    if OBS.default():
         observe_stage("triage", elapsed)
         global_registry().counter(
             "repro_triage_total",

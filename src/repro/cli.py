@@ -32,18 +32,17 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 import time
 from typing import Optional
 
-from repro.compile import BACKENDS, set_default_backend
+from repro.compile import BACKEND, BACKENDS
 from repro.core import generate_feedback, grade_submission
 from repro.core.feedback import FeedbackLevel
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES, engine_by_name
-from repro.explore import set_default_explorer
-from repro.obs import set_default_obs, set_default_slow_ms
+from repro.explore import EXPLORER
+from repro.obs import OBS, SLOW_MS
 from repro.problems import all_problems, get_problem
 
 
@@ -261,10 +260,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import (
+        EXECUTOR,
         FeedbackHTTPServer,
         FeedbackService,
         default_executor,
-        resolve_executor,
         warm_registry,
     )
     from repro.service import GradingConfig
@@ -296,20 +295,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit("--slow-ms must be > 0")
         # Process-wide default: worker forks inherit it, and the service
         # needs no extra plumbing for the event threshold.
-        set_default_slow_ms(args.slow_ms)
+        SLOW_MS.set(args.slow_ms)
     # The daemon wants its structured events on stderr (one JSON line per
     # grading; slow ones at WARNING).
     from repro.obs.events import attach_stderr_handler
 
     attach_stderr_handler()
-    # Flag > environment > core-count default (resolve_executor alone
-    # would fall back to "thread", the library default — the daemon's
-    # default is the multi-core-aware one).
-    executor = resolve_executor(
-        args.executor
-        or os.environ.get("REPRO_EXECUTOR")
-        or default_executor()
-    )
+    # Flag > environment > core-count default (EXECUTOR alone would fall
+    # back to "thread", the library default — the daemon's default is the
+    # multi-core-aware one).
+    executor = args.executor or EXECUTOR.env() or default_executor()
     # Opened before the warmup, so a path that is not a store log fails
     # fast. The store writes behind and reads through, so verdicts from
     # sibling backends become local cache hits without a restart.
@@ -824,16 +819,16 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     # Process defaults: each GradingConfig resolves them once.
     if args.backend is not None:
-        set_default_backend(args.backend)
+        BACKEND.set(args.backend)
     if args.explorer is not None:
-        set_default_explorer(args.explorer)
+        EXPLORER.set(args.explorer)
     if args.obs is not None:
         # Telemetry stays a process default: batch/serve workers inherit it.
-        set_default_obs(args.obs)
+        OBS.set(args.obs)
     if args.analysis is not None:
-        from repro.analysis import set_default_analysis
+        from repro.analysis import ANALYSIS
 
-        set_default_analysis(args.analysis)
+        ANALYSIS.set(args.analysis)
     handlers = {
         "problems": cmd_problems,
         "grade": cmd_grade,

@@ -16,16 +16,7 @@ Semantics are bit-identical to :mod:`repro.mpy.interp` by construction
 (``REPRO_BACKEND`` / CLI ``--backend`` escape hatch).
 """
 
-from repro.compile.backend import (
-    BACKENDS,
-    COMPILED,
-    ENV_VAR,
-    INTERP,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-    using_backend,
-)
+from repro.compile.backend import BACKEND, BACKENDS, COMPILED, INTERP
 from repro.compile.compiler import CompiledProgram, compile_program
 from repro.compile.runtime import CompiledClosure, Frame, Machine
 
@@ -38,26 +29,27 @@ def make_executor(module, fuel, backend=None):
     :class:`CompiledProgram` or a tree-walking ``Interpreter`` according
     to the selected backend.
     """
-    if resolve_backend(backend) == COMPILED:
+    if BACKEND.resolve(backend) == COMPILED:
         return compile_program(module, fuel=fuel)
     from repro.mpy.interp import Interpreter
 
     return Interpreter(module, fuel=fuel)
 
 
+#: ``BACKEND.using`` under the name the benchmark gate (``perfbench``) imports.
+using_backend = BACKEND.using
+
+
 __all__ = [
+    "BACKEND",
     "BACKENDS",
     "COMPILED",
     "INTERP",
-    "ENV_VAR",
     "CompiledClosure",
     "CompiledProgram",
     "Frame",
     "Machine",
     "compile_program",
-    "default_backend",
     "make_executor",
-    "resolve_backend",
-    "set_default_backend",
     "using_backend",
 ]

@@ -30,7 +30,7 @@ from repro.engines.cegismin import CegisMinEngine
 from repro.engines.verify import BoundedVerifier, outcome_of
 from repro.mpy import parse_program, to_source
 from repro.mpy.errors import FrontendError, MPYRuntimeError, UnsupportedFeature
-from repro.obs import StageTimer, resolve_obs
+from repro.obs import OBS, StageTimer
 from repro.resilience.deadline import Deadline
 from repro.tilde.nodes import instantiate
 
@@ -204,7 +204,7 @@ def generate_feedback(
     """
     start = time.monotonic()
     engine = engine or CegisMinEngine()
-    timer = StageTimer() if resolve_obs(None) else None
+    timer = StageTimer() if OBS.default() else None
     stage_started = start
 
     def book(stage: str) -> None:

@@ -8,7 +8,7 @@ and the bounded-verification parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.mpy import nodes as N
@@ -62,9 +62,6 @@ class ProblemSpec:
 
     def input_space_size(self) -> int:
         return input_space_size(self.arg_types, self.bounds)
-
-    def with_bounds(self, bounds: Bounds) -> "ProblemSpec":
-        return replace(self, bounds=bounds)
 
     @staticmethod
     def from_typed_reference(

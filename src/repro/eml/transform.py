@@ -92,9 +92,6 @@ class Transformer:
         )
         return N.Module(body=body, line=module.line)
 
-    def registry_for(self, tilde_module: N.Module) -> HoleRegistry:
-        return HoleRegistry().rebuild_from(tilde_module)
-
     # -- plumbing ------------------------------------------------------------
 
     def _fresh(self) -> int:

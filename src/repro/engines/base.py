@@ -22,7 +22,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.compile import COMPILED, compile_program, resolve_backend
+from repro.compile import BACKEND, COMPILED, compile_program
 from repro.explore import (
     ExplorationTable,
     Outcome,
@@ -98,7 +98,7 @@ class CandidateSpace:
     write (zero recompilation). The ``interp`` backend is the tree-walker
     escape hatch, reusing one interpreter when the module carries no
     top-level state. ``backend=None`` defers to the process default
-    (:func:`repro.compile.resolve_backend`).
+    (:data:`repro.compile.BACKEND`).
     """
 
     def __init__(
@@ -115,7 +115,7 @@ class CandidateSpace:
         self.fuel = fuel
         self.registry = registry
         self.compare_stdout = compare_stdout
-        self.backend = resolve_backend(backend)
+        self.backend = BACKEND.resolve(backend)
         self.stateful = _has_top_level_state(tilde)
         self._interp: Optional[RecordingInterpreter] = None
         self._program = (

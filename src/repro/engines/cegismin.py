@@ -54,7 +54,7 @@ from repro.engines.base import (
 )
 from repro.engines.encoding import HoleEncoding
 from repro.engines.verify import BoundedVerifier, outcomes_match
-from repro.explore import resolve_explorer
+from repro.explore import EXPLORER
 from repro.mpy import nodes as N
 from repro.sat import SAT, Solver
 from repro.tilde.nodes import HoleRegistry
@@ -116,7 +116,7 @@ class CegisMinEngine(Engine):
             if deadline is not None
             else start + timeout_s
         )
-        explorer = resolve_explorer(self.explorer)
+        explorer = EXPLORER.resolve(self.explorer)
         space = CandidateSpace(
             tilde,
             spec.student_function,

@@ -38,7 +38,7 @@ from repro.engines.base import (
     EngineResult,
 )
 from repro.engines.verify import BoundedVerifier, outcomes_match
-from repro.explore import ExplorationLimit, resolve_explorer
+from repro.explore import EXPLORER, ExplorationLimit
 from repro.explore.table import ExplorationTable
 from repro.mpy import nodes as N
 from repro.tilde.nodes import HoleRegistry
@@ -161,7 +161,7 @@ class EnumerativeEngine(Engine):
             if deadline is not None
             else start + timeout_s
         )
-        explorer = resolve_explorer(self.explorer)
+        explorer = EXPLORER.resolve(self.explorer)
         space = CandidateSpace(
             tilde,
             spec.student_function,

@@ -13,11 +13,7 @@ tables through :class:`~repro.engines.base.CandidateSpace`.
 - :mod:`repro.explore.config` — the ``--explorer on|off`` ablation knob.
 """
 
-from repro.explore.config import (
-    default_explorer,
-    resolve_explorer,
-    set_default_explorer,
-)
+from repro.explore.config import EXPLORER
 from repro.explore.forker import (
     ExplorationLimit,
     PathForker,
@@ -35,17 +31,15 @@ from repro.explore.table import ExplorationTable, Leaf
 
 __all__ = [
     "ERROR",
+    "EXPLORER",
     "OK",
     "ExplorationLimit",
     "ExplorationTable",
     "Leaf",
     "Outcome",
     "PathForker",
-    "default_explorer",
     "domains_from_registry",
     "outcome_of",
     "outcomes_match",
-    "resolve_explorer",
-    "set_default_explorer",
     "typed_equal",
 ]

@@ -34,7 +34,7 @@ from typing import IO, List, Optional, Sequence
 
 import repro
 from repro.fleet.router import FleetRouter
-from repro.obs import resolve_obs
+from repro.obs import OBS
 from repro.server.client import FeedbackClient
 from repro.service.cache import GradingConfig
 
@@ -97,7 +97,7 @@ class BackendProcess:
             "--backend", str(config.backend),
             "--explorer", on_off[bool(config.explorer)],
             "--analysis", on_off[bool(config.analysis)],
-            "--obs", on_off[resolve_obs(None)],
+            "--obs", on_off[OBS.default()],
             "serve",
             "--host",
             host,

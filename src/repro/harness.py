@@ -3,7 +3,7 @@
 Shared by the benchmark suite and the CLI. Each function runs one
 experiment over synthetic corpora and returns structured results; the
 ``format_*`` helpers print them in the paper's layout next to the
-published numbers (EXPERIMENTS.md records a full run).
+published numbers (``repro-feedback table1`` runs and prints Table 1).
 """
 
 from __future__ import annotations

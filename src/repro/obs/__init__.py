@@ -22,15 +22,7 @@ comparable_record` with telemetry on or off: everything this package
 adds to a record lives under the stripped ``metrics`` key.
 """
 
-from repro.obs.config import (
-    default_obs,
-    default_slow_ms,
-    resolve_obs,
-    resolve_slow_ms,
-    set_default_obs,
-    set_default_slow_ms,
-    using_obs,
-)
+from repro.obs.config import OBS, SLOW_MS
 from repro.obs.prometheus import CONTENT_TYPE, render
 from repro.obs.registry import (
     LATENCY_BUCKETS,
@@ -64,9 +56,9 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
+    "OBS",
+    "SLOW_MS",
     "StageTimer",
-    "default_obs",
-    "default_slow_ms",
     "global_registry",
     "metrics",
     "new_request_id",
@@ -75,10 +67,5 @@ __all__ = [
     "quantile",
     "render",
     "reset_global_registry",
-    "resolve_obs",
-    "resolve_slow_ms",
-    "set_default_obs",
-    "set_default_slow_ms",
     "snapshot_delta",
-    "using_obs",
 ]

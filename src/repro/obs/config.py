@@ -1,112 +1,35 @@
-"""Observability selection: telemetry on, or the zero-overhead off state.
+"""Observability settings: telemetry on or off, and the slow threshold.
 
-Mirrors :mod:`repro.explore.config`: an explicit ``obs=`` argument at a
-call site wins, else a process-wide default set via
-:func:`set_default_obs` (the CLI's ``--obs`` flag), else the
-``REPRO_OBS`` environment variable, else **on**. Off means no registry
-writes, no ``metrics`` key on grading records, and no event emission —
-the knob the overhead contract test (obs-on vs obs-off req/s) flips.
+:data:`OBS` is set by the CLI's ``--obs`` flag or the ``REPRO_OBS``
+environment variable (see :mod:`repro.settings`), and is **on** by
+default. Off means no registry writes, no ``metrics`` key on grading
+records, and no event emission — the knob the overhead contract test
+(obs-on vs obs-off req/s) flips.
 
-The slow-request threshold (``--slow-ms`` / ``REPRO_SLOW_MS``) lives
-here too: gradings at or past it are logged at WARNING instead of INFO.
+:data:`SLOW_MS` is the slow-request threshold (``--slow-ms`` /
+``REPRO_SLOW_MS``): gradings at or past it are logged at WARNING
+instead of INFO.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
-
-ENV_VAR = "REPRO_OBS"
-SLOW_MS_ENV_VAR = "REPRO_SLOW_MS"
+from repro.settings import Setting, switch
 
 #: Default slow-request threshold: a warm cache-miss grading sits in the
 #: tens of milliseconds, so a full second is pathological whatever the
 #: problem.
 DEFAULT_SLOW_MS = 1000.0
 
-_ON = ("on", "1", "true", "yes")
-_OFF = ("off", "0", "false", "no")
 
-_default: Optional[bool] = None
-_default_slow_ms: Optional[float] = None
-
-
-def _validate(value: Union[bool, str]) -> bool:
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).strip().lower()
-    if lowered in _ON:
-        return True
-    if lowered in _OFF:
-        return False
-    raise ValueError(
-        f"unknown obs setting {value!r}; expected 'on' or 'off'"
-    )
-
-
-#: Parsed ``REPRO_OBS``, read once: the env var cannot change for a
-#: running process, and this sits on the per-request path.
-_env_obs: Optional[bool] = None
-
-
-def default_obs() -> bool:
-    """The process-wide setting: explicit default, env var, or on."""
-    global _env_obs
-    if _default is not None:
-        return _default
-    if _env_obs is None:
-        env = os.environ.get(ENV_VAR, "").strip()
-        _env_obs = _validate(env) if env else True
-    return _env_obs
-
-
-def set_default_obs(value: Union[bool, str, None]) -> None:
-    """Set (or with ``None``, clear) the process-wide obs default."""
-    global _default
-    _default = _validate(value) if value is not None else None
-
-
-def resolve_obs(value: Union[bool, str, None]) -> bool:
-    """An explicit choice if given, else the process default."""
-    return _validate(value) if value is not None else default_obs()
-
-
-@contextmanager
-def using_obs(value: Union[bool, str, None]) -> Iterator[bool]:
-    """Temporarily pin the process default (``None`` = leave as is)."""
-    global _default
-    saved = _default
-    if value is not None:
-        _default = _validate(value)
+def _slow_ms(value: object) -> float:
     try:
-        yield default_obs()
-    finally:
-        _default = saved
+        threshold = float(value)  # type: ignore[arg-type]
+        if threshold >= 0:
+            return threshold
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"slow-ms threshold must be a number >= 0, not {value!r}")
 
 
-def default_slow_ms() -> float:
-    """Slow-request threshold in ms: explicit default, env var, or 1000."""
-    if _default_slow_ms is not None:
-        return _default_slow_ms
-    env = os.environ.get(SLOW_MS_ENV_VAR, "").strip()
-    if env:
-        return float(env)
-    return DEFAULT_SLOW_MS
-
-
-def set_default_slow_ms(value: Optional[float]) -> None:
-    """Set (or with ``None``, clear) the process-wide slow threshold."""
-    global _default_slow_ms
-    if value is not None and value < 0:
-        raise ValueError("slow-ms threshold must be >= 0")
-    _default_slow_ms = float(value) if value is not None else None
-
-
-def resolve_slow_ms(value: Optional[float] = None) -> float:
-    """An explicit threshold if given, else the process default."""
-    if value is not None:
-        if value < 0:
-            raise ValueError("slow-ms threshold must be >= 0")
-        return float(value)
-    return default_slow_ms()
+OBS = Setting("REPRO_OBS", switch("obs"), True)
+SLOW_MS = Setting("REPRO_SLOW_MS", _slow_ms, DEFAULT_SLOW_MS)

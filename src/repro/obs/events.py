@@ -18,7 +18,7 @@ import logging
 import time
 from typing import Optional
 
-from repro.obs.config import resolve_slow_ms
+from repro.obs.config import SLOW_MS
 
 logger = logging.getLogger("repro.obs")
 
@@ -48,7 +48,7 @@ def grading_event(
     into one readable breakdown — but only once the event is known to
     reach a handler, so the silent-by-default path does no dict work.
     """
-    threshold_ms = resolve_slow_ms(slow_ms)
+    threshold_ms = SLOW_MS.resolve(slow_ms)
     slow = wall_time_s * 1000.0 >= threshold_ms
     level = logging.WARNING if slow else logging.INFO
     if not logger.isEnabledFor(level):

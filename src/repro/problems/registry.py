@@ -62,7 +62,7 @@ def _load_model(model_file: str) -> ErrorModel:
 # Verification bounds. The paper uses 4-bit integers and lists up to
 # length 4 (Section 5.3); our defaults trade one bit / one element for
 # pure-Python verification speed, which preserves every behavioral
-# distinction the error models can express (see EXPERIMENTS.md).
+# distinction the error models can express.
 LIST_BOUNDS = Bounds(int_bits=3, max_list_len=3)
 INT_BOUNDS = Bounds(int_bits=4)
 #: C# problems need length-4 lists (three consecutive-day swings) but fit

@@ -7,9 +7,9 @@ probability or count triggers, and the seams consult the plan via
 costs one function call returning on a ``None`` check; no environment
 read, no dict lookup, no clock.
 
-Arming, mirroring :mod:`repro.obs.config`: the ``REPRO_FAULTS``
-environment variable (read once, lazily) or the ``serve --faults`` flag
-for whole-process arming, and :func:`arm` / :func:`reset` for tests.
+Arming: the ``REPRO_FAULTS`` environment variable (read once, lazily,
+because a plan keeps fire counts) or the ``serve --faults`` flag for
+whole-process arming, and :func:`arm` / :func:`reset` for tests.
 The spec grammar is comma-separated points with colon-separated
 triggers::
 
@@ -232,9 +232,9 @@ def _count(point: str) -> None:
     # Deferred import: obs is cheap, but faults must stay importable from
     # the lowest layers without dragging the telemetry stack into them
     # at module-import time.
-    from repro.obs import global_registry, resolve_obs
+    from repro.obs import OBS, global_registry
 
-    if resolve_obs(None):
+    if OBS.default():
         global_registry().counter(
             "repro_faults_injected_total",
             help="Faults fired by the injection harness",

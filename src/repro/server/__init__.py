@@ -54,10 +54,10 @@ from repro.server.service import (
     UnknownProblem,
 )
 from repro.service.workers import (
+    EXECUTOR,
     EXECUTORS,
     ProcessExecutor,
     default_executor,
-    resolve_executor,
 )
 from repro.server.warm import (
     Warmup,
@@ -78,6 +78,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "EXECUTOR",
     "EXECUTORS",
     "codec",
     "FeedbackClient",
@@ -95,7 +96,6 @@ __all__ = [
     "Warmup",
     "WarmupError",
     "default_executor",
-    "resolve_executor",
     "warm_problem",
     "warm_registry",
 ]

@@ -49,13 +49,7 @@ from concurrent.futures import Future
 
 from repro.analysis.triage import triage_record
 from repro.engines import ENGINES
-from repro.obs import (
-    global_registry,
-    new_request_id,
-    render,
-    resolve_obs,
-    resolve_slow_ms,
-)
+from repro.obs import OBS, SLOW_MS, global_registry, new_request_id, render
 from repro.obs.events import grading_event
 from repro.resilience.breaker import HALF_OPEN, OPEN, BreakerBoard
 from repro.resilience.deadline import Deadline
@@ -72,11 +66,11 @@ from repro.service.records import (
     timeout_record,
 )
 from repro.service.workers import (
+    EXECUTOR,
     PROCESS,
     THREAD,
     ProcessExecutor,
     grade_record,
-    resolve_executor,
 )
 
 
@@ -182,7 +176,7 @@ class FeedbackService:
             raise ValueError("workers must be >= 1")
         #: Resolved once here (``None`` = the process defaults now).
         self.config = config if config is not None else GradingConfig()
-        self.executor = resolve_executor(executor)
+        self.executor = EXECUTOR.resolve(executor)
         if warmup is None:
             # In process mode the parent's warm state never grades a
             # request — the workers prime (and self-test) their own
@@ -203,10 +197,10 @@ class FeedbackService:
         self.queue_limit = queue_limit
         self.cache = cache if cache is not None else ResultCache()
         #: Slow-grading event threshold, resolved once at startup
-        #: (explicit argument, else ``REPRO_SLOW_MS`` / the process
-        #: default) — per-request event emission must not re-read the
-        #: environment.
-        self.slow_ms = resolve_slow_ms(slow_ms)
+        #: (explicit argument, else the process default, else
+        #: ``REPRO_SLOW_MS``) — per-request event emission must not
+        #: re-read the environment.
+        self.slow_ms = SLOW_MS.resolve(slow_ms)
         self.workers = workers if workers is not None else jobs
         if self.executor == PROCESS:
             if prime_workers is None:
@@ -305,7 +299,7 @@ class FeedbackService:
         is on and the caller sent none.
         """
         started = time.monotonic()
-        obs_on = resolve_obs(None)
+        obs_on = OBS.default()
         request_id = request_id or (new_request_id() if obs_on else "")
         stages: Optional[Dict[str, float]] = {} if obs_on else None
         warm = self._warm(problem)
@@ -790,7 +784,7 @@ class FeedbackService:
                 self._idle.notify_all()
 
     def _count_degraded(self, reason: str) -> None:
-        if resolve_obs(None):
+        if OBS.default():
             global_registry().counter(
                 "repro_degraded_total",
                 help="Requests short-circuited to degraded/partial "

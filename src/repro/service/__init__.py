@@ -51,10 +51,10 @@ from repro.service.runner import (
     BatchStats,
 )
 from repro.service.workers import (
+    EXECUTOR,
     EXECUTORS,
     ProcessExecutor,
     default_executor,
-    resolve_executor,
     shard_problems,
 )
 
@@ -65,6 +65,7 @@ __all__ = [
     "BatchStats",
     "CanonicalForm",
     "DEFAULT_ENGINE",
+    "EXECUTOR",
     "EXECUTORS",
     "GradingConfig",
     "JobStore",
@@ -73,7 +74,6 @@ __all__ = [
     "ResultStore",
     "StoreClient",
     "default_executor",
-    "resolve_executor",
     "shard_problems",
     "cache_key",
     "canonicalize",

@@ -22,10 +22,10 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.config import resolve_analysis
-from repro.compile import resolve_backend
+from repro.analysis.config import ANALYSIS
+from repro.compile import BACKEND
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES
-from repro.explore import resolve_explorer
+from repro.explore import EXPLORER
 
 
 def cache_key(
@@ -90,9 +90,9 @@ class GradingConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        object.__setattr__(self, "backend", resolve_backend(self.backend))
-        object.__setattr__(self, "explorer", resolve_explorer(self.explorer))
-        object.__setattr__(self, "analysis", resolve_analysis(self.analysis))
+        object.__setattr__(self, "backend", BACKEND.resolve(self.backend))
+        object.__setattr__(self, "explorer", EXPLORER.resolve(self.explorer))
+        object.__setattr__(self, "analysis", ANALYSIS.resolve(self.analysis))
 
     def key(
         self, problem: str, model_digest: str, canonical: str,

@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.obs import global_registry, resolve_obs
+from repro.obs import OBS, global_registry
 from repro.obs.events import emit
 from repro.resilience import faults
 from repro.service.cache import ResultCache
@@ -464,7 +464,7 @@ class StoreClient(ResultCache):
             path=str(self.store.path),
             error=f"{type(exc).__name__}: {exc}",
         )
-        if resolve_obs(None):
+        if OBS.default():
             global_registry().counter(
                 "repro_cache_persist_failures_total",
                 help="Result-store writes that failed with an IO error "

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -42,22 +43,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.api import generate_feedback
 from repro.eml.rules import ErrorModel
 from repro.engines import engine_by_name
-from repro.obs import (
-    global_registry,
-    observe_grading,
-    resolve_obs,
-    snapshot_delta,
-)
+from repro.obs import OBS, global_registry, observe_grading, snapshot_delta
 from repro.obs.events import emit
 from repro.problems.registry import Problem
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline
 from repro.service.cache import GradingConfig
 from repro.service.records import error_record, report_to_record
+from repro.settings import Setting, choice
 
 THREAD = "thread"
 PROCESS = "process"
 EXECUTORS = (THREAD, PROCESS)
+
+#: The executor a :class:`~repro.server.service.FeedbackService` grades
+#: on when none is named. ``REPRO_EXECUTOR`` is how CI runs one suite
+#: under both executors; the built-in stays in-process, so embedding a
+#: service never forks behind the caller's back. The ``serve`` CLI opts
+#: into :func:`default_executor` instead.
+EXECUTOR = Setting("REPRO_EXECUTOR", choice("executor", EXECUTORS), THREAD)
 
 #: The chaos seams a pool worker acts out for one request, in the order
 #: it reaches them; the parent draws them at dispatch.
@@ -79,24 +83,6 @@ def default_executor() -> str:
     the in-thread path.
     """
     return PROCESS if (os.cpu_count() or 1) > 1 else THREAD
-
-
-def resolve_executor(executor: Optional[str]) -> str:
-    """Validate an executor choice.
-
-    ``None`` falls back to the ``REPRO_EXECUTOR`` environment variable
-    (how CI runs one suite under both executors) and then to ``thread``
-    — the library default stays in-process so embedding a
-    :class:`~repro.server.service.FeedbackService` never forks behind
-    the caller's back; the CLI opts into :func:`default_executor`.
-    """
-    if executor is None:
-        executor = os.environ.get("REPRO_EXECUTOR") or THREAD
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
-    return executor
 
 
 def shard_problems(
@@ -166,7 +152,7 @@ def grade_record(
         record = report_to_record(report)
     except Exception as exc:
         record = error_record(warm.name, exc)
-    if resolve_obs(None):
+    if OBS.default():
         # The single record → registry ingestion point: it runs in
         # whichever process graded, so worker registries fill exactly
         # like the thread executor's and delta shipping stays uniform.
@@ -221,8 +207,14 @@ def _pool_worker_main(
     # primed more), none of which this worker may ever ship back — the
     # parent already holds those counts. Deltas start from here.
     last_snapshot = global_registry().snapshot()
+    # A forked worker holds its own pipe's parent end open, so a parent
+    # killed without a drain never shows up as EOF here: watch the
+    # parent's sentinel too, and leave when only it is ready.
+    parent = multiprocessing.parent_process().sentinel
     while True:
         try:
+            if conn not in multiprocessing.connection.wait([conn, parent]):
+                return
             message = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             return
@@ -253,7 +245,7 @@ def _pool_worker_main(
         # Ship what this grading added to the worker's registry alongside
         # the record; the parent merges it so one scrape covers the fleet.
         delta = None
-        if resolve_obs(None):
+        if OBS.default():
             emit(
                 "worker_grading",
                 level=logging.DEBUG,
@@ -467,7 +459,7 @@ class ProcessExecutor:
             self._recycled += 1
             if not self._closed:
                 self._start(handle)
-        if resolve_obs(None):
+        if OBS.default():
             global_registry().counter(
                 "repro_worker_recycles_total",
                 help="Grading workers killed and respawned (crash/wedge)",
@@ -496,7 +488,7 @@ class ProcessExecutor:
             warm_failures=handle.warm_failures,
             problems=list(handle.problems),
         )
-        if resolve_obs(None):
+        if OBS.default():
             global_registry().counter(
                 "repro_worker_permanent_failures_total",
                 help=(

@@ -137,9 +137,9 @@ def run_candidate(
     ``CompiledProgram`` (or a ``RecordingInterpreter``) instead of paying
     the per-call setup here.
     """
-    from repro.compile import COMPILED, compile_program, resolve_backend
+    from repro.compile import BACKEND, COMPILED, compile_program
 
-    if resolve_backend(backend) == COMPILED:
+    if BACKEND.resolve(backend) == COMPILED:
         program = compile_program(module, fuel=fuel)
         result = program.run(function, args, assignment=assignment)
         return result, program.cube()

@@ -175,19 +175,6 @@ class HoleRegistry:
         )
         return cid
 
-    def register_node(self, node) -> None:
-        """Record an already-built choice node (used by tests/builders)."""
-        self._holes[node.cid] = HoleInfo(
-            cid=node.cid,
-            arity=node.arity,
-            rule=node.rule,
-            line=node.line,
-            node=node,
-            free=node.free,
-            branch_rules=node.branch_rules,
-        )
-        self._next = max(self._next, node.cid + 1)
-
     def __len__(self) -> int:
         return len(self._holes)
 

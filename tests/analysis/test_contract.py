@@ -15,8 +15,7 @@ Three guarantees, in increasing cost:
 
 import pytest
 
-from repro.analysis import config as analysis_config
-from repro.analysis import triage_submission
+from repro.analysis import ANALYSIS, triage_submission
 from repro.analysis.triage import SHORT_CIRCUIT_VERDICTS
 from repro.core.api import generate_feedback
 from repro.engines.verify import BoundedVerifier
@@ -78,13 +77,13 @@ IDENTITY_PROBLEMS = ("oddTuples-6.00", "iterPower-6.00x")
 
 
 @pytest.mark.parametrize("name", IDENTITY_PROBLEMS)
-def test_analysis_off_records_are_byte_identical(name, monkeypatch):
+def test_analysis_off_records_are_byte_identical(name):
     problem = get_problem(name)
     items = corpus_items(problem, count=4)
-    monkeypatch.setattr(analysis_config, "_default", True)
-    on = BatchRunner(problem, timeout_s=20).run(items)
-    monkeypatch.setattr(analysis_config, "_default", False)
-    off = BatchRunner(problem, timeout_s=20).run(items)
+    with ANALYSIS.using(True):
+        on = BatchRunner(problem, timeout_s=20).run(items)
+    with ANALYSIS.using(False):
+        off = BatchRunner(problem, timeout_s=20).run(items)
     assert [r.sid for r in on] == [r.sid for r in off]
     for row_on, row_off in zip(on, off):
         if row_on.report.status == STATIC:
@@ -112,7 +111,7 @@ UNBOUND = """def oddTuples(aTup):
 """
 
 
-def test_pool_workers_triage_like_serial(monkeypatch):
+def test_pool_workers_triage_like_serial():
     problem = get_problem("oddTuples-6.00")
     items = [
         BatchItem(sid="unbound", source=UNBOUND),
@@ -120,9 +119,9 @@ def test_pool_workers_triage_like_serial(monkeypatch):
             sid="correct", source=problem.spec.reference_source
         ),
     ]
-    monkeypatch.setattr(analysis_config, "_default", True)
-    serial = BatchRunner(problem, timeout_s=20).run(items)
-    pooled = BatchRunner(problem, jobs=2, timeout_s=20).run(items)
+    with ANALYSIS.using(True):
+        serial = BatchRunner(problem, timeout_s=20).run(items)
+        pooled = BatchRunner(problem, jobs=2, timeout_s=20).run(items)
     by_sid = lambda rows: {r.sid: r.report for r in rows}
     s, p = by_sid(serial), by_sid(pooled)
     assert s["unbound"].status == STATIC

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 from repro.analysis import (
+    ANALYSIS,
     coverage_from_results,
     render_coverage,
     run_coverage,
@@ -121,18 +122,16 @@ def test_run_coverage_with_explicit_sources():
     assert cov.by_status.get("already_correct") == 1
 
 
-def test_run_coverage_honours_the_analysis_setting(monkeypatch):
+def test_run_coverage_honours_the_analysis_setting():
     # The coverage verb grades through the batch runner, so --analysis
     # applies: an unbound name is triaged with it on, graded with it off.
-    from repro.analysis import config
-
     unbound = "def oddTuples(aTup):\n  result = len(resutl)\n  return aTup\n"
     sources = [("unbound.py", unbound)]
-    monkeypatch.setattr(config, "_default", True)
-    on = run_coverage(PROBLEM, sources=sources, timeout_s=20)
+    with ANALYSIS.using(True):
+        on = run_coverage(PROBLEM, sources=sources, timeout_s=20)
     assert on.by_status == {"static": 1}
-    monkeypatch.setattr(config, "_default", False)
-    off = run_coverage(PROBLEM, sources=sources, timeout_s=20)
+    with ANALYSIS.using(False):
+        off = run_coverage(PROBLEM, sources=sources, timeout_s=20)
     assert off.by_status == {"no_fix": 1}
 
 

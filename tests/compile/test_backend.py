@@ -10,15 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compile import (
-    COMPILED,
-    ENV_VAR,
-    INTERP,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-    using_backend,
-)
+from repro.compile import BACKEND, COMPILED, INTERP
 from repro.compile.compiler import CompiledProgram
 from repro.core.spec import ProblemSpec
 from repro.core.rewriter import rewrite_submission
@@ -77,47 +69,6 @@ def fig2_space(deriv_spec):
 
 
 class TestSelection:
-    def test_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        set_default_backend(None)
-        assert default_backend() == COMPILED
-
-    def test_env_var_escape_hatch(self, monkeypatch):
-        set_default_backend(None)
-        monkeypatch.setenv(ENV_VAR, "interp")
-        assert default_backend() == INTERP
-        monkeypatch.setenv(ENV_VAR, "compiled")
-        assert default_backend() == COMPILED
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "interp")
-        assert resolve_backend("compiled") == COMPILED
-
-    def test_set_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "interp")
-        set_default_backend("compiled")
-        try:
-            assert default_backend() == COMPILED
-        finally:
-            set_default_backend(None)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("jit")
-        with pytest.raises(ValueError):
-            set_default_backend("bytecode")
-
-    def test_using_backend_restores(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        set_default_backend(None)
-        with using_backend(INTERP) as active:
-            assert active == INTERP
-            assert default_backend() == INTERP
-        assert default_backend() == COMPILED
-        # None means "leave as is".
-        with using_backend(None) as active:
-            assert active == COMPILED
-
     def test_candidate_space_substrates(self, fig2_space, deriv_spec):
         tilde, registry = fig2_space
         compiled = CandidateSpace(
@@ -147,7 +98,7 @@ class TestEngineEquivalence:
         results = {}
         for backend in (COMPILED, INTERP):
             # The runner inside solve() follows the process default.
-            with using_backend(backend):
+            with BACKEND.using(backend):
                 verifier = BoundedVerifier(deriv_spec, backend=backend)
                 result = make_engine().solve(
                     tilde,
@@ -183,7 +134,7 @@ class TestEngineEquivalence:
             "    return []\n"
         )
         spec = get_problem("compDeriv-6.00x").spec
-        with using_backend(backend):
+        with BACKEND.using(backend):
             assert grade_submission(source, spec) == "incorrect"
 
     def test_verifier_tables_identical(self, deriv_spec):

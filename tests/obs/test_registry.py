@@ -12,12 +12,6 @@ from repro.obs import (
     render,
     snapshot_delta,
 )
-from repro.obs.config import (
-    default_obs,
-    resolve_obs,
-    resolve_slow_ms,
-    using_obs,
-)
 
 
 class TestInstruments:
@@ -215,18 +209,3 @@ class TestTraceHelpers:
         assert stages["solve"] == 0.5
         assert stages["parse"] >= 0.0
 
-
-class TestConfig:
-    def test_default_on_and_context_override(self):
-        assert default_obs() is True
-        assert resolve_obs(None) is True
-        with using_obs(False):
-            assert resolve_obs(None) is False
-            assert resolve_obs(True) is True  # explicit beats default
-        assert resolve_obs(None) is True
-
-    def test_slow_ms_resolution(self, monkeypatch):
-        assert resolve_slow_ms(None) == 1000.0
-        assert resolve_slow_ms(250.0) == 250.0
-        monkeypatch.setenv("REPRO_SLOW_MS", "75")
-        assert resolve_slow_ms(None) == 75.0

@@ -94,14 +94,8 @@ class TestAnalysisKnob:
         assert outcome.record["status"] == "no_fix"
 
     def test_env_resolution(self, warmup, monkeypatch):
-        from repro.analysis import config
-
-        # The env var is parsed once per process; reset the cache so the
-        # patched value is actually consulted.
-        monkeypatch.setattr(config, "_default", None)
-        monkeypatch.setattr(config, "_env_analysis", None)
+        # The env var is read at each lookup: each service sees its value.
         monkeypatch.setenv("REPRO_ANALYSIS", "off")
         assert make_service(warmup).config.analysis is False
-        monkeypatch.setattr(config, "_env_analysis", None)
         monkeypatch.setenv("REPRO_ANALYSIS", "on")
         assert make_service(warmup).config.analysis is True

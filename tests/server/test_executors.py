@@ -7,16 +7,24 @@ plus the warm-priming engine fix the executor relies on (workers prime
 with the *serving* engine, not a hardcoded one).
 """
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
 from repro.problems import get_problem
 from repro.server import FeedbackService, warm_registry
 from repro.server import warm as warm_mod
 from repro.service import GradingConfig
 from repro.service.workers import (
+    EXECUTOR,
     ProcessExecutor,
     default_executor,
-    resolve_executor,
     shard_problems,
 )
 
@@ -45,17 +53,11 @@ class WedgedConn:
 class TestExecutorResolution:
     def test_explicit_choice_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert resolve_executor("thread") == "thread"
-
-    def test_env_fallback_then_thread(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert resolve_executor(None) == "process"
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        assert resolve_executor(None) == "thread"
+        assert EXECUTOR.resolve("thread") == "thread"
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
-            resolve_executor("fibers")
+            EXECUTOR.resolve("fibers")
 
     def test_default_tracks_core_count(self, monkeypatch):
         import repro.service.workers as workers_mod
@@ -191,6 +193,70 @@ class TestProcessExecutor:
         assert pool.info()["recycled"] == recycled_before + 1
         record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
+
+
+#: A server that builds a 2-worker pool, reports the worker pids once
+#: every worker is warm, then idles until it is killed.
+POOL_SERVER = """
+import time
+from repro.problems import get_problem
+from repro.service.workers import ProcessExecutor
+
+problem = get_problem("iterPower-6.00x")
+pool = ProcessExecutor([(problem, problem.model)], workers=2, prime=False)
+pool.wait_ready()
+print(*(handle.process.pid for handle in pool._workers), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie awaiting reaping is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_workers_exit_when_their_server_is_killed(self):
+        # A server killed without a drain (SIGKILL) must not leave its
+        # pool workers behind, blocked on a pipe nobody writes to.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        server = subprocess.Popen(
+            [sys.executable, "-c", POOL_SERVER],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 120.0)
+            assert ready, "the pool did not become ready"
+            pids = [int(pid) for pid in server.stdout.readline().split()]
+            assert len(pids) == 2
+            server.kill()
+            server.wait(10.0)
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    f"workers {[p for p in pids if _running(p)]} outlived "
+                    "their killed server"
+                )
+                time.sleep(0.05)
+        finally:
+            server.kill()
+            server.wait(10.0)
+            server.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestServiceIntegration:

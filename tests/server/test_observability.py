@@ -13,8 +13,7 @@ import re
 
 import pytest
 
-from repro.obs import global_registry, render, reset_global_registry
-from repro.obs.config import using_obs
+from repro.obs import OBS, global_registry, render, reset_global_registry
 from repro.problems import get_problem
 from repro.server import (
     FeedbackClient,
@@ -185,13 +184,13 @@ class TestRecordIdentity:
         """Telemetry must never leak into the comparable record view."""
         on_service = make_service(warmup, executor="thread")
         try:
-            with using_obs(True):
+            with OBS.using(True):
                 on = on_service.grade("iterPower-6.00x", BUGGY)
         finally:
             on_service.close()
         off_service = make_service(warmup, executor="thread")
         try:
-            with using_obs(False):
+            with OBS.using(False):
                 off = off_service.grade("iterPower-6.00x", BUGGY)
         finally:
             off_service.close()
@@ -204,7 +203,7 @@ class TestRecordIdentity:
     def test_obs_off_writes_nothing(self, warmup):
         service = make_service(warmup, executor="thread")
         try:
-            with using_obs(False):
+            with OBS.using(False):
                 service.grade("iterPower-6.00x", BUGGY)
         finally:
             service.close()

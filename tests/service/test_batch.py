@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from repro.analysis import config as analysis_config
+from repro.analysis import ANALYSIS
 from repro.cli import main
 from repro.problems import get_problem
 from repro.resilience import faults
@@ -469,20 +469,18 @@ class TestTriagedResume:
         assert "2 resumed" in out
         assert len((inbox / "results.jsonl").read_text().splitlines()) == 2
 
-    def test_analysis_off_resume_grades_the_triaged_file(
-        self, tmp_path, monkeypatch
-    ):
+    def test_analysis_off_resume_grades_the_triaged_file(self, tmp_path):
         items = [
             BatchItem("reference.py", ODD.spec.reference_source),
             BatchItem("unbound.py", UNBOUND),
         ]
         store = JobStore(tmp_path / "results.jsonl")
-        monkeypatch.setattr(analysis_config, "_default", True)
-        first = BatchRunner(ODD, timeout_s=20, store=store)
-        assert first.run(items)[1].report.status == "static"
-        monkeypatch.setattr(analysis_config, "_default", False)
-        off = BatchRunner(ODD, timeout_s=20, store=store, resume=True)
-        results = off.run(items)
+        with ANALYSIS.using(True):
+            first = BatchRunner(ODD, timeout_s=20, store=store)
+            assert first.run(items)[1].report.status == "static"
+        with ANALYSIS.using(False):
+            off = BatchRunner(ODD, timeout_s=20, store=store, resume=True)
+            results = off.run(items)
         assert off.stats.resumed == 1
         assert off.stats.graded == 1
         assert not results[1].resumed

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.core.api import FeedbackReport
-from repro.explore import config as explore_config
+from repro.explore import EXPLORER
 from repro.core.feedback import FeedbackItem
 from repro.problems import get_problem
 from repro.server import FeedbackService, Warmup, warm_problem
@@ -206,7 +206,7 @@ class TestPinnedKeys:
         with pytest.raises(ValueError):
             GradingConfig(engine="magic")
 
-    def test_service_key_matches_the_batch_runner(self, monkeypatch):
+    def test_service_key_matches_the_batch_runner(self):
         problem = get_problem("iterPower-6.00x")
         config = GradingConfig("enumerative", 45.0, explorer=False)
         service = FeedbackService(
@@ -218,13 +218,13 @@ class TestPinnedKeys:
             key = service.key(problem.name, BUGGY)
         finally:
             service.close()
-        monkeypatch.setattr(explore_config, "_default", False)
-        runner = BatchRunner(problem, timeout_s=45.0, engine="enumerative")
+        with EXPLORER.using(False):
+            runner = BatchRunner(problem, timeout_s=45.0, engine="enumerative")
         (result,) = runner.run([BUGGY])
         assert key == result.canonical
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_batch_runner_derives_the_same_keys(self, jobs, monkeypatch):
+    def test_batch_runner_derives_the_same_keys(self, jobs):
         # The runner resolves the process defaults at construction and
         # grades under them after they change; at jobs=2 the grading runs
         # in a pool worker, so the config (explorer off included) crosses
@@ -235,9 +235,10 @@ class TestPinnedKeys:
             ("explorer_off", None, False),
             ("enumerative", "enumerative", True),
         ):
-            monkeypatch.setattr(explore_config, "_default", explorer)
-            runner = BatchRunner(problem, jobs=jobs, timeout_s=45.0, engine=engine)
-            monkeypatch.undo()
+            with EXPLORER.using(explorer):
+                runner = BatchRunner(
+                    problem, jobs=jobs, timeout_s=45.0, engine=engine
+                )
             (result,) = runner.run([BUGGY])
             assert result.report.status == "fixed"
             assert result.canonical == PINNED[config]

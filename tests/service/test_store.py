@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.obs import global_registry, reset_global_registry, using_obs
+from repro.obs import OBS, global_registry, reset_global_registry
 from repro.resilience import faults
 from repro.service.jobstore import JobStore
 from repro.service.records import RECORD_VERSION
@@ -357,7 +357,7 @@ def test_failed_flush_is_reported_as_an_event_and_a_counter(log_path, caplog):
     logger.propagate = True  # the serve CLI may have turned it off
     faults.arm("cache.write", count=1)
     try:
-        with using_obs(True), caplog.at_level(
+        with OBS.using(True), caplog.at_level(
             logging.ERROR, logger="repro.obs"
         ):
             client.put("k", record(1))
@@ -397,7 +397,7 @@ def test_background_flush_failure_is_retried(log_path):
     client = StoreClient(log_path, flush_every=10_000, flush_interval_s=0.1)
     faults.arm("cache.write", count=1)
     try:
-        with using_obs(True):
+        with OBS.using(True):
             client.put("k", record(1))
             for _ in range(50):
                 if "k" in ResultStore(log_path).entries():
