@@ -8,13 +8,8 @@ Three consumers, one layer:
   short-circuits statically-unfixable submissions at admission;
 - :mod:`repro.analysis.coverage` — the post-grading join of corpus
   results against the static rule inventory (the ``coverage`` verb).
-
-The triage is gated by ``--analysis on|off`` / ``REPRO_ANALYSIS``
-(:mod:`repro.analysis.config`) wherever a submission is graded, the
-``coverage`` verb included; ``lint`` ignores the knob.
 """
 
-from repro.analysis.config import ANALYSIS
 from repro.analysis.diagnostics import (
     ERROR,
     INFO,
@@ -38,7 +33,6 @@ from repro.analysis.emllint import (
 from repro.analysis.triage import TriageResult, triage_record, triage_submission
 
 __all__ = [
-    "ANALYSIS",
     "Diagnostic",
     "LintReport",
     "ERROR",

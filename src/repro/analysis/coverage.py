@@ -32,12 +32,11 @@ from repro.eml.rules import ErrorModel
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S
 from repro.problems.registry import Problem
 
-#: Statuses that mean "the submission never reached the solver" — they
-#: are excluded from the fix-rate denominator, matching the paper's
-#: test-set preparation (Table 1 counts *compiling, incorrect* attempts).
-_PRE_SOLVE = ("syntax_error", "unsupported", "bad_signature")
-
-#: Statuses that count as "incorrect attempt the tool tried to fix".
+#: Statuses that count as "incorrect attempt the tool tried to fix", the
+#: fix-rate denominator. Those that never reached the solver
+#: (``syntax_error``, ``unsupported``, ``bad_signature``) are left out,
+#: matching the paper's test-set preparation (Table 1 counts *compiling,
+#: incorrect* attempts).
 _ATTEMPTED = ("fixed", "no_fix", "timeout", "static", "error", "degraded")
 
 

@@ -16,7 +16,7 @@ Verdicts:
     in ``repro_triage_total``) but never short-circuited on the serving
     path: the frontend classifies them in well under a millisecond
     anyway, and letting the ordinary pipeline answer keeps their records
-    byte-identical whether analysis is on or off.
+    byte-identical to an untriaged grading's.
 ``unbound_name``
     An undefined name in an always-evaluated position of the function's
     unconditional prefix, *outside every choice node* of the actual
@@ -31,8 +31,9 @@ Verdicts:
     and the reference is clean on that input.
 
 Everything else passes through untouched: triage adds nothing to records
-it does not produce, which is what keeps analysis-on/off byte-identity
-(`comparable_record`) on every non-triaged path.
+it does not produce, so on every non-triaged path a record is
+`comparable_record`-identical to an untriaged grading's
+(``generate_feedback``, which never triages).
 """
 
 from __future__ import annotations
@@ -466,9 +467,9 @@ def triage_record(
     (``syntax_error`` / ``unsupported`` / ``bad_signature``) is counted
     in the verdict metric but handed back to the ordinary pipeline,
     which reaches the same answer in sub-millisecond time and keeps the
-    record byte-identical with analysis off. With observability on,
-    every call lands one observation in the ``triage`` stage histogram
-    and one count in ``repro_triage_total{verdict=...}``
+    record byte-identical to an untriaged grading's. With observability
+    on, every call lands one observation in the ``triage`` stage
+    histogram and one count in ``repro_triage_total{verdict=...}``
     (``verdict="pass"`` for pass-throughs).
     """
     start = time.perf_counter()

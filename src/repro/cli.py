@@ -41,7 +41,6 @@ from repro.compile import BACKEND, BACKENDS
 from repro.core import generate_feedback, grade_submission
 from repro.core.feedback import FeedbackLevel
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES, engine_by_name
-from repro.explore import EXPLORER
 from repro.obs import OBS, SLOW_MS
 from repro.problems import all_problems, get_problem
 
@@ -268,8 +267,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.service import GradingConfig
 
-    if args.fleet is not None:
-        return _serve_fleet(args)
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     if args.queue < 0:
@@ -280,6 +277,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--breaker-threshold must be >= 0")
     if args.breaker_reset <= 0:
         raise SystemExit("--breaker-reset must be > 0")
+    if args.slow_ms is not None:
+        # Process-wide default: worker forks inherit it, and the service
+        # needs no extra plumbing for the event threshold.
+        try:
+            SLOW_MS.set(args.slow_ms)
+        except ValueError as exc:
+            raise SystemExit(f"--slow-ms: {exc}")
+    if args.fleet is not None:
+        return _serve_fleet(args)
     if args.faults:
         # Explicit flag outranks REPRO_FAULTS. Workers hold no plan of
         # their own: this process draws their faults per request.
@@ -290,12 +296,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
         print(f"FAULT INJECTION ARMED: {args.faults}")
-    if args.slow_ms is not None:
-        if args.slow_ms <= 0:
-            raise SystemExit("--slow-ms must be > 0")
-        # Process-wide default: worker forks inherit it, and the service
-        # needs no extra plumbing for the event threshold.
-        SLOW_MS.set(args.slow_ms)
     # The daemon wants its structured events on stderr (one JSON line per
     # grading; slow ones at WARNING).
     from repro.obs.events import attach_stderr_handler
@@ -505,17 +505,6 @@ def main(argv: Optional[list] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--explorer",
-        default=None,
-        choices=["on", "off"],
-        help=(
-            "candidate-space exploration tables: 'on' (default) blocks "
-            "whole failing regions per counterexample; 'off' is the "
-            "per-candidate-sweep ablation; also settable via "
-            "REPRO_EXPLORER"
-        ),
-    )
-    parser.add_argument(
         "--obs",
         default=None,
         choices=["on", "off"],
@@ -524,19 +513,6 @@ def main(argv: Optional[list] = None) -> int:
             "events; 'off' disables every registry write and strips the "
             "record 'metrics' key (the overhead ablation); also settable "
             "via REPRO_OBS"
-        ),
-    )
-    parser.add_argument(
-        "--analysis",
-        default=None,
-        choices=["on", "off"],
-        help=(
-            "pre-grading submission triage: 'on' (default) short-circuits "
-            "statically-unfixable submissions before they cost a grading "
-            "slot; 'off' grades everything (records are byte-identical on "
-            "every non-triaged path); also settable via REPRO_ANALYSIS. "
-            "The batch, serve, table1 and coverage verbs triage; feedback "
-            "and lint ignore this knob."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -820,15 +796,9 @@ def main(argv: Optional[list] = None) -> int:
     # Process defaults: each GradingConfig resolves them once.
     if args.backend is not None:
         BACKEND.set(args.backend)
-    if args.explorer is not None:
-        EXPLORER.set(args.explorer)
     if args.obs is not None:
         # Telemetry stays a process default: batch/serve workers inherit it.
         OBS.set(args.obs)
-    if args.analysis is not None:
-        from repro.analysis import ANALYSIS
-
-        ANALYSIS.set(args.analysis)
     handlers = {
         "problems": cmd_problems,
         "grade": cmd_grade,

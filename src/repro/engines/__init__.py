@@ -8,9 +8,10 @@
   against the reference implementation (the SKETCH harness stand-in).
 
 Both engines search a :class:`~repro.engines.base.CandidateSpace` — the
-tilde module plus registry on an execution substrate — and, with the
-explorer on, consume per-input exploration tables from
-:mod:`repro.explore` instead of sweeping candidates one at a time.
+tilde module plus registry on an execution substrate — and consume
+per-input exploration tables from :mod:`repro.explore` instead of
+sweeping candidates one at a time; ``explorer=False`` on either engine
+is the per-candidate-sweep ablation.
 """
 
 from repro.engines.base import CandidateSpace, EngineResult, Engine

@@ -45,6 +45,17 @@ TIMEOUT = "timeout"  # gave up on the clock (paper: 4-minute budget)
 EXHAUSTED = "exhausted"  # enumeration cap reached (enumerative engine only)
 
 
+def solve_deadline(
+    start: float, timeout_s: float, deadline: Optional["Deadline"]
+) -> float:
+    """The one monotonic instant a solve stops at, fed to every layer
+    below it (forker, verifier, SAT solver): the engine's own budget
+    from ``start``, tightened by whatever the request's end-to-end
+    ``deadline`` has left (queue wait and warmup already spent)."""
+    end = start + timeout_s
+    return end if deadline is None else min(end, deadline.at)
+
+
 @dataclass
 class EngineResult:
     """Outcome of one synthesis run."""
@@ -129,6 +140,26 @@ class CandidateSpace:
         self.run_count = 0
         self.fuel_consumed = 0
 
+    @classmethod
+    def for_solve(
+        cls,
+        tilde: N.Module,
+        registry: HoleRegistry,
+        spec: "ProblemSpec",
+        verifier,
+        backend: Optional[str] = None,
+    ) -> "CandidateSpace":
+        """The space one engine solve searches: ``spec``'s entry point
+        and stdout rule, run on the verifier's calibrated fuel."""
+        return cls(
+            tilde,
+            spec.student_function,
+            verifier.candidate_fuel,
+            registry=registry,
+            backend=backend,
+            compare_stdout=spec.compare_stdout,
+        )
+
     # -- per-candidate execution --------------------------------------------
 
     def run(self, assignment: Dict[int, int], args: tuple):
@@ -173,6 +204,16 @@ class CandidateSpace:
         return outcome_of(
             lambda: self.run(assignment, args), self.compare_stdout
         )
+
+    def failing_as_written(self, verifier) -> Optional[list]:
+        """Degraded feedback for a solve that timed out: the verifier's
+        failing tests of the submission as written (assignment ∅) —
+        deterministic and a few bounded runs, well inside the timeout
+        grace. ``None`` when even that raises."""
+        try:
+            return verifier.failing_tests(lambda args: self.outcome({}, args))
+        except Exception:
+            return None
 
     # -- per-input exploration ----------------------------------------------
 

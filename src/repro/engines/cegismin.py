@@ -17,18 +17,18 @@ This is the paper's Algorithm 1 on our substrate:
 
 Failed runs are generalized before blocking: execution under a concrete
 assignment only reads the holes on its path, so the blocking clause covers
-the whole cube of assignments that agree on those holes. With the explorer
-on (the default), each failure goes further: the path forker re-runs the
-counterexample input over the failing candidate's **free-hole
-neighborhood** — every assignment agreeing with the candidate on its
-costly holes — and every failing leaf of the resulting exploration table
-is blocked in the same SAT round. Free rule-RHS holes carry no cost
+the whole cube of assignments that agree on those holes. With
+``explorer=True`` (the default), each failure goes further: the path
+forker re-runs the counterexample input over the failing candidate's
+**free-hole neighborhood** — every assignment agreeing with the candidate
+on its costly holes — and every failing leaf of the resulting exploration
+table is blocked in the same SAT round. Free rule-RHS holes carry no cost
 pressure, so without the tables the solver would propose their siblings
-one by one; with them the whole failing region vanishes at once,
-uncapped, visiting only *reachable* branch combinations (the concrete
-counterpart of what SKETCH's symbolic encoding rules out in a single
-conflict). ``--explorer off`` is the ablation: one generalized cube per
-failing candidate, the per-candidate sweep the tables replace.
+one by one; with them the whole failing region vanishes at once, uncapped,
+visiting only *reachable* branch combinations (the concrete counterpart of
+what SKETCH's symbolic encoding rules out in a single conflict).
+``explorer=False`` is the ablation: one generalized cube per failing
+candidate, the per-candidate sweep the tables replace.
 
 ``incremental=False`` rebuilds the solver at every cost bound instead of
 reusing learned state — the ablation the paper's incremental-solving claim
@@ -51,10 +51,10 @@ from repro.engines.base import (
     CandidateSpace,
     Engine,
     EngineResult,
+    solve_deadline,
 )
 from repro.engines.encoding import HoleEncoding
 from repro.engines.verify import BoundedVerifier, outcomes_match
-from repro.explore import EXPLORER
 from repro.mpy import nodes as N
 from repro.sat import SAT, Solver
 from repro.tilde.nodes import HoleRegistry
@@ -77,7 +77,7 @@ class CegisMinEngine(Engine):
         incremental: bool = True,
         max_cost: int = 5,
         strategy: str = "ascend",
-        explorer: Optional[bool] = None,
+        explorer: bool = True,
     ):
         self.seed_inputs = seed_inputs
         self.max_iterations = max_iterations
@@ -93,8 +93,9 @@ class CegisMinEngine(Engine):
         #: concrete-execution backend this direction explores far more of
         #: the space, which is exactly what the ablation benchmark shows.
         self.strategy = strategy
-        #: Table-based blocking on (None = process default): block every
-        #: failing leaf of a counterexample's free-hole region per round.
+        #: Table-based blocking: block every failing leaf of a
+        #: counterexample's free-hole region per round. False is the
+        #: per-candidate-sweep ablation.
         self.explorer = explorer
 
     def solve(
@@ -108,22 +109,9 @@ class CegisMinEngine(Engine):
         deadline: Optional["Deadline"] = None,
     ) -> EngineResult:
         start = time.monotonic()
-        # One float instant feeds every layer below (forker, verifier,
-        # SAT solver): the engine's own budget, tightened by whatever the
-        # request's end-to-end deadline has left.
-        deadline = (
-            min(start + timeout_s, deadline.at)
-            if deadline is not None
-            else start + timeout_s
-        )
-        explorer = EXPLORER.resolve(self.explorer)
-        space = CandidateSpace(
-            tilde,
-            spec.student_function,
-            verifier.candidate_fuel,
-            registry=registry,
-            backend=backend,
-            compare_stdout=spec.compare_stdout,
+        deadline = solve_deadline(start, timeout_s, deadline)
+        space = CandidateSpace.for_solve(
+            tilde, registry, spec, verifier, backend
         )
 
         solver = Solver()
@@ -144,23 +132,16 @@ class CegisMinEngine(Engine):
         forker_runs = 0
 
         def result(status: str, minimal: bool) -> EngineResult:
-            failing = None
-            if status == TIMEOUT:
-                # Degraded feedback: what the submission as written does
-                # on the verifier's first inputs — deterministic and a
-                # few bounded runs, well inside the timeout grace.
-                try:
-                    failing = verifier.failing_tests(
-                        lambda args: space.outcome({}, args)
-                    )
-                except Exception:
-                    failing = None
             return EngineResult(
                 status=status,
                 assignment=best,
                 cost=best_cost,
                 minimal=minimal,
-                failing=failing,
+                failing=(
+                    space.failing_as_written(verifier)
+                    if status == TIMEOUT
+                    else None
+                ),
                 iterations=iterations,
                 counterexamples=len(cex_cache),
                 wall_time=time.monotonic() - start,
@@ -183,7 +164,7 @@ class CegisMinEngine(Engine):
                     + solver.stats["restarts"],
                     "engine": self.name,
                     "incremental": self.incremental,
-                    "explorer": explorer,
+                    "explorer": self.explorer,
                 },
             )
 
@@ -202,7 +183,7 @@ class CegisMinEngine(Engine):
             SAT round. Explorer off: just the failing run's own cube.
             """
             nonlocal table_leaves, forker_runs
-            if not explorer:
+            if not self.explorer:
                 # The failing run is the space's last execution at both
                 # call sites (the inductive loop breaks on it; the full
                 # sweep returns at the first mismatch), so its touch

@@ -7,12 +7,12 @@ canonical hole assignments in nondecreasing cost order, check each against
 counterexample inputs, and fully verify survivors. The first verified
 candidate is cost-minimal by construction.
 
-With the explorer on (the default), the inner check is a **table
+With ``explorer=True`` (the default), the inner check is a **table
 intersection** instead of a nested run loop: each counterexample input is
 explored once into a (cube → outcome) table up to the engine's cost
 bound, and rejecting a candidate is a trie walk per table — no program
 execution at all. Only full verification of survivors still runs code,
-and only on inputs without a table. ``--explorer off`` restores the
+and only on inputs without a table. ``explorer=False`` restores the
 literal per-candidate sweep.
 
 The candidate cap makes the paper's point measurable: spaces that CEGISMIN
@@ -36,9 +36,10 @@ from repro.engines.base import (
     CandidateSpace,
     Engine,
     EngineResult,
+    solve_deadline,
 )
 from repro.engines.verify import BoundedVerifier, outcomes_match
-from repro.explore import EXPLORER, ExplorationLimit
+from repro.explore import ExplorationLimit
 from repro.explore.table import ExplorationTable
 from repro.mpy import nodes as N
 from repro.tilde.nodes import HoleRegistry
@@ -130,13 +131,14 @@ class EnumerativeEngine(Engine):
         max_cost: int = 4,
         max_candidates: int = 500_000,
         seed_inputs: int = 4,
-        explorer: Optional[bool] = None,
+        explorer: bool = True,
         table_leaf_cap: int = 20_000,
     ):
         self.max_cost = max_cost
         self.max_candidates = max_candidates
         self.seed_inputs = seed_inputs
-        #: Table-intersection rejection on (None = process default).
+        #: Table-intersection rejection; False is the per-candidate
+        #: sweep ablation.
         self.explorer = explorer
         #: An input whose exploration would exceed this many leaves falls
         #: back to direct candidate runs — tables must stay cheaper than
@@ -154,25 +156,13 @@ class EnumerativeEngine(Engine):
         deadline: Optional["Deadline"] = None,
     ) -> EngineResult:
         start = time.monotonic()
-        # The engine's own budget, tightened by the request's end-to-end
-        # deadline (queue wait and warmup already spent from it).
-        deadline = (
-            min(start + timeout_s, deadline.at)
-            if deadline is not None
-            else start + timeout_s
-        )
-        explorer = EXPLORER.resolve(self.explorer)
-        space = CandidateSpace(
-            tilde,
-            spec.student_function,
-            verifier.candidate_fuel,
-            registry=registry,
-            backend=backend,
-            compare_stdout=spec.compare_stdout,
+        deadline = solve_deadline(start, timeout_s, deadline)
+        space = CandidateSpace.for_solve(
+            tilde, registry, spec, verifier, backend
         )
         cex_cache: List[tuple] = list(verifier.seed_inputs(self.seed_inputs))
         #: Parallel to ``cex_cache``: the input's exploration table (None
-        #: when untabled — explorer off / too large) and its reference
+        #: when untabled — ``explorer=False`` / too large) and its reference
         #: outcome, hoisted so the per-candidate loop never re-freezes
         #: args through ``verifier.expected``.
         tables: List[Optional[ExplorationTable]] = []
@@ -184,21 +174,16 @@ class EnumerativeEngine(Engine):
         forker_runs = 0
 
         def result(status, assignment=None, cost=None) -> EngineResult:
-            failing = None
-            if status == TIMEOUT:
-                # Degraded feedback for the timeout path (see cegismin).
-                try:
-                    failing = verifier.failing_tests(
-                        lambda args: space.outcome({}, args)
-                    )
-                except Exception:
-                    failing = None
             return EngineResult(
                 status=status,
                 assignment=assignment,
                 cost=cost,
                 minimal=status == FIXED,
-                failing=failing,
+                failing=(
+                    space.failing_as_written(verifier)
+                    if status == TIMEOUT
+                    else None
+                ),
                 iterations=candidates,
                 counterexamples=len(cex_cache),
                 wall_time=time.monotonic() - start,
@@ -212,14 +197,14 @@ class EnumerativeEngine(Engine):
                     "forker_runs": forker_runs,
                     "candidate_runs": space.run_count,
                     "fuel_consumed": space.fuel_consumed,
-                    "explorer": explorer,
+                    "explorer": self.explorer,
                 },
             )
 
         def table_for(args: tuple) -> Optional[ExplorationTable]:
             """Explore ``args`` up to the cost bound; None when off/huge."""
             nonlocal table_leaves, forker_runs
-            if not explorer:
+            if not self.explorer:
                 return None
             try:
                 table = space.explore(

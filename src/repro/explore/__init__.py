@@ -9,11 +9,9 @@ tables through :class:`~repro.engines.base.CandidateSpace`.
 
 - :mod:`repro.explore.forker` — the replay-based DFS fork loop;
 - :mod:`repro.explore.table` — leaves, tables, trie lookup;
-- :mod:`repro.explore.outcomes` — the shared observable-outcome format;
-- :mod:`repro.explore.config` — the ``--explorer on|off`` ablation knob.
+- :mod:`repro.explore.outcomes` — the shared observable-outcome format.
 """
 
-from repro.explore.config import EXPLORER
 from repro.explore.forker import (
     ExplorationLimit,
     PathForker,
@@ -31,7 +29,6 @@ from repro.explore.table import ExplorationTable, Leaf
 
 __all__ = [
     "ERROR",
-    "EXPLORER",
     "OK",
     "ExplorationLimit",
     "ExplorationTable",

@@ -9,9 +9,9 @@ placed on the router's hash ring.
 
 Every backend grades under the launcher's
 :class:`~repro.service.cache.GradingConfig`, so every node derives the
-keys the launcher would: the config's ``--backend``/``--explorer``/
-``--analysis`` (and the launcher's ``--obs``) precede ``serve`` on its
-command line, and ``--engine``/``--timeout`` follow it.
+keys the launcher would: the config's ``--backend`` (and the launcher's
+``--obs``) precede ``serve`` on its command line, and
+``--engine``/``--timeout`` follow it.
 
 The same pieces serve the tests and benchmarks: :func:`start_fleet`
 returns a :class:`Fleet` handle exposing the router address, the
@@ -89,15 +89,12 @@ class BackendProcess:
         self.port = port
         self.node_id = node_id
         self.log_path = log_path
-        on_off = {True: "on", False: "off"}
         command: List[str] = [
             sys.executable,
             "-m",
             "repro.cli",
             "--backend", str(config.backend),
-            "--explorer", on_off[bool(config.explorer)],
-            "--analysis", on_off[bool(config.analysis)],
-            "--obs", on_off[OBS.default()],
+            "--obs", "on" if OBS.default() else "off",
             "serve",
             "--host",
             host,

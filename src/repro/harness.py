@@ -85,9 +85,9 @@ def run_problem(
 
     The corpus goes through the batch grading service: duplicate (and
     α-renamed) submissions are solved once, and ``jobs > 1`` fans the
-    distinct ones out over the served worker pool. The execution backend,
-    exploration tables and triage are the process defaults (the CLI's
-    global flags).
+    distinct ones out over the served worker pool, which triages before
+    it grades. The execution backend is the process default (the CLI's
+    ``--backend``).
     """
     if corpus is None:
         corpus = generate_corpus(

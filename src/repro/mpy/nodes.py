@@ -13,7 +13,7 @@ feedback messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,6 @@ ARITH_OPS = ("+", "-", "*", "/", "//", "%", "**")
 
 #: Comparison operators (paper opc, plus membership which hangman needs).
 COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=", "in", "not in")
-
-BOOL_OPS = ("and", "or")
-
-UNARY_OPS = ("-", "+", "not")
 
 
 @dataclass(frozen=True)
@@ -315,10 +311,6 @@ class Module(Node):
     def functions(self) -> dict:
         """Map of top-level function name to its FuncDef."""
         return {s.name: s for s in self.body if isinstance(s, FuncDef)}
-
-
-AnyExpr = Union[Expr]
-AnyStmt = Union[Stmt]
 
 
 def map_children(node: Node, fn) -> Node:

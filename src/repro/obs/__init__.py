@@ -37,7 +37,6 @@ from repro.obs.registry import (
 )
 from repro.obs.trace import (
     ENGINE_COUNTERS,
-    GRADING_STAGES,
     StageTimer,
     new_request_id,
     observe_grading,
@@ -51,7 +50,6 @@ __all__ = [
     "CONTENT_TYPE",
     "Counter",
     "ENGINE_COUNTERS",
-    "GRADING_STAGES",
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",

@@ -30,10 +30,6 @@ from typing import Dict, Optional
 
 from repro.obs.registry import global_registry
 
-#: Grading-side stage names, in pipeline order (the parent-side stages
-#: ``canonicalize``/``cache_lookup``/``queue_wait`` precede them).
-GRADING_STAGES = ("parse", "rewrite", "solve", "render")
-
 #: Engine-depth counters lifted from ``EngineResult.stats`` into the
 #: registry, as ``repro_<key>_total``.
 ENGINE_COUNTERS = (

@@ -55,7 +55,7 @@ from repro.resilience.breaker import HALF_OPEN, OPEN, BreakerBoard
 from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import submission_failing_tests
 from repro.server.warm import Warmup, warm_registry
-from repro.service.cache import GradingConfig, ResultCache
+from repro.service.cache import GradingConfig, ResultCache, static_key
 from repro.service.canonical import canonicalize
 from repro.service.records import (
     DEGRADED,
@@ -161,7 +161,6 @@ class FeedbackService:
         workers: Optional[int] = None,
         shard: bool = False,
         prime_workers: Optional[bool] = None,
-        slow_ms: Optional[float] = None,
         breaker_threshold: int = 5,
         breaker_reset_s: float = 30.0,
         node_id: Optional[str] = None,
@@ -196,11 +195,10 @@ class FeedbackService:
         self.jobs = jobs
         self.queue_limit = queue_limit
         self.cache = cache if cache is not None else ResultCache()
-        #: Slow-grading event threshold, resolved once at startup
-        #: (explicit argument, else the process default, else
-        #: ``REPRO_SLOW_MS``) — per-request event emission must not
-        #: re-read the environment.
-        self.slow_ms = SLOW_MS.resolve(slow_ms)
+        #: Slow-grading event threshold, resolved once at startup (the
+        #: process default, else ``REPRO_SLOW_MS``) — per-request event
+        #: emission must not re-read the environment.
+        self.slow_ms = SLOW_MS.default()
         self.workers = workers if workers is not None else jobs
         if self.executor == PROCESS:
             if prime_workers is None:
@@ -317,12 +315,7 @@ class FeedbackService:
         key = self.config.key(
             warm.name, warm.model_digest, form.digest, engine, budget
         )
-        # ``None`` with analysis off — the normal key space is then the
-        # only one consulted, so analysis-off behavior is untouched by
-        # construction.
-        triage_key = self.config.static_key(
-            warm.name, warm.model_digest, form.digest
-        )
+        triage_key = static_key(warm.name, warm.model_digest, form.digest)
         breaker_keys = (
             f"problem:{warm.name}",
             f"hash:{warm.name}:{form.digest}",
@@ -351,11 +344,11 @@ class FeedbackService:
 
     def _graded_outcome(
         self, warm, source, engine, budget, key, started,
-        request_id, stages, deadline, breaker_keys, triage_key=None,
+        request_id, stages, deadline, breaker_keys, triage_key,
     ) -> GradeOutcome:
         lookup_started = time.monotonic()
         record = self.cache.get(key)
-        if record is None and triage_key is not None:
+        if record is None:
             record = self.cache.get(triage_key)
             if record is not None:
                 key = triage_key
@@ -367,23 +360,19 @@ class FeedbackService:
                 cached=True,
             )
 
-        if triage_key is not None:
-            # Pre-grading triage: a <5ms static pass over the submission's
-            # candidate space. A verdict means *no* candidate can be
-            # equivalent — answer now, spend no admission slot, and cache
-            # under the dedicated static address. A pass-through falls to
-            # the ordinary grading path below. Stage timing and the
-            # repro_triage_total counter are observed inside
-            # triage_record, where the pass ran.
-            record = triage_record(
-                warm.spec, warm.model, warm.verifier, source
+        # Pre-grading triage: a <5ms static pass over the submission's
+        # candidate space. A verdict means *no* candidate can be
+        # equivalent — answer now, spend no admission slot, and cache
+        # under the dedicated static address. A pass-through falls to
+        # the ordinary grading path below. Stage timing and the
+        # repro_triage_total counter are observed inside triage_record,
+        # where the pass ran.
+        record = triage_record(warm.spec, warm.model, warm.verifier, source)
+        if record is not None:
+            self.cache.put(triage_key, record)
+            return self._finish(
+                "triaged", record, triage_key, started, request_id, stages
             )
-            if record is not None:
-                self.cache.put(triage_key, record)
-                return self._finish(
-                    "triaged", record, triage_key, started, request_id,
-                    stages,
-                )
 
         # Circuit breakers fire only on the would-grade path: cache hits
         # are free and safe to serve, and a follower rides whatever its
@@ -572,8 +561,6 @@ class FeedbackService:
             "active": active,
             "queued": queued,
             "backend": self.config.backend,
-            "explorer": self.config.explorer,
-            "analysis": self.config.analysis,
             "executor": executor_info,
             #: Which grading unit owns which problems: the worker shard
             #: map in sharded process mode, else one shard holding the

@@ -118,13 +118,11 @@ def warm_problem(
     )
     if prime:
         prime_started = time.perf_counter()
-        prime_engine = engine_by_name(config.engine)
-        prime_engine.explorer = config.explorer
         report = generate_feedback(
             spec.reference_source,
             spec,
             model,
-            engine=prime_engine,
+            engine=engine_by_name(config.engine),
             timeout_s=PRIME_TIMEOUT_S,
             verifier=verifier,
             backend=config.backend,

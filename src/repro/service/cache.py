@@ -5,9 +5,10 @@ report is valid exactly when the same problem, the same error model, the
 same solver configuration, and a behaviorally identical submission come
 back — which in classroom traffic is constantly (resubmissions, copied
 solutions, the one conceptual error half the class shares). That
-configuration is a :class:`GradingConfig`, and every key is derived by
-it, over the formats of :func:`cache_key` and :func:`static_key`, so the
-batch runner, the feedback server and the fleet address the same entries.
+configuration is a :class:`GradingConfig`, and every graded key is
+derived by it over the format of :func:`cache_key`; a triage verdict
+answers every configuration, under :func:`static_key`. So the batch
+runner, the feedback server and the fleet address the same entries.
 
 :class:`ResultCache` keeps results in memory only: a thread-safe dict
 with hit/miss accounting, so one instance can back many server threads.
@@ -22,10 +23,8 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.config import ANALYSIS
 from repro.compile import BACKEND
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES
-from repro.explore import EXPLORER
 
 
 def cache_key(
@@ -34,7 +33,6 @@ def cache_key(
     canonical: str,
     engine: str = "",
     timeout_s: Optional[float] = None,
-    explorer: bool = True,
 ) -> str:
     """The content address of one grading result.
 
@@ -44,15 +42,9 @@ def cache_key(
     the engine is always part of the address; an empty ``engine`` means
     ``DEFAULT_ENGINE`` and addresses the same entry, *not* a distinct
     configuration (distinct keys here once caused spurious misses on
-    identical configurations). Explorer
-    on/off yields equally minimal but possibly different fixes too, so
-    the off state is suffixed ``+sweep``: the ablation is never served
-    results from the default configuration, or vice versa.
+    identical configurations).
     """
-    label = engine or DEFAULT_ENGINE
-    if not explorer:
-        label += "+sweep"
-    extra = f":{label}"
+    extra = f":{engine or DEFAULT_ENGINE}"
     if timeout_s is not None:
         extra += f":t{timeout_s:g}"
     return f"{problem}:{model_digest}{extra}:{canonical}"
@@ -63,8 +55,6 @@ def static_key(problem: str, model_digest: str, canonical: str) -> str:
 
     Engine- and budget-independent: a proof that no candidate fixes a
     submission answers every engine and timeout variant of the request.
-    The dedicated ``static`` component keeps analysis-off configurations
-    blind to these records.
     """
     return cache_key(problem, model_digest, canonical, engine="static")
 
@@ -73,17 +63,15 @@ def static_key(problem: str, model_digest: str, canonical: str) -> str:
 class GradingConfig:
     """What fixes a verdict besides the problem and the submission.
 
-    ``None`` for ``backend``, ``explorer`` or ``analysis`` means the
-    process default (CLI flag, else environment, else built-in), resolved
-    here: an instance holds resolved values only, so its keys and the
-    gradings it configures agree in every process it is pickled to.
+    ``None`` for ``backend`` means the process default (CLI flag, else
+    environment, else built-in), resolved here: an instance holds
+    resolved values only, so its keys and the gradings it configures
+    agree in every process it is pickled to.
     """
 
     engine: str = DEFAULT_ENGINE
     timeout_s: float = DEFAULT_TIMEOUT_S
     backend: Optional[str] = None
-    explorer: Optional[bool] = None
-    analysis: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -91,8 +79,6 @@ class GradingConfig:
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         object.__setattr__(self, "backend", BACKEND.resolve(self.backend))
-        object.__setattr__(self, "explorer", EXPLORER.resolve(self.explorer))
-        object.__setattr__(self, "analysis", ANALYSIS.resolve(self.analysis))
 
     def key(
         self, problem: str, model_digest: str, canonical: str,
@@ -103,23 +89,16 @@ class GradingConfig:
         if timeout_s is None:
             timeout_s = self.timeout_s
         return cache_key(
-            problem, model_digest, canonical, engine or self.engine,
-            timeout_s, bool(self.explorer),
+            problem, model_digest, canonical, engine or self.engine, timeout_s
         )
 
-    def static_key(
-        self, problem: str, model_digest: str, canonical: str
-    ) -> Optional[str]:
-        """A triage verdict's address; ``None`` with analysis off."""
-        if self.analysis:
-            return static_key(problem, model_digest, canonical)
-        return None
-
-    def prefixes(self, problem: str, model_digest: str) -> Tuple[str, ...]:
-        """The key prefixes a stored batch result resumes under."""
-        triaged = self.static_key(problem, model_digest, "")
-        graded = self.key(problem, model_digest, "")
-        return (graded,) if triaged is None else (graded, triaged)
+    def prefixes(self, problem: str, model_digest: str) -> Tuple[str, str]:
+        """The key prefixes a stored batch result resumes under: the
+        graded one, then the triaged one."""
+        return (
+            self.key(problem, model_digest, ""),
+            static_key(problem, model_digest, ""),
+        )
 
     def override(self, engine: Optional[str], timeout_s: float) -> "GradingConfig":
         """This config under a request's budget and its own engine, if any."""

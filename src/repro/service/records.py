@@ -38,8 +38,7 @@ TIMEOUT = "timeout"
 #: (:mod:`repro.analysis.triage`): a static pass proved no candidate in
 #: the correction space can be equivalent, so no grading slot was spent.
 #: Static records are deterministic (pure functions of the source and
-#: model) and cacheable — under a dedicated engine-independent key, so
-#: analysis-off configurations never observe them.
+#: model) and cacheable — under a dedicated engine-independent key.
 STATIC = "static"
 
 
@@ -147,7 +146,7 @@ def report_to_record(report: FeedbackReport) -> dict:
         **({"degraded": report.degraded} if report.degraded else {}),
         # Triage verdicts exist on static records only and are
         # deterministic; passed-through submissions never carry the key,
-        # which is what keeps analysis-on/off byte-identity.
+        # which keeps them byte-identical to untriaged gradings.
         **({"triage": report.triage} if report.triage else {}),
     }
 

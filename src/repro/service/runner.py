@@ -129,9 +129,8 @@ class BatchRunner:
         self.problem = problem
         self.model = model if model is not None else problem.model
         self.jobs = jobs
-        #: Resolved once here (backend, explorer and triage from the
-        #: process defaults *now*), so the resume prefixes and every
-        #: run's gradings agree.
+        #: Resolved once here (the backend from the process default
+        #: *now*), so the resume prefixes and every run's gradings agree.
         self.config = GradingConfig(engine or DEFAULT_ENGINE, timeout_s)
         self.cache = cache if cache is not None else ResultCache()
         self.store = store
@@ -144,8 +143,8 @@ class BatchRunner:
         )
         self.stats = BatchStats()
         #: A stored result resumes only under the same problem, model,
-        #: engine and budget; with triage on, so do triage verdicts, filed
-        #: under the engine-independent static address.
+        #: engine and budget; a triage verdict, filed under the
+        #: engine-independent static address, under the same model.
         self._resume_prefixes: Tuple[str, ...] = self.config.prefixes(
             problem.name, model_digest(self.model)
         )

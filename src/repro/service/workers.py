@@ -113,11 +113,10 @@ def grade_record(
     """Grade one submission against warm per-problem state → record.
 
     The one grading call every executor shares: ``config`` is pinned per
-    call (fresh engine with its explorer, explicit ``backend=``), never
-    via process-wide defaults, so records are byte-identical whichever
-    executor ran them. A raising grading comes back as an error record,
-    not an exception — one pathological submission must cost its own
-    slot only.
+    call (fresh engine, explicit ``backend=``), never via process-wide
+    defaults, so records are byte-identical whichever executor ran them.
+    A raising grading comes back as an error record, not an exception —
+    one pathological submission must cost its own slot only.
 
     ``deadline`` is the request's end-to-end deadline when the grading
     runs in the requesting process; across the worker pipe only the
@@ -137,13 +136,11 @@ def grade_record(
             time.sleep(drawn["grade.slow"])
         if "grade.error" in drawn:
             raise faults.FaultInjected("grade.error")
-        engine = engine_by_name(config.engine)
-        engine.explorer = config.explorer
         report = generate_feedback(
             source,
             warm.spec,
             warm.model,
-            engine=engine,
+            engine=engine_by_name(config.engine),
             timeout_s=config.timeout_s,
             verifier=warm.verifier,
             backend=config.backend,

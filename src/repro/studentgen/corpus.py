@@ -59,10 +59,6 @@ class Corpus:
     correct: List[Submission] = field(default_factory=list)
     syntax_errors: List[Submission] = field(default_factory=list)
 
-    @property
-    def test_set_size(self) -> int:
-        return len(self.incorrect) + len(self.correct)
-
 
 def _draw_mutation_count(rng: random.Random) -> int:
     roll = rng.random()

@@ -5,17 +5,18 @@ Three guarantees, in increasing cost:
 1. **Soundness sweep** — every submission of every registry problem's
    studentgen corpus is triaged; any short-circuit verdict must agree
    with the real engine (``generate_feedback`` finds no fix).
-2. **Byte identity** — grading the same corpus with analysis on vs off
-   (separate caches) yields ``comparable_record``-identical output for
-   every submission triage passed through, and nothing the engine FIXED
-   was ever short-circuited.
+2. **Byte identity** — the batch runner, which triages, and
+   ``generate_feedback``, which never does, grade the same corpus with
+   the same verifier and budget: every record triage passed through is
+   ``comparable_record``-identical, and every ``static`` one is a
+   short-circuit verdict the engine answers ``no_fix`` or ``timeout``.
 3. **Pool smoke** — the ``jobs=2`` process-pool path produces the same
    static verdicts as the serial path.
 """
 
 import pytest
 
-from repro.analysis import ANALYSIS, triage_submission
+from repro.analysis import triage_submission
 from repro.analysis.triage import SHORT_CIRCUIT_VERDICTS
 from repro.core.api import generate_feedback
 from repro.engines.verify import BoundedVerifier
@@ -77,30 +78,35 @@ IDENTITY_PROBLEMS = ("oddTuples-6.00", "iterPower-6.00x")
 
 
 @pytest.mark.parametrize("name", IDENTITY_PROBLEMS)
-def test_analysis_off_records_are_byte_identical(name):
+def test_triaged_records_match_the_untriaged_path(name):
     problem = get_problem(name)
     items = corpus_items(problem, count=4)
-    with ANALYSIS.using(True):
-        on = BatchRunner(problem, timeout_s=20).run(items)
-    with ANALYSIS.using(False):
-        off = BatchRunner(problem, timeout_s=20).run(items)
-    assert [r.sid for r in on] == [r.sid for r in off]
-    for row_on, row_off in zip(on, off):
-        if row_on.report.status == STATIC:
+    verifier = BoundedVerifier(problem.spec)
+    rows = BatchRunner(problem, timeout_s=20, verifier=verifier).run(items)
+    assert [r.sid for r in rows] == [item.sid for item in items]
+    # A duplicate carries its first copy's report verbatim, so each row
+    # is compared with a direct grading of its key's first copy.
+    first_copy = {}
+    for row, item in zip(rows, items):
+        first_copy.setdefault(row.canonical, item.source)
+    direct = {
+        key: generate_feedback(
+            source, problem.spec, problem.model, timeout_s=20,
+            verifier=verifier,
+        )
+        for key, source in first_copy.items()
+    }
+    for row in rows:
+        report = direct[row.canonical]
+        if row.report.status == STATIC:
             # The one permitted divergence: triage short-circuited, and
             # only with a verdict the engine agrees means unfixable.
-            assert row_off.report.status in ("no_fix", "timeout")
-            assert (
-                row_on.report.triage["verdict"] in SHORT_CIRCUIT_VERDICTS
-            )
+            assert report.status in ("no_fix", "timeout"), row.sid
+            assert row.report.triage["verdict"] in SHORT_CIRCUIT_VERDICTS
             continue
         assert comparable_record(
-            report_to_record(row_on.report)
-        ) == comparable_record(report_to_record(row_off.report)), row_on.sid
-    # Nothing the engine could fix was ever short-circuited.
-    fixed_off = {r.sid for r in off if r.report.status == "fixed"}
-    static_on = {r.sid for r in on if r.report.status == STATIC}
-    assert not (fixed_off & static_on)
+            report_to_record(row.report)
+        ) == comparable_record(report_to_record(report)), row.sid
 
 
 # -- 3. the process-pool worker path ------------------------------------------
@@ -119,9 +125,8 @@ def test_pool_workers_triage_like_serial():
             sid="correct", source=problem.spec.reference_source
         ),
     ]
-    with ANALYSIS.using(True):
-        serial = BatchRunner(problem, timeout_s=20).run(items)
-        pooled = BatchRunner(problem, jobs=2, timeout_s=20).run(items)
+    serial = BatchRunner(problem, timeout_s=20).run(items)
+    pooled = BatchRunner(problem, jobs=2, timeout_s=20).run(items)
     by_sid = lambda rows: {r.sid: r.report for r in rows}
     s, p = by_sid(serial), by_sid(pooled)
     assert s["unbound"].status == STATIC

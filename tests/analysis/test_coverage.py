@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 from repro.analysis import (
-    ANALYSIS,
     coverage_from_results,
     render_coverage,
     run_coverage,
@@ -122,17 +121,13 @@ def test_run_coverage_with_explicit_sources():
     assert cov.by_status.get("already_correct") == 1
 
 
-def test_run_coverage_honours_the_analysis_setting():
-    # The coverage verb grades through the batch runner, so --analysis
-    # applies: an unbound name is triaged with it on, graded with it off.
+def test_run_coverage_triages():
+    # The coverage verb grades through the batch runner, which triages:
+    # an unbound name is a static verdict, not a grading.
     unbound = "def oddTuples(aTup):\n  result = len(resutl)\n  return aTup\n"
     sources = [("unbound.py", unbound)]
-    with ANALYSIS.using(True):
-        on = run_coverage(PROBLEM, sources=sources, timeout_s=20)
-    assert on.by_status == {"static": 1}
-    with ANALYSIS.using(False):
-        off = run_coverage(PROBLEM, sources=sources, timeout_s=20)
-    assert off.by_status == {"no_fix": 1}
+    cov = run_coverage(PROBLEM, sources=sources, timeout_s=20)
+    assert cov.by_status == {"static": 1}
 
 
 def test_render_coverage_table():

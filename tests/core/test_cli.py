@@ -1,8 +1,11 @@
 """Tests for the repro-feedback CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.obs import SLOW_MS
 
 FIG2A = """def computeDeriv(poly):
     deriv = []
@@ -104,3 +107,65 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["table1", "--engine", "enumerative", "--only", "nope"])
         assert exc.value.code == 2
+
+    def test_global_flags_are_backend_and_obs(self, capsys):
+        # Exploration tables and triage are always on: their ablation is
+        # an engine argument, not a global flag.
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out))
+        assert flags == {"--help", "--backend", "--obs"}
+
+
+class _PastTheChecks(Exception):
+    """``serve`` reached its first step after the flag checks."""
+
+
+class TestServeFlags:
+    """``serve`` checks its flags once, before the fleet branch."""
+
+    @pytest.fixture(autouse=True)
+    def stubs(self, monkeypatch):
+        def past_the_checks():
+            raise _PastTheChecks
+
+        def no_fleet(*args, **kwargs):
+            pytest.fail("a fleet was launched past a bad flag")
+
+        # The real handler stops the repro.obs logger propagating, which
+        # later caplog tests rely on: no test may reach it.
+        monkeypatch.setattr(
+            "repro.obs.events.attach_stderr_handler", past_the_checks
+        )
+        monkeypatch.setattr("repro.fleet.start_fleet", no_fleet)
+        yield
+        SLOW_MS.set(None)
+
+    def test_zero_slow_ms_is_accepted(self):
+        # The same rule as REPRO_SLOW_MS=0: every grading counts as slow.
+        with pytest.raises(_PastTheChecks):
+            main(["serve", "--slow-ms", "0", "--port", "0"])
+        assert SLOW_MS.default() == 0.0
+
+    @pytest.mark.parametrize("fleet", [[], ["--fleet", "1"]])
+    def test_negative_slow_ms_is_refused(self, fleet):
+        with pytest.raises(SystemExit, match="slow-ms"):
+            main(["serve", *fleet, "--slow-ms", "-1", "--port", "0"])
+
+    @pytest.mark.parametrize("fleet", [[], ["--fleet", "1"]])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--jobs", "0"),
+            ("--queue", "-1"),
+            ("--workers", "0"),
+            ("--breaker-threshold", "-1"),
+            ("--breaker-reset", "0"),
+        ],
+    )
+    def test_bad_flag_is_refused_before_the_fleet(self, fleet, flag, value):
+        # A fleet's backends would die at startup on the same flag, and
+        # the launcher could only report that they exited.
+        with pytest.raises(SystemExit, match=flag):
+            main(["serve", *fleet, flag, value, "--port", "0"])

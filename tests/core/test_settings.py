@@ -1,4 +1,4 @@
-"""The six process-wide settings share one resolution rule.
+"""The four process-wide settings share one resolution rule.
 
 An explicit value beats the process default (a CLI flag), which beats
 the environment variable, which beats the built-in; the environment is
@@ -8,9 +8,7 @@ refused with an error naming the setting.
 
 import pytest
 
-from repro.analysis import ANALYSIS
 from repro.compile import BACKEND, using_backend
-from repro.explore import EXPLORER
 from repro.obs import OBS, SLOW_MS
 from repro.service.workers import EXECUTOR
 from repro.settings import choice, switch
@@ -24,8 +22,6 @@ SETTINGS = {
         BACKEND, "compiled", "interp", " Interp ", "Interp", "jit",
         "execution backend",
     ),
-    "explorer": (EXPLORER, True, False, " OFF ", "maybe", "sideways", "explorer"),
-    "analysis": (ANALYSIS, True, False, "no", "maybe", "2", "analysis"),
     "obs": (OBS, True, False, "0", "maybe", "quiet", "obs"),
     "slow_ms": (SLOW_MS, 1000.0, 75.0, " 75 ", -1.0, "-5", "slow-ms"),
     "executor": (

@@ -10,10 +10,11 @@ import pytest
 from repro.core.spec import ProblemSpec
 from repro.eml import parse_error_model
 from repro.engines import BoundedVerifier, CegisMinEngine, EnumerativeEngine
-from repro.engines.base import FIXED, NO_FIX
+from repro.engines.base import FIXED, NO_FIX, CandidateSpace, solve_deadline
 from repro.engines.enumerative import assignments_up_to_cost
 from repro.mpy import parse_program
 from repro.mpy.values import Bounds
+from repro.resilience.deadline import Deadline
 from repro.tilde.nodes import instantiate
 from repro.tilde.semantics import assignment_cost
 
@@ -198,3 +199,41 @@ class TestTimeout:
         assert result.status in ("timeout", "fixed")
         # With a zero budget and no prior success, it must be a timeout.
         assert result.status == "timeout"
+
+
+class _BrokenVerifier:
+    def failing_tests(self, run):
+        raise RuntimeError("verifier failed")
+
+
+class TestSolveSetup:
+    """The per-solve setup both engines share."""
+
+    def test_solve_deadline_takes_the_earlier_end(self):
+        assert solve_deadline(100.0, 5.0, None) == 105.0
+        assert solve_deadline(100.0, 5.0, Deadline(102.0)) == 102.0
+        assert solve_deadline(100.0, 5.0, Deadline(109.0)) == 105.0
+
+    def test_failing_as_written(self, deriv_spec, deriv_verifier):
+        tilde, registry = _prepare(deriv_spec, SIMPLE_MODEL, FIG2A)
+        space = CandidateSpace.for_solve(
+            tilde, registry, deriv_spec, deriv_verifier
+        )
+        # Fig. 2(a) as written fails tests; a verifier that raises
+        # leaves the degraded record without them.
+        assert space.failing_as_written(deriv_verifier)
+        assert space.failing_as_written(_BrokenVerifier()) is None
+
+    @pytest.mark.parametrize("engine_cls", [CegisMinEngine, EnumerativeEngine])
+    def test_engines_explore_by_default(
+        self, engine_cls, monkeypatch, deriv_spec, deriv_verifier
+    ):
+        # The ablation is the explorer=False argument alone; the retired
+        # REPRO_EXPLORER variable no longer reaches the engines.
+        monkeypatch.setenv("REPRO_EXPLORER", "off")
+        tilde, registry = _prepare(deriv_spec, SIMPLE_MODEL, FIG2A)
+        result = engine_cls().solve(
+            tilde, registry, deriv_spec, deriv_verifier, timeout_s=60.0
+        )
+        assert result.status == FIXED
+        assert result.stats["explorer"] is True

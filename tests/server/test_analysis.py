@@ -1,10 +1,10 @@
-"""FeedbackService × triage: admission short-circuit, caching, the knob."""
+"""FeedbackService × triage: admission short-circuit and caching."""
 
 import pytest
 
 from repro.problems import get_problem
 from repro.server import FeedbackService, warm_registry
-from repro.service import GradingConfig, ResultCache
+from repro.service import GradingConfig
 from repro.service.records import STATIC
 
 PROBLEM = get_problem("oddTuples-6.00")
@@ -28,16 +28,16 @@ def warmup():
     return warm_registry(names=["oddTuples-6.00"])
 
 
-def make_service(warmup, analysis=None, **kwargs):
+def make_service(warmup, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("queue_limit", 4)
-    kwargs.setdefault("config", GradingConfig(timeout_s=20.0, analysis=analysis))
+    kwargs.setdefault("config", GradingConfig(timeout_s=20.0))
     return FeedbackService(warmup=warmup, **kwargs)
 
 
 class TestTriageAdmission:
     def test_static_verdict_short_circuits_grading(self, warmup):
-        service = make_service(warmup, analysis=True)
+        service = make_service(warmup)
         outcome = service.grade("oddTuples-6.00", UNBOUND)
         assert outcome.record["status"] == STATIC
         assert outcome.record["triage"]["verdict"] == "unbound_name"
@@ -45,10 +45,9 @@ class TestTriageAdmission:
         stats = service.stats()
         assert stats["triaged"] == 1
         assert stats["graded"] == 0
-        assert stats["analysis"] is True
 
     def test_static_record_is_cached_under_static_key(self, warmup):
-        service = make_service(warmup, analysis=True)
+        service = make_service(warmup)
         first = service.grade("oddTuples-6.00", UNBOUND)
         again = service.grade("oddTuples-6.00", UNBOUND)
         assert again.cached
@@ -59,43 +58,27 @@ class TestTriageAdmission:
         assert stats["cache_hits"] == 1
 
     def test_fixable_submission_is_not_touched(self, warmup):
-        service = make_service(warmup, analysis=True)
+        service = make_service(warmup)
         outcome = service.grade("oddTuples-6.00", FIXABLE)
         assert outcome.record["status"] == "fixed"
         assert outcome.record.get("triage") is None
         assert service.stats()["triaged"] == 0
 
     def test_metrics_expose_triage(self, warmup):
-        service = make_service(warmup, analysis=True)
+        service = make_service(warmup)
         service.grade("oddTuples-6.00", UNBOUND)
         text = service.metrics_text()
         # The registry is process-global, so assert presence, not counts.
         assert 'repro_triage_total{verdict="unbound_name"}' in text
         assert 'stage="triage"' in text
 
-
-class TestAnalysisKnob:
-    def test_off_by_flag_grades_for_real(self, warmup):
-        service = make_service(warmup, analysis=False)
-        outcome = service.grade("oddTuples-6.00", UNBOUND)
-        assert outcome.record["status"] == "no_fix"
-        assert service.stats()["triaged"] == 0
-        assert service.stats()["analysis"] is False
-
-    def test_off_service_is_blind_to_static_records(self, warmup):
-        # Static records live under a dedicated key space, so a shared
-        # cache never leaks them into an analysis-off configuration.
-        cache = ResultCache()
-        on = make_service(warmup, analysis=True, cache=cache)
-        off = make_service(warmup, analysis=False, cache=cache)
-        assert on.grade("oddTuples-6.00", UNBOUND).record["status"] == STATIC
-        outcome = off.grade("oddTuples-6.00", UNBOUND)
-        assert not outcome.cached
-        assert outcome.record["status"] == "no_fix"
-
-    def test_env_resolution(self, warmup, monkeypatch):
-        # The env var is read at each lookup: each service sees its value.
+    def test_retired_analysis_env_var_is_inert(self, warmup, monkeypatch):
+        # Triage is always on; REPRO_ANALYSIS=off once turned it off.
         monkeypatch.setenv("REPRO_ANALYSIS", "off")
-        assert make_service(warmup).config.analysis is False
-        monkeypatch.setenv("REPRO_ANALYSIS", "on")
-        assert make_service(warmup).config.analysis is True
+        service = make_service(warmup)
+        outcome = service.grade("oddTuples-6.00", UNBOUND)
+        assert outcome.record["status"] == STATIC
+        stats = service.stats()
+        assert stats["triaged"] == 1
+        assert "analysis" not in stats and "explorer" not in stats
+

@@ -341,19 +341,6 @@ class TestWarmPrimingConfiguration:
         assert warm.primed
         assert used == ["enumerative"]
 
-    def test_prime_pins_the_explorer_ablation(self, monkeypatch):
-        captured = {}
-        real = warm_mod.generate_feedback
-
-        def spying(source, spec, model, **kwargs):
-            captured["explorer"] = kwargs["engine"].explorer
-            return real(source, spec, model, **kwargs)
-
-        monkeypatch.setattr(warm_mod, "generate_feedback", spying)
-        problem = get_problem("iterPower-6.00x")
-        warm_mod.warm_problem(problem, GradingConfig(explorer=False))
-        assert captured["explorer"] is False
-
     def test_warm_registry_threads_engine_through(self, monkeypatch):
         used = []
         real = warm_mod.engine_by_name

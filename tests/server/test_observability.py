@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.obs import OBS, global_registry, render, reset_global_registry
+from repro.obs import OBS, SLOW_MS, global_registry, render, reset_global_registry
 from repro.problems import get_problem
 from repro.server import (
     FeedbackClient,
@@ -160,7 +160,9 @@ class TestTraces:
         assert pinned.request_id == "trace-me"
 
     def test_slow_grading_logged_at_warning(self, warmup, caplog):
-        service = make_service(warmup, executor="thread", slow_ms=0.0001)
+        # The service reads the threshold once, at construction.
+        with SLOW_MS.using(0.0001):
+            service = make_service(warmup, executor="thread")
         logger = logging.getLogger("repro.obs")
         saved = logger.propagate
         logger.propagate = True

@@ -10,7 +10,6 @@ import threading
 
 import pytest
 
-from repro.analysis import ANALYSIS
 from repro.cli import main
 from repro.problems import get_problem
 from repro.resilience import faults
@@ -468,23 +467,6 @@ class TestTriagedResume:
         assert "0 graded" in out
         assert "2 resumed" in out
         assert len((inbox / "results.jsonl").read_text().splitlines()) == 2
-
-    def test_analysis_off_resume_grades_the_triaged_file(self, tmp_path):
-        items = [
-            BatchItem("reference.py", ODD.spec.reference_source),
-            BatchItem("unbound.py", UNBOUND),
-        ]
-        store = JobStore(tmp_path / "results.jsonl")
-        with ANALYSIS.using(True):
-            first = BatchRunner(ODD, timeout_s=20, store=store)
-            assert first.run(items)[1].report.status == "static"
-        with ANALYSIS.using(False):
-            off = BatchRunner(ODD, timeout_s=20, store=store, resume=True)
-            results = off.run(items)
-        assert off.stats.resumed == 1
-        assert off.stats.graded == 1
-        assert not results[1].resumed
-        assert results[1].report.status == "no_fix"
 
 
 class TestStaleResume:

@@ -1,12 +1,12 @@
 """Result cache, cache key and record serialization tests."""
 
+import dataclasses
 import pickle
 import threading
 
 import pytest
 
 from repro.core.api import FeedbackReport
-from repro.explore import EXPLORER
 from repro.core.feedback import FeedbackItem
 from repro.problems import get_problem
 from repro.server import FeedbackService, Warmup, warm_problem
@@ -120,9 +120,6 @@ class TestKeyNormalization:
         assert cache_key("p", "m", "c", engine="enumerative") != cache_key(
             "p", "m", "c"
         )
-        assert cache_key("p", "m", "c", explorer=False) != cache_key(
-            "p", "m", "c"
-        )
 
 
 #: One fixed submission and its exact cache keys. Store files on disk
@@ -140,7 +137,6 @@ _PINNED_DIGEST = (
 )
 PINNED = {
     "default": f"{_PINNED_PREFIX}:cegismin:t45:{_PINNED_DIGEST}",
-    "explorer_off": f"{_PINNED_PREFIX}:cegismin+sweep:t45:{_PINNED_DIGEST}",
     "enumerative": f"{_PINNED_PREFIX}:enumerative:t45:{_PINNED_DIGEST}",
     "static": f"{_PINNED_PREFIX}:static:{_PINNED_DIGEST}",
 }
@@ -159,10 +155,6 @@ class TestPinnedKeys:
     def test_cache_key_strings(self, parts):
         assert cache_key(*parts, timeout_s=45.0) == PINNED["default"]
         assert (
-            cache_key(*parts, timeout_s=45.0, explorer=False)
-            == PINNED["explorer_off"]
-        )
-        assert (
             cache_key(*parts, engine="enumerative", timeout_s=45.0)
             == PINNED["enumerative"]
         )
@@ -170,10 +162,6 @@ class TestPinnedKeys:
         # The same strings, derived by the one grading config.
         config = GradingConfig(timeout_s=45.0)
         assert config.key(*parts) == PINNED["default"]
-        assert (
-            GradingConfig(timeout_s=45.0, explorer=False).key(*parts)
-            == PINNED["explorer_off"]
-        )
         assert (
             GradingConfig("enumerative", 45.0).key(*parts)
             == PINNED["enumerative"]
@@ -183,32 +171,46 @@ class TestPinnedKeys:
         assert GradingConfig(timeout_s=9.0).key(*parts, timeout_s=45.0) == (
             PINNED["default"]
         )
-        assert GradingConfig(analysis=True).static_key(*parts) == PINNED["static"]
-        assert GradingConfig(analysis=False).static_key(*parts) is None
 
     def test_grading_config_resume_prefixes(self, parts):
         name, digest, _ = parts
-        assert GradingConfig(timeout_s=45.0, analysis=True).prefixes(
-            name, digest
-        ) == (f"{_PINNED_PREFIX}:cegismin:t45:", f"{_PINNED_PREFIX}:static:")
-        assert GradingConfig(
-            "enumerative", 45.0, explorer=False, analysis=False
-        ).prefixes(name, digest) == (f"{_PINNED_PREFIX}:enumerative+sweep:t45:",)
+        assert GradingConfig(timeout_s=45.0).prefixes(name, digest) == (
+            f"{_PINNED_PREFIX}:cegismin:t45:", f"{_PINNED_PREFIX}:static:"
+        )
+        assert GradingConfig("enumerative", 45.0).prefixes(name, digest) == (
+            f"{_PINNED_PREFIX}:enumerative:t45:", f"{_PINNED_PREFIX}:static:"
+        )
 
     def test_grading_config_value_semantics(self):
-        config = GradingConfig("enumerative", 12.0, "interp", False, False)
+        config = GradingConfig("enumerative", 12.0, "interp")
         assert pickle.loads(pickle.dumps(config)) == config
         assert config.override(None, 12.0) == config
         assert config.override(None, 3.0) == GradingConfig(
-            "enumerative", 3.0, "interp", False, False
+            "enumerative", 3.0, "interp"
         )
         assert config.override("cegismin", 3.0).engine == "cegismin"
         with pytest.raises(ValueError):
             GradingConfig(engine="magic")
 
+    def test_grading_config_is_engine_budget_and_backend(self):
+        assert [f.name for f in dataclasses.fields(GradingConfig)] == [
+            "engine", "timeout_s", "backend",
+        ]
+
+    @pytest.mark.parametrize("var", ["REPRO_EXPLORER", "REPRO_ANALYSIS"])
+    def test_retired_env_vars_are_inert(self, parts, monkeypatch, var):
+        # Nothing reads them any more: even a value their settings used
+        # to refuse leaves the config and its keys as they are.
+        monkeypatch.setenv(var, "maybe")
+        config = GradingConfig(timeout_s=45.0)
+        assert config.key(*parts) == PINNED["default"]
+        assert config.prefixes(*parts[:2]) == (
+            f"{_PINNED_PREFIX}:cegismin:t45:", f"{_PINNED_PREFIX}:static:"
+        )
+
     def test_service_key_matches_the_batch_runner(self):
         problem = get_problem("iterPower-6.00x")
-        config = GradingConfig("enumerative", 45.0, explorer=False)
+        config = GradingConfig("enumerative", 45.0)
         service = FeedbackService(
             warmup=Warmup({problem.name: warm_problem(problem, config, prime=False)}),
             config=config,
@@ -218,27 +220,22 @@ class TestPinnedKeys:
             key = service.key(problem.name, BUGGY)
         finally:
             service.close()
-        with EXPLORER.using(False):
-            runner = BatchRunner(problem, timeout_s=45.0, engine="enumerative")
+        runner = BatchRunner(problem, timeout_s=45.0, engine="enumerative")
         (result,) = runner.run([BUGGY])
         assert key == result.canonical
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_batch_runner_derives_the_same_keys(self, jobs):
-        # The runner resolves the process defaults at construction and
-        # grades under them after they change; at jobs=2 the grading runs
-        # in a pool worker, so the config (explorer off included) crosses
-        # the worker pipe.
+        # At jobs=2 the grading runs in a pool worker, so the config
+        # crosses the worker pipe.
         problem = get_problem("iterPower-6.00x")
-        for config, engine, explorer in (
-            ("default", None, True),
-            ("explorer_off", None, False),
-            ("enumerative", "enumerative", True),
+        for config, engine in (
+            ("default", None),
+            ("enumerative", "enumerative"),
         ):
-            with EXPLORER.using(explorer):
-                runner = BatchRunner(
-                    problem, jobs=jobs, timeout_s=45.0, engine=engine
-                )
+            runner = BatchRunner(
+                problem, jobs=jobs, timeout_s=45.0, engine=engine
+            )
             (result,) = runner.run([BUGGY])
             assert result.report.status == "fixed"
             assert result.canonical == PINNED[config]
