@@ -265,6 +265,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_executor,
         warm_registry,
     )
+    from repro.resilience import faults as fault_injection
     from repro.service import GradingConfig
 
     if args.jobs < 1:
@@ -284,17 +285,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
             SLOW_MS.set(args.slow_ms)
         except ValueError as exc:
             raise SystemExit(f"--slow-ms: {exc}")
+    if args.faults:
+        # Parsed here so a fleet refuses a bad spec before any backend
+        # starts; only a single node arms it, below.
+        try:
+            fault_injection.parse_spec(args.faults)
+        except ValueError as exc:
+            raise SystemExit(f"--faults: {exc}")
     if args.fleet is not None:
         return _serve_fleet(args)
     if args.faults:
         # Explicit flag outranks REPRO_FAULTS. Workers hold no plan of
         # their own: this process draws their faults per request.
-        from repro.resilience import faults as fault_injection
-
-        try:
-            fault_injection.configure(args.faults)
-        except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}")
+        fault_injection.configure(args.faults)
         print(f"FAULT INJECTION ARMED: {args.faults}")
     # The daemon wants its structured events on stderr (one JSON line per
     # grading; slow ones at WARNING).
@@ -438,7 +441,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         problems=args.only,
     )
     print(
-        f"routing on http://{args.host}:{args.port or '(ephemeral)'}  "
+        f"routing on http://{router.host}:{router.port}  "
         f"-> {len(args.backends)} backend(s): {', '.join(args.backends)}"
     )
     try:

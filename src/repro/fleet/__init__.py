@@ -9,8 +9,10 @@ This package is the third serving tier, over the batch layer
 - :mod:`repro.fleet.ring` — the consistent hash ring that places each
   ``(problem, canonical hash)`` routing key on a backend node, moving
   only ~1/N of the key space when a node joins or dies;
-- :mod:`repro.fleet.router` — a thin single-threaded asyncio HTTP front
-  that holds thousands of keep-alive student connections, proxies
+- :mod:`repro.fleet.router` — a thin threaded HTTP front on the
+  backends' own stack (the shared request handler of
+  :mod:`repro.server.http`, pooled :class:`~repro.server.client.
+  FeedbackClient` connections to each backend) that proxies
   ``POST /grade`` to the ring-chosen backend with deadline propagation,
   fails over along the ring under per-backend circuit breakers
   (:mod:`repro.resilience.breaker`), honors node draining, and

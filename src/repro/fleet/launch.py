@@ -28,15 +28,21 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
+from collections import deque
 from pathlib import Path
-from typing import IO, List, Optional, Sequence
+from typing import IO, Deque, List, Optional, Sequence
 
 import repro
 from repro.fleet.router import FleetRouter
 from repro.obs import OBS
 from repro.server.client import FeedbackClient
 from repro.service.cache import GradingConfig
+
+#: Output lines kept from a backend started without a log file: enough
+#: to show why it died during warmup.
+LOG_TAIL_LINES = 40
 
 #: How long one backend may take to warm and pass its health check.
 #: Process-executor backends prime every worker's problem copies; on a
@@ -123,14 +129,30 @@ class BackendProcess:
         self.command = command
         env = dict(os.environ, PYTHONPATH=_src_pythonpath())
         self._log: Optional[IO[bytes]] = None
+        self._tail: Deque[bytes] = deque(maxlen=LOG_TAIL_LINES)
+        self._drain: Optional[threading.Thread] = None
         if log_path:
             self._log = open(log_path, "ab")
-            out = self._log
-        else:
-            out = subprocess.DEVNULL
         self.process = subprocess.Popen(
-            command, stdout=out, stderr=subprocess.STDOUT, env=env
+            command,
+            stdout=self._log or subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=env,
         )
+        if self._log is None:
+            # Without a log file, keep the last lines in memory: the
+            # backend logs a line per grading, so the pipe must always
+            # be read, and a warmup death must still say why.
+            self._drain = threading.Thread(
+                target=self._read_output,
+                name=f"repro-fleet-{node_id}-output",
+                daemon=True,
+            )
+            self._drain.start()
+
+    def _read_output(self) -> None:
+        with self.process.stdout:
+            self._tail.extend(self.process.stdout)
 
     @property
     def address(self) -> str:
@@ -139,11 +161,16 @@ class BackendProcess:
     def alive(self) -> bool:
         return self.process.poll() is None
 
-    def log_tail(self, lines: int = 40) -> str:
-        if not self.log_path or not os.path.exists(self.log_path):
-            return "<no backend log captured>"
-        with open(self.log_path, "rb") as handle:
-            text = handle.read().decode("utf-8", "replace")
+    def log_tail(self, lines: int = LOG_TAIL_LINES) -> str:
+        """The backend's last lines of output."""
+        if self._drain is None:
+            with open(str(self.log_path), "rb") as handle:
+                output = handle.read()
+        else:
+            if not self.alive():
+                self._drain.join(timeout=1.0)  # let the last lines in
+            output = b"".join(self._tail)
+        text = output.decode("utf-8", "replace")
         return "\n".join(text.splitlines()[-lines:])
 
     def wait_healthy(
@@ -151,8 +178,8 @@ class BackendProcess:
     ) -> dict:
         """Poll ``/healthz`` until the backend reports ``ok``.
 
-        Raises ``RuntimeError`` (with the log tail, when captured) if the
-        process dies first or the deadline passes — a fleet with a
+        Raises ``RuntimeError`` (with the backend's last output lines) if
+        the process dies first or the deadline passes — a fleet with a
         half-warmed backend must never start serving.
         """
         deadline = time.monotonic() + timeout_s

@@ -1,12 +1,16 @@
-"""The fleet front: a single-threaded asyncio HTTP router.
+"""The fleet front: a threaded stdlib HTTP router.
 
-One router process holds every student connection — thousands of
-keep-alive sockets cost an asyncio loop almost nothing — while the CPU
-work happens in backend server processes it proxies to. The split is
-deliberate: backends run :class:`~repro.server.http.FeedbackHTTPServer`
-(a thread per connection, fine for tens of connections from one
-router), the router runs no grading at all, so neither tier's
-concurrency model leaks into the other.
+One router process holds the student connections while the CPU work
+happens in backend server processes it proxies to; the router runs no
+grading at all. Both tiers speak HTTP/1.1 through the same two modules:
+the router serves on a ``ThreadingHTTPServer`` (a thread per
+connection, like the backends' :class:`~repro.server.http.
+FeedbackHTTPServer`) with a handler that subclasses
+:class:`~repro.server.http.JSONRequestHandler`, and it calls each
+backend over a per-node pool of kept-alive
+:class:`~repro.server.client.FeedbackClient` connections, whose
+:meth:`~repro.server.client.FeedbackClient.exchange` owns framing and
+the stale-connection retry.
 
 Routing: ``POST /grade`` bodies are validated with the shared
 :mod:`repro.server.codec`, the submission is canonicalized (a
@@ -18,7 +22,7 @@ through byte-for-byte (plus an ``X-Served-By`` header), so a
 router-fronted fleet is record-identical to a direct backend by
 construction.
 
-Resilience (PR 7 primitives, one tier up):
+Resilience (the service's primitives, one tier up):
 
 - **per-backend circuit breakers** — transport failures trip a
   :class:`~repro.resilience.breaker.CircuitBreaker`; an open backend is
@@ -33,19 +37,23 @@ Resilience (PR 7 primitives, one tier up):
   of routing without killing its in-flight work; ``undrain`` reverses.
 
 Aggregation: ``GET /healthz``, ``/stats`` and ``/metrics`` fan out to
-every backend concurrently and merge — stats and health keyed by each
-backend's stable ``node_id``, metrics parsed from each backend's
-exposition text (:func:`repro.obs.prometheus.parse`) and folded into
-one fleet-wide scrape together with the router's own
+every backend concurrently (a thread per backend) and merge — stats and
+health keyed by each backend's stable ``node_id``, metrics parsed from
+each backend's exposition text (:func:`repro.obs.prometheus.parse`) and
+folded into one fleet-wide scrape together with the router's own
 ``repro_router_*`` instruments.
 """
 
 from __future__ import annotations
 
-import asyncio
+import http.client
 import json
+import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from email.message import Message
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import CONTENT_TYPE as METRICS_CONTENT_TYPE
@@ -57,6 +65,8 @@ from repro.problems import all_problems
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.server import codec
+from repro.server.client import FeedbackClient
+from repro.server.http import JSON_CONTENT_TYPE, JSONRequestHandler
 from repro.service.cache import DEFAULT_TIMEOUT_S
 from repro.service.canonical import canonicalize
 from repro.fleet.ring import DEFAULT_VNODES, HashRing, routing_key
@@ -79,13 +89,20 @@ AGGREGATE_TIMEOUT_S = 5.0
 #: Connection-establishment timeout towards a backend.
 CONNECT_TIMEOUT_S = 2.0
 
+#: How often the serving loop looks for a ``close()``: the longest a
+#: close waits for it.
+SERVE_POLL_S = 0.05
 
-class BackendError(RuntimeError):
-    """The backend could not produce a response (transport-level)."""
+#: What a backend exchange raises when the backend cannot answer:
+#: refused, reset, timed out or garbled.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+#: ``(status, headers, body)`` of one router response.
+Response = Tuple[int, Dict[str, str], bytes]
 
 
 class BackendNode:
-    """One routed-to backend: address, breaker, connection pool."""
+    """One routed-to backend: address, breaker, idle connections."""
 
     def __init__(
         self, address: str, threshold: int = 3, reset_s: float = 5.0
@@ -98,24 +115,18 @@ class BackendNode:
         self.port = int(port)
         self.breaker = CircuitBreaker(threshold=threshold, reset_s=reset_s)
         self.draining = False
-        #: Idle kept-alive connections to this backend (LIFO — the most
-        #: recently used socket is the least likely to have idled out).
-        self.idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        #: Clients with an idle kept-alive connection to this backend
+        #: (LIFO — the most recently used socket is the least likely to
+        #: have idled out).
+        self.idle: List[FeedbackClient] = []
         self.requests = 0
         self.failures = 0
         #: The node_id the backend last reported (aggregation key).
         self.node_id: Optional[str] = None
 
-    def take_connection(self):
-        return self.idle.pop() if self.idle else None
-
-    def release_connection(self, reader, writer) -> None:
-        self.idle.append((reader, writer))
-
     def close_connections(self) -> None:
         while self.idle:
-            _, writer = self.idle.pop()
-            writer.close()
+            self.idle.pop().close()
 
     def info(self) -> dict:
         return {
@@ -129,40 +140,61 @@ class BackendNode:
         }
 
 
-async def _read_http_response(reader: asyncio.StreamReader):
-    """(status, headers, body) from one backend HTTP/1.1 response."""
-    status_line = await reader.readline()
-    if not status_line:
-        raise BackendError("backend closed the connection")
-    parts = status_line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[1].isdigit():
-        raise BackendError(f"malformed status line {status_line!r}")
-    status = int(parts[1])
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = headers.get("content-length")
-    if length is None or not length.isdigit():
-        raise BackendError("backend response without Content-Length")
-    body = await reader.readexactly(int(length))
-    return status, headers, body
+class _RouterHandler(JSONRequestHandler):
+    """Reads one request and writes back what the router answers."""
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._route_request("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self._route_request("POST")
+
+    def _route_request(self, method: str) -> None:
+        try:
+            # POST /nodes/<name>/drain has no body.
+            body = self.read_body(required=False)
+        except ValueError as exc:
+            self._error(400, str(exc), close=True)
+            return
+        router: FleetRouter = self.server.router  # type: ignore[attr-defined]
+        status, headers, payload = router.dispatch(
+            method, self.path, self.headers, body
+        )
+        content_type = headers.pop("Content-Type", JSON_CONTENT_TYPE)
+        self.send_bytes(status, payload, content_type, headers.items())
 
 
-def _request_bytes(
-    method: str, path: str, host: str, body: bytes, headers: Dict[str, str]
-) -> bytes:
-    lines = [
-        f"{method} {path} HTTP/1.1",
-        f"Host: {host}",
-        f"Content-Length: {len(body)}",
-    ]
-    for name, value in headers.items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+class _RouterServer(ThreadingHTTPServer):
+    """The router's listening socket; remembers open client connections
+    so :meth:`FleetRouter.close` can sever the kept-alive ones."""
+
+    daemon_threads = True
+    verbose = False
+
+    def __init__(self, router: "FleetRouter", host: str, port: int):
+        self.router = router
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__((host, port), _RouterHandler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def sever(self) -> None:
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 class FleetRouter:
@@ -182,7 +214,6 @@ class FleetRouter:
         if not backends:
             raise ValueError("a router needs at least one backend")
         self.host = host
-        self.port = port
         #: Budget assumed when a request carries no ``timeout_s``; only
         #: deadline bookkeeping — an untouched body leaves the backend's
         #: own default in charge.
@@ -232,214 +263,83 @@ class FleetRouter:
             help="Routed /grade wall time as observed by the router",
         )
         self._started = time.monotonic()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
+        #: Guards every node's breaker, counts, drain flag and idle pool.
+        self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
+        self._serving = False
         self._closed = False
+        self._server = _RouterServer(self, host, port)
+        self.port: int = self._server.server_address[1]
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def _start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_client, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
     def serve_in_thread(self) -> threading.Thread:
-        """Run the router loop on a daemon thread (tests, benchmarks).
-
-        Returns once the listening socket is bound and ``self.port`` is
-        the real port.
-        """
-        started = threading.Event()
-        failure: List[BaseException] = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self._start())
-            except BaseException as exc:  # bind failure
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                self._teardown(loop)
-
+        """Serve on a daemon thread (tests, benchmarks)."""
+        self._serving = True
         self._thread = threading.Thread(
-            target=run, name="repro-fleet-router", daemon=True
+            target=self._server.serve_forever,
+            args=(SERVE_POLL_S,),
+            name="repro-fleet-router",
+            daemon=True,
         )
         self._thread.start()
-        started.wait()
-        if failure:
-            raise failure[0]
         return self._thread
 
     def run(self) -> None:
-        """Run the router in the foreground (the CLI path)."""
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        loop.run_until_complete(self._start())
+        """Serve in the foreground (the CLI path) until closed."""
+        self._serving = True
         try:
-            loop.run_forever()
+            self._server.serve_forever(SERVE_POLL_S)
         finally:
-            self._teardown(loop)
-
-    def _teardown(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._server is not None:
-            self._server.close()
-            loop.run_until_complete(self._server.wait_closed())
-        # Settle open client connections before the loop dies, or their
-        # finalizers fire against a closed loop.
-        pending = [task for task in asyncio.all_tasks(loop) if not task.done()]
-        for task in pending:
-            task.cancel()
-        if pending:
-            loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        for node in self.nodes.values():
-            node.close_connections()
-        loop.close()
+            self.close()
 
     def close(self) -> None:
-        """Stop the router (idempotent; joins the serving thread)."""
-        if self._closed:
-            return
-        self._closed = True
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
+        """Stop the router (idempotent): stop serving, sever kept-alive
+        client connections, close the pooled backend connections."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        if self._serving:
+            self._server.shutdown()
+        self._server.sever()
+        self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
+        with self._lock:
+            for node in self.nodes.values():
+                node.close_connections()
 
     # -- HTTP serving -------------------------------------------------------
 
-    async def _serve_client(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except asyncio.IncompleteReadError:
-                    return
-                except asyncio.LimitOverrunError:
-                    return
-                lines = head.decode("latin-1").split("\r\n")
-                parts = lines[0].split()
-                if len(parts) != 3:
-                    return
-                method, target, _version = parts
-                headers: Dict[str, str] = {}
-                for line in lines[1:]:
-                    if not line:
-                        continue
-                    name, _, value = line.partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length_text = headers.get("content-length", "0")
-                if not length_text.isdigit():
-                    return
-                length = int(length_text)
-                if length > codec.MAX_BODY_BYTES:
-                    if length <= codec.DRAIN_CAP_BYTES:
-                        await reader.readexactly(length)
-                        await self._respond(
-                            writer,
-                            400,
-                            json.dumps(
-                                codec.error_body(
-                                    "request body must be "
-                                    f"1..{codec.MAX_BODY_BYTES} bytes"
-                                )
-                            ).encode(),
-                            close=True,
-                        )
-                    return
-                body = await reader.readexactly(length) if length else b""
-                keep_alive = headers.get("connection", "").lower() != "close"
-                status, response_headers, payload = await self._dispatch(
-                    method, target, headers, body
-                )
-                await self._respond(
-                    writer,
-                    status,
-                    payload,
-                    extra=response_headers,
-                    close=not keep_alive,
-                )
-                if not keep_alive:
-                    return
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
-
-    _STATUS_TEXT = {
-        200: "OK",
-        400: "Bad Request",
-        404: "Not Found",
-        429: "Too Many Requests",
-        502: "Bad Gateway",
-        503: "Service Unavailable",
-        504: "Gateway Timeout",
-    }
-
-    async def _respond(
-        self,
-        writer,
-        status: int,
-        payload: bytes,
-        extra: Optional[Dict[str, str]] = None,
-        close: bool = False,
-    ) -> None:
-        reason = self._STATUS_TEXT.get(status, "Response")
-        headers = {
-            "Content-Type": "application/json",
-            "Content-Length": str(len(payload)),
-            **(extra or {}),
-        }
-        if close:
-            headers["Connection"] = "close"
-        head = f"HTTP/1.1 {status} {reason}\r\n" + "".join(
-            f"{name}: {value}\r\n" for name, value in headers.items()
-        )
-        writer.write(head.encode("latin-1") + b"\r\n" + payload)
-        await writer.drain()
-
-    async def _dispatch(
-        self, method: str, target: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, str], bytes]:
+    def dispatch(
+        self, method: str, target: str, headers: Message, body: bytes
+    ) -> Response:
         path = target.split("?", 1)[0].rstrip("/") or "/"
         if method == "POST" and path == "/grade":
-            return await self._grade(headers, body)
+            return self._grade(headers, body)
         if method == "GET" and path == "/healthz":
-            return await self._healthz()
+            return self._healthz()
         if method == "GET" and path == "/stats":
-            return await self._stats()
+            return self._stats()
         if method == "GET" and path == "/metrics":
-            return await self._metrics()
+            return self._metrics()
         if method == "GET" and path == "/problems":
-            return await self._problems()
+            return self._problems()
         if method == "GET" and path == "/nodes":
             return 200, {}, self._json(self._nodes_view())
         if method == "POST" and path.startswith("/nodes/"):
             return self._node_admin(path)
-        return (
-            404,
-            {},
-            self._json(codec.error_body(f"unknown path {path!r}")),
-        )
+        return self._error(404, f"unknown path {path!r}")
 
     @staticmethod
     def _json(payload: dict) -> bytes:
         return json.dumps(payload).encode("utf-8")
+
+    def _error(
+        self, status: int, message: str, headers: Optional[dict] = None, **extra
+    ) -> Response:
+        return status, headers or {}, self._json(codec.error_body(message, **extra))
 
     # -- routing ------------------------------------------------------------
 
@@ -453,46 +353,36 @@ class FleetRouter:
         """
         admissible: List[BackendNode] = []
         skipped = 0
-        for address in self.ring.preference(key):
-            node = self.nodes[address]
-            if node.draining or not node.breaker.allow():
-                skipped += 1
-                continue
-            admissible.append(node)
+        with self._lock:
+            for address in self.ring.preference(key):
+                node = self.nodes[address]
+                if node.draining or not node.breaker.allow():
+                    skipped += 1
+                    continue
+                admissible.append(node)
         return admissible, skipped
 
-    async def _grade(
-        self, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, str], bytes]:
+    def _grade(self, headers: Message, body: bytes) -> Response:
         started = time.monotonic()
         try:
             request = codec.decode_grade_request(body)
         except ValueError as exc:
             self._requests_total.inc(outcome="bad_request")
-            return 400, {}, self._json(codec.error_body(str(exc)))
+            return self._error(400, str(exc))
         problem = request["problem"]
         spec = self._specs.get(problem)
         if spec is None:
             self._requests_total.inc(outcome="unknown_problem")
-            return (
-                404,
-                {},
-                self._json(
-                    codec.error_body(
-                        f"unknown problem {problem!r}",
-                        known=sorted(self._specs),
-                    )
-                ),
+            return self._error(
+                404, f"unknown problem {problem!r}", known=sorted(self._specs)
             )
         digest = canonicalize(request["source"], spec).digest
         key = routing_key(problem, digest)
         budget = request.get("timeout_s") or self.default_timeout_s
         deadline = Deadline.after(budget)
-        request_id = headers.get(codec.REQUEST_ID_HEADER.lower()) or (
-            new_request_id()
-        )
+        request_id = headers.get(codec.REQUEST_ID_HEADER) or new_request_id()
         forward_headers = {
-            "Content-Type": "application/json",
+            "Content-Type": JSON_CONTENT_TYPE,
             codec.REQUEST_ID_HEADER: request_id,
         }
 
@@ -504,7 +394,7 @@ class FleetRouter:
             if remaining <= 0.0:
                 break
             forward_body = body
-            if started and (time.monotonic() - started) > ROUTER_GRACE_S:
+            if time.monotonic() - started > ROUTER_GRACE_S:
                 # Router wear (failover, slow connects) materially ate
                 # into the budget: propagate the shrunk deadline. The
                 # fast path forwards the client's bytes untouched.
@@ -512,7 +402,7 @@ class FleetRouter:
                 shrunk["timeout_s"] = round(min(budget, remaining), 3)
                 forward_body = self._json(shrunk)
             try:
-                status, response_headers, payload = await self._proxy(
+                status, response_headers, payload = self._call(
                     node,
                     "POST",
                     "/grade",
@@ -520,15 +410,17 @@ class FleetRouter:
                     forward_headers,
                     timeout_s=remaining + WATCHDOG_GRACE_S,
                 )
-            except (BackendError, OSError, asyncio.TimeoutError) as exc:
-                node.failures += 1
-                node.breaker.record_failure()
+            except TRANSPORT_ERRORS as exc:
+                with self._lock:
+                    node.failures += 1
+                    node.breaker.record_failure()
                 self._backend_failures.inc(backend=node.address)
                 last_error = f"{node.address}: {type(exc).__name__}: {exc}"
                 skipped += 1
                 continue
-            node.requests += 1
-            node.breaker.record_success()
+            with self._lock:
+                node.requests += 1
+                node.breaker.record_success()
             self._backend_requests.inc(backend=node.address)
             rebalanced = node.address != owner
             if rebalanced:
@@ -548,91 +440,50 @@ class FleetRouter:
 
         if deadline.remaining() <= 0.0 and admissible:
             self._requests_total.inc(outcome="expired")
-            return (
+            return self._error(
                 504,
-                {},
-                self._json(
-                    codec.error_body(
-                        "request deadline expired inside the router",
-                        request_id=request_id,
-                    )
-                ),
+                "request deadline expired inside the router",
+                request_id=request_id,
             )
         self._requests_total.inc(outcome="no_backend")
-        return (
+        return self._error(
             503,
+            "no backend available for this key",
             {"Retry-After": "1"},
-            self._json(
-                codec.error_body(
-                    "no backend available for this key",
-                    retry_after_s=1,
-                    skipped_backends=skipped,
-                    last_error=last_error,
-                )
-            ),
+            retry_after_s=1,
+            skipped_backends=skipped,
+            last_error=last_error,
         )
 
-    # -- backend connections ------------------------------------------------
-
-    async def _proxy(
+    def _call(
         self,
         node: BackendNode,
         method: str,
         path: str,
-        body: bytes,
-        headers: Dict[str, str],
-        timeout_s: float,
-    ):
-        """One request/response exchange with a backend, pooled.
+        body: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+        timeout_s: float = AGGREGATE_TIMEOUT_S,
+    ) -> Response:
+        """One exchange with ``node`` on a pooled connection.
 
-        A pooled connection that dies before yielding a response byte is
-        the normal end of a stale keep-alive: the exchange is retried
-        once on a fresh socket (same policy as
-        :class:`~repro.server.client.FeedbackClient`).
+        A client whose exchange raised has closed its connection and is
+        dropped; one that answered goes back to the pool.
         """
-        pooled = node.take_connection()
-        if pooled is not None:
-            try:
-                return await self._exchange(
-                    node, pooled, method, path, body, headers, timeout_s
-                )
-            except (BackendError, OSError, asyncio.IncompleteReadError):
-                pass  # stale keep-alive; fall through to a fresh socket
-        fresh = await asyncio.wait_for(
-            asyncio.open_connection(node.host, node.port),
-            timeout=CONNECT_TIMEOUT_S,
-        )
-        try:
-            return await self._exchange(
-                node, fresh, method, path, body, headers, timeout_s
+        with self._lock:
+            client = node.idle.pop() if node.idle else FeedbackClient(
+                node.host, node.port, timeout_s=CONNECT_TIMEOUT_S
             )
-        except asyncio.IncompleteReadError as exc:
-            raise BackendError("backend closed mid-response") from exc
-
-    async def _exchange(
-        self, node, connection, method, path, body, headers, timeout_s
-    ):
-        reader, writer = connection
-        try:
-            writer.write(
-                _request_bytes(method, path, node.address, body, headers)
-            )
-            await writer.drain()
-            status, response_headers, payload = await asyncio.wait_for(
-                _read_http_response(reader), timeout=timeout_s
-            )
-        except BaseException:
-            writer.close()
-            raise
-        if response_headers.get("connection", "").lower() == "close":
-            writer.close()
-        else:
-            node.release_connection(reader, writer)
-        return status, response_headers, payload
+        response = client.exchange(method, path, body, headers, timeout_s)
+        with self._lock:
+            if self._closed:
+                client.close()
+            else:
+                node.idle.append(client)
+        return response
 
     # -- aggregation --------------------------------------------------------
 
-    async def _fanout(self, path: str) -> Dict[str, dict]:
+    def _fanout(self, path: str) -> Dict[str, dict]:
         """``GET path`` on every backend concurrently.
 
         Returns per-address ``{"ok": bool, ...}`` envelopes; a node that
@@ -640,13 +491,10 @@ class FleetRouter:
         unreachable, never awaited longer.
         """
 
-        async def one(node: BackendNode) -> Tuple[str, dict]:
+        def one(node: BackendNode) -> Tuple[str, dict]:
             try:
-                status, _, payload = await asyncio.wait_for(
-                    self._proxy(node, "GET", path, b"", {}, AGGREGATE_TIMEOUT_S),
-                    timeout=AGGREGATE_TIMEOUT_S,
-                )
-            except (BackendError, OSError, asyncio.TimeoutError) as exc:
+                status, _, payload = self._call(node, "GET", path)
+            except TRANSPORT_ERRORS as exc:
                 return node.address, {
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
@@ -659,10 +507,8 @@ class FleetRouter:
                 decoded = payload.decode("utf-8", "replace")
             return node.address, {"ok": True, "payload": decoded}
 
-        results = await asyncio.gather(
-            *(one(node) for node in self.nodes.values())
-        )
-        return dict(results)
+        with ThreadPoolExecutor(max_workers=len(self.nodes)) as pool:
+            return dict(pool.map(one, self.nodes.values()))
 
     def _node_key(self, node: BackendNode, payload: Optional[dict]) -> str:
         """The aggregation key of one backend: its self-reported stable
@@ -672,11 +518,21 @@ class FleetRouter:
             node.node_id = payload["node_id"]
         return node.node_id or node.address
 
-    async def _healthz(self) -> Tuple[int, Dict[str, str], bytes]:
-        answers = await self._fanout("/healthz")
+    def _flags(self) -> Tuple[List[str], List[str]]:
+        """The draining backends and those whose breaker is not closed."""
+        with self._lock:
+            draining = [a for a, n in self.nodes.items() if n.draining]
+            tripped = [
+                a for a, n in self.nodes.items() if n.breaker.state != "closed"
+            ]
+        return sorted(draining), sorted(tripped)
+
+    def _healthz(self) -> Response:
+        answers = self._fanout("/healthz")
+        draining, breakers_open = self._flags()
         nodes: Dict[str, dict] = {}
         reachable = 0
-        degraded = False
+        degraded = bool(breakers_open)
         for address, envelope in answers.items():
             node = self.nodes[address]
             if envelope.get("ok"):
@@ -688,27 +544,18 @@ class FleetRouter:
                 payload = {"status": "unreachable", **envelope}
                 payload.pop("ok", None)
                 degraded = True
-            if node.draining:
+            if address in draining:
                 degraded = True
                 payload = {**payload, "draining": True}
             nodes[self._node_key(node, envelope.get("payload"))] = payload
-        breakers_open = [
-            node.address
-            for node in self.nodes.values()
-            if node.breaker.state != "closed"
-        ]
-        if breakers_open:
-            degraded = True
         payload = {
             "status": "degraded" if degraded else "ok",
             "role": "router",
             "degraded": degraded,
             "backends": len(self.nodes),
             "backends_reachable": reachable,
-            "backends_draining": sorted(
-                node.address for node in self.nodes.values() if node.draining
-            ),
-            "breakers_open": sorted(breakers_open),
+            "backends_draining": draining,
+            "breakers_open": breakers_open,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "nodes": nodes,
         }
@@ -726,8 +573,8 @@ class FleetRouter:
         "errors",
     )
 
-    async def _stats(self) -> Tuple[int, Dict[str, str], bytes]:
-        answers = await self._fanout("/stats")
+    def _stats(self) -> Response:
+        answers = self._fanout("/stats")
         nodes: Dict[str, dict] = {}
         totals = {key: 0 for key in self._TOTAL_KEYS}
         for address, envelope in answers.items():
@@ -752,25 +599,17 @@ class FleetRouter:
         return 200, {}, self._json(payload)
 
     def _router_stats(self) -> dict:
-        outcomes = {
-            key[0]: value
-            for key, value in self._requests_total._values.items()
-        }
+        counted = self.registry.snapshot()["repro_router_requests_total"]
+        outcomes = {key[0]: value for key, value in counted["values"].items()}
         return {
-            "backends": {
-                node.address: node.info() for node in self.nodes.values()
-            },
-            "ring": {
-                "nodes": self.ring.nodes,
-                "vnodes": self.ring.vnodes,
-            },
+            **self._nodes_view(),
             "requests": outcomes,
             "rebalanced": self._rebalanced_total.value(),
             "problems": sorted(self._specs),
         }
 
-    async def _metrics(self) -> Tuple[int, Dict[str, str], bytes]:
-        answers = await self._fanout("/metrics")
+    def _metrics(self) -> Response:
+        answers = self._fanout("/metrics")
         merged = MetricsRegistry()
         unreachable = 0
         for envelope in answers.values():
@@ -780,6 +619,7 @@ class FleetRouter:
             text = envelope["payload"]
             if isinstance(text, str):
                 merged.merge(parse_exposition(text))
+        draining, tripped = self._flags()
         self.registry.gauge(
             "repro_router_backends", help="Backends configured"
         ).set(len(self.nodes))
@@ -789,17 +629,11 @@ class FleetRouter:
         ).set(unreachable)
         self.registry.gauge(
             "repro_router_backends_draining", help="Backends draining"
-        ).set(sum(1 for node in self.nodes.values() if node.draining))
+        ).set(len(draining))
         self.registry.gauge(
             "repro_router_breakers_open",
             help="Backend circuit breakers not closed",
-        ).set(
-            sum(
-                1
-                for node in self.nodes.values()
-                if node.breaker.state != "closed"
-            )
-        )
+        ).set(len(tripped))
         self.registry.gauge(
             "repro_router_uptime_seconds", help="Router uptime"
         ).set(round(time.monotonic() - self._started, 3))
@@ -807,57 +641,44 @@ class FleetRouter:
         body = render_exposition(merged.snapshot()).encode("utf-8")
         return 200, {"Content-Type": METRICS_CONTENT_TYPE}, body
 
-    async def _problems(self) -> Tuple[int, Dict[str, str], bytes]:
+    def _problems(self) -> Response:
         """Pass ``GET /problems`` through the first reachable backend
         (every backend warms the same registry slice)."""
         for node in self.nodes.values():
             try:
-                status, _, payload = await self._proxy(
-                    node, "GET", "/problems", b"", {}, AGGREGATE_TIMEOUT_S
-                )
-            except (BackendError, OSError, asyncio.TimeoutError):
+                status, _, payload = self._call(node, "GET", "/problems")
+            except TRANSPORT_ERRORS:
                 continue
             if status == 200:
                 return 200, {codec.SERVED_BY_HEADER: node.address}, payload
-        return (
-            503,
-            {},
-            self._json(codec.error_body("no backend reachable")),
-        )
+        return self._error(503, "no backend reachable")
 
     # -- node administration ------------------------------------------------
 
     def _nodes_view(self) -> dict:
-        return {
-            "backends": {
+        with self._lock:
+            backends = {
                 node.address: node.info() for node in self.nodes.values()
-            },
+            }
+        return {
+            "backends": backends,
             "ring": {"nodes": self.ring.nodes, "vnodes": self.ring.vnodes},
         }
 
-    def _node_admin(self, path: str) -> Tuple[int, Dict[str, str], bytes]:
+    def _node_admin(self, path: str) -> Response:
         parts = path.split("/")  # ['', 'nodes', '<name>', '<verb>']
         if len(parts) != 4 or parts[3] not in ("drain", "undrain"):
-            return (
-                404,
-                {},
-                self._json(codec.error_body(f"unknown path {path!r}")),
-            )
+            return self._error(404, f"unknown path {path!r}")
         name, verb = parts[2], parts[3]
         node = self.nodes.get(name)
         if node is None:
             by_id = [n for n in self.nodes.values() if n.node_id == name]
             node = by_id[0] if len(by_id) == 1 else None
         if node is None:
-            return (
-                404,
-                {},
-                self._json(
-                    codec.error_body(
-                        f"unknown backend {name!r}",
-                        known=sorted(self.nodes),
-                    )
-                ),
+            return self._error(
+                404, f"unknown backend {name!r}", known=sorted(self.nodes)
             )
-        node.draining = verb == "drain"
-        return 200, {}, self._json(node.info())
+        with self._lock:
+            node.draining = verb == "drain"
+            info = node.info()
+        return 200, {}, self._json(info)

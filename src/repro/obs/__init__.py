@@ -3,13 +3,12 @@
 The stdlib-only telemetry subsystem the serving stack records into:
 
 - :mod:`repro.obs.registry` — process-local metrics registry (counters,
-  gauges, fixed-bucket latency histograms) whose snapshots form a
-  mergeable delta algebra: worker processes ship per-request deltas back
-  over the result pipe and the parent merges them, so one scrape covers
-  the whole fleet;
+  gauges, fixed-bucket latency histograms) whose snapshots merge: the
+  fleet router folds every backend's exposition into one scrape;
 - :mod:`repro.obs.trace` — per-grading request ids and stage timers;
   :func:`observe_grading` is the single record → registry ingestion
-  point all executors share;
+  point all executors share, called in the serving process for every
+  record a grading worker sends back;
 - :mod:`repro.obs.prometheus` — ``GET /metrics`` text exposition;
 - :mod:`repro.obs.events` — structured JSON event log with the
   slow-request threshold;
@@ -33,7 +32,6 @@ from repro.obs.registry import (
     global_registry,
     quantile,
     reset_global_registry,
-    snapshot_delta,
 )
 from repro.obs.trace import (
     ENGINE_COUNTERS,
@@ -65,5 +63,4 @@ __all__ = [
     "quantile",
     "render",
     "reset_global_registry",
-    "snapshot_delta",
 ]

@@ -11,16 +11,10 @@ Three instrument kinds, Prometheus-shaped (stdlib only):
   p99 without storing samples.
 
 The registry's unit of exchange is the **snapshot**: a plain picklable
-dict of everything observed so far. Snapshots support three algebraic
-operations the multi-process service is built on:
-
-- :meth:`MetricsRegistry.snapshot` — read the registry;
-- :func:`snapshot_delta` — ``current - previous`` (counters and
-  histogram buckets subtract; gauges take the current value), what a
-  grading worker ships back over the result pipe after each request;
-- :meth:`MetricsRegistry.merge` — fold a snapshot (usually a delta)
-  into live instruments, what the parent does with worker deltas so its
-  ``/metrics`` covers the whole fleet of worker processes.
+dict of everything observed so far. :meth:`MetricsRegistry.merge` folds
+a snapshot into live instruments (counters and histogram cells add,
+gauges take the incoming value), which is how the fleet router turns
+every backend's exposition into one fleet-wide scrape.
 
 Instruments are get-or-create by name, so independent modules can record
 into one shared registry without coordination; re-declaring a name with
@@ -321,11 +315,11 @@ class MetricsRegistry:
         return out
 
     def merge(self, snapshot: Optional[dict]) -> None:
-        """Fold a snapshot (typically a worker's delta) into this registry.
+        """Fold a snapshot into this registry.
 
         Counters and histogram cells add; gauges take the incoming value.
-        Unknown instruments are declared on the fly, so the parent needs
-        no advance knowledge of what its workers measure.
+        Unknown instruments are declared on the fly, so the merging side
+        needs no advance knowledge of what the other side measures.
         """
         if not snapshot:
             return
@@ -405,10 +399,10 @@ class MetricsRegistry:
         return out
 
 
-#: The process-global registry every layer records into. Workers ship
-#: deltas of *their* process's instance back to the parent, which merges
-#: them here — so in-process reads (``/metrics``, ``/stats``) always see
-#: the whole fleet.
+#: The process-global registry every layer records into. A pool worker's
+#: gradings are observed here, in the parent, from the records it sends
+#: back — so in-process reads (``/metrics``, ``/stats``) always see the
+#: whole pool.
 _GLOBAL = MetricsRegistry()
 
 
@@ -422,46 +416,3 @@ def reset_global_registry() -> MetricsRegistry:
     _GLOBAL = MetricsRegistry()
     return _GLOBAL
 
-
-def snapshot_delta(current: dict, previous: Optional[dict]) -> dict:
-    """``current - previous`` for monotonic instruments; gauges pass through.
-
-    Label sets absent from ``previous`` appear whole; unchanged entries
-    are dropped, so a quiet interval ships (nearly) nothing.
-    """
-    if not previous:
-        return current
-    delta: dict = {}
-    for name, entry in current.items():
-        before = previous.get(name)
-        kind = entry.get("kind")
-        if before is None or kind == "gauge":
-            delta[name] = entry
-            continue
-        changed = {}
-        for key, value in entry.get("values", {}).items():
-            prior = before.get("values", {}).get(key)
-            if kind == "counter":
-                diff = value - (prior or 0.0)
-                if diff:
-                    changed[key] = diff
-            else:  # histogram
-                if prior is None:
-                    if value["count"]:
-                        changed[key] = value
-                    continue
-                diff_count = value["count"] - prior["count"]
-                if diff_count:
-                    changed[key] = {
-                        "counts": [
-                            now - was
-                            for now, was in zip(
-                                value["counts"], prior["counts"]
-                            )
-                        ],
-                        "sum": value["sum"] - prior["sum"],
-                        "count": diff_count,
-                    }
-        if changed:
-            delta[name] = {**entry, "values": changed}
-    return delta

@@ -15,10 +15,10 @@ inward) and one **stage-timing record** assembled from both sides:
   executions, fuel consumed).
 
 :func:`observe_grading` is the single ingestion point turning one
-finished record into registry updates — every executor's grading path
-calls it in-process, so worker-side registries fill up exactly like the
-thread executor's and the delta-shipping machinery needs no special
-cases.
+finished record into registry updates. Every executor calls it in the
+serving process on the record it returns, so a pool worker's gradings
+are counted in its parent's registry exactly like the thread
+executor's.
 """
 
 from __future__ import annotations
@@ -101,9 +101,8 @@ def observe_stage(stage: str, seconds: float) -> None:
 def observe_grading(record: dict, engine_name: str = "") -> None:
     """Ingest one finished grading record into the process registry.
 
-    Runs wherever the grading ran (request thread, preforked worker,
-    batch worker); the worker-process deltas shipped back to the parent
-    are exactly what this function wrote.
+    Runs in the serving process, on the record the executor returns
+    (graded on the request thread or sent back by a pool worker).
     """
     registry = global_registry()
     problem = record.get("problem", "")

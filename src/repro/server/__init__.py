@@ -22,21 +22,21 @@ recompiles anything. Batch runs grade through the same
 - :mod:`repro.server.http` — stdlib ``ThreadingHTTPServer`` JSON facade
   (``POST /grade``, ``GET /problems``, ``GET /healthz``, ``GET
   /stats``, ``GET /metrics`` Prometheus exposition, ``X-Request-Id``
-  propagation);
+  propagation) and the request handler base the fleet router shares;
 - :mod:`repro.server.codec` — the request/response grammar both
   serving tiers share: the backend daemon and the fleet front router
   (:mod:`repro.fleet`) validate and encode with the same functions, so
   a client cannot tell which tier answered;
-- :mod:`repro.server.client` — stdlib client used by benchmarks and CI
-  (speaks to either tier).
+- :mod:`repro.server.client` — stdlib client used by benchmarks, CI
+  and the fleet router's backend connections (speaks to either tier).
 
 The transport names (``FeedbackHTTPServer``, ``FeedbackRequestHandler``,
 ``FeedbackClient``, ``ServerError``) load on first use, so a batch run
 never imports ``http.server``, ``http.client`` or ``ssl``.
 
 Telemetry (see :mod:`repro.obs`) is cross-layer: every grading is traced
-per stage, worker processes ship metric deltas back with each result,
-and the parent's registry — scraped at ``/metrics`` — covers the fleet.
+per stage, the parent observes each record a worker process sends back,
+and its registry — scraped at ``/metrics`` — covers the whole pool.
 
 Start it with ``repro-feedback serve --port 8321 --jobs 4``;
 ``--executor process --workers 4`` is the default on a multi-core box.

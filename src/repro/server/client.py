@@ -1,10 +1,13 @@
 """A tiny stdlib client for the feedback daemon — or the fleet router.
 
-Used by the benchmark harness, the CI smoke test, and anyone scripting
-against a running server without wanting to hand-roll ``http.client``
-calls. One :class:`FeedbackClient` holds a persistent connection
-(keep-alive — the server speaks HTTP/1.1), so request latency measures
-grading, not TCP handshakes.
+Used by the benchmark harness, the CI smoke test, the fleet router's
+backend connections, and anyone scripting against a running server
+without wanting to hand-roll ``http.client`` calls. One
+:class:`FeedbackClient` holds a persistent connection (keep-alive — the
+server speaks HTTP/1.1), so request latency measures grading, not TCP
+handshakes. :meth:`FeedbackClient.exchange` is the one raw
+request/response call, and the one place the stale-keep-alive retry
+lives; the JSON endpoints build on it.
 
 Both serving tiers speak the :mod:`repro.server.codec` protocol, so the
 same client talks to a single backend daemon or to a
@@ -20,9 +23,8 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import socket
 import time
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.obs import new_request_id
 from repro.server.codec import REQUEST_ID_HEADER, encode_grade_request
@@ -113,6 +115,65 @@ class FeedbackClient:
             self._conn_used = False
         return self._conn
 
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Optional[Mapping[str, str]] = None,
+        timeout_s: Optional[float] = None,
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One raw request/response: ``(status, headers, body)`` whatever
+        the status, with the header names lower-cased.
+
+        ``timeout_s`` bounds this exchange's reads (the client's own
+        ``timeout_s`` when ``None``, which also bounds every connect). A
+        kept-alive connection the server closed before answering is
+        retried once on a fresh one; nothing else is retried.
+        """
+        reused = self._conn is not None and self._conn_used
+        headers = headers or {}
+        try:
+            try:
+                return self._send(method, path, body, headers, timeout_s)
+            except _STALE_KEEPALIVE_ERRORS:
+                # A *fresh* connection the server hung up on is a server
+                # problem, not an idled-out keep-alive; surface it.
+                if not reused:
+                    raise
+            # Stale keep-alive: the server closed the idle connection
+            # without sending a response byte — the request died with the
+            # socket and was never processed; resend once, fresh.
+            self.close()
+            return self._send(method, path, body, headers, timeout_s)
+        except (OSError, http.client.HTTPException):
+            # A timeout lands here too and is deliberately NOT retried: a
+            # timed-out POST /grade may still be solving server-side —
+            # resending would double-submit non-idempotent work. The
+            # caller owns timeout policy.
+            self.close()
+            raise
+
+    def _send(
+        self, method: str, path: str, body, headers, timeout_s
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        conn = self._connection()
+        if conn.sock is None:
+            conn.connect()
+        conn.sock.settimeout(self.timeout_s if timeout_s is None else timeout_s)
+        try:
+            conn.request(method, path, body=body, headers=headers)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise _DeadBeforeSend(str(exc)) from exc
+        try:
+            response = conn.getresponse()
+        except ConnectionResetError as exc:
+            raise _DeadBeforeResponse(str(exc)) from exc
+        data = response.read()
+        self._conn_used = True  # a whole response arrived: truly kept alive
+        headers = {name.lower(): value for name, value in response.getheaders()}
+        return response.status, headers, data
+
     def _request(
         self,
         method: str,
@@ -126,53 +187,17 @@ class FeedbackClient:
         if body is not None:
             encoded = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        reused = self._conn is not None and self._conn_used
-        try:
-            return self._send(method, path, encoded, headers, raw)
-        except socket.timeout:
-            # Deliberately NOT retried: a timed-out POST /grade may still
-            # be solving server-side — resending would double-submit
-            # non-idempotent work. (Retrying *any* OSError here used to do
-            # exactly that.) The caller owns timeout policy.
-            self.close()
-            raise
-        except _STALE_KEEPALIVE_ERRORS:
-            if not reused:
-                # A *fresh* connection the server hung up on is a server
-                # problem, not an idled-out keep-alive; surface it.
-                self.close()
-                raise
-            # Stale keep-alive: the server closed the idle connection
-            # without sending a response byte — the request died with the
-            # socket and was never processed; resend once, fresh.
-            self.close()
-            return self._send(method, path, encoded, headers, raw)
-        except (OSError, http.client.HTTPException):
-            self.close()
-            raise
-
-    def _send(
-        self, method: str, path: str, encoded, headers, raw: bool = False
-    ) -> Union[dict, str]:
-        conn = self._connection()
-        try:
-            conn.request(method, path, body=encoded, headers=headers)
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            raise _DeadBeforeSend(str(exc)) from exc
-        try:
-            response = conn.getresponse()
-        except ConnectionResetError as exc:
-            raise _DeadBeforeResponse(str(exc)) from exc
-        data = response.read()
-        self._conn_used = True  # a whole response arrived: truly kept alive
-        if raw and response.status == 200:
+        status, response_headers, data = self.exchange(
+            method, path, encoded, headers
+        )
+        if raw and status == 200:
             return data.decode("utf-8")
         payload = json.loads(data or b"{}")
-        if response.status != 200:
+        if status != 200:
             raise ServerError(
-                response.status,
+                status,
                 payload,
-                retry_after_header=response.getheader("Retry-After"),
+                retry_after_header=response_headers.get("retry-after"),
             )
         return payload
 

@@ -36,7 +36,7 @@ MAX_BODY_BYTES = 1 << 20
 #: Oversized bodies up to this bound are read and discarded before the
 #: 400 goes out: replying while the client is still mid-send makes the
 #: kernel RST the connection and the client never sees the error. Beyond
-#: the bound the connection is simply closed (draining would be a DoS).
+#: the bound the 400 goes out undrained (draining would be a DoS).
 DRAIN_CAP_BYTES = 8 * MAX_BODY_BYTES
 
 #: The complete grade-request field set; anything else is a 400 (a typo'd

@@ -15,7 +15,7 @@ never needs its own concurrency story. Endpoints:
   percentiles, and the grading-executor view (kind, worker count,
   shard assignments, recycle count);
 - ``GET /metrics`` — Prometheus text exposition of the whole fleet
-  (worker-process metrics merged into the parent registry).
+  (worker gradings counted in the parent registry).
 
 Request tracing: an inbound ``X-Request-Id`` header is propagated to
 the service (and on to the grading worker) and echoed back on the
@@ -23,9 +23,13 @@ response; absent one, the service generates an id. Errors are JSON
 too: 400 malformed request, 404 unknown problem or path, 429 queue
 full (with a ``Retry-After`` header), 503 draining.
 
-The request/response shapes live in :mod:`repro.server.codec`, shared
-with the fleet front router and the client — the three tiers speak one
-protocol by construction.
+:class:`JSONRequestHandler` is how both serving tiers speak HTTP/1.1:
+the backend's handler here and the fleet router's
+(:mod:`repro.fleet.router`) subclass it, so keep-alive, response
+framing and the request-body rule live in one place. The
+request/response shapes live in :mod:`repro.server.codec`, shared with
+the router and the client — the three tiers speak one protocol by
+construction.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Iterable, Tuple
 
 from repro.obs import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.server import codec
@@ -45,14 +49,20 @@ from repro.server.service import (
     UnknownProblem,
 )
 
+JSON_CONTENT_TYPE = "application/json"
 
-class FeedbackRequestHandler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP shim; all logic lives in the FeedbackService."""
+
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive plumbing shared by the backend and the router.
+
+    The server it runs under carries a ``verbose`` flag for the stdlib
+    request log.
+    """
 
     server_version = "repro-feedback"
     protocol_version = "HTTP/1.1"
-    #: The handler writes the header block and the JSON body as separate
-    #: TCP segments; without TCP_NODELAY, Nagle holds the body until the
+    #: The handler writes the header block and the body as separate TCP
+    #: segments; without TCP_NODELAY, Nagle holds the body until the
     #: client's delayed ACK (~40ms) — dwarfing every warm-path latency.
     disable_nagle_algorithm = True
 
@@ -62,56 +72,94 @@ class FeedbackRequestHandler(BaseHTTPRequestHandler):
         if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
-    @property
-    def service(self) -> FeedbackService:
-        return self.server.service  # type: ignore[attr-defined]
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client hung up: routine, not a server fault
 
-    # -- plumbing -----------------------------------------------------------
-
-    def _send_json(
+    def send_bytes(
         self,
         status: int,
-        payload: dict,
-        headers: Optional[Tuple[Tuple[str, str], ...]] = None,
+        body: bytes,
+        content_type: str = JSON_CONTENT_TYPE,
+        headers: Iterable[Tuple[str, str]] = (),
         close: bool = False,
     ) -> None:
         """``close=True`` ends the keep-alive connection after this
         response — mandatory whenever the request body may be unread
         (replying with it still in the stream would desync every
         subsequent request on the connection)."""
-        body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for name, value in headers or ():
+        for name, value in headers:
             self.send_header(name, value)
         if close:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def send_json(
+        self,
+        status: int,
+        payload: dict,
+        headers: Iterable[Tuple[str, str]] = (),
+        close: bool = False,
+    ) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_bytes(status, body, JSON_CONTENT_TYPE, headers, close)
+
     def _error(
         self, status: int, message: str, close: bool = False, **extra
     ) -> None:
-        self._send_json(status, codec.error_body(message, **extra), close=close)
+        self.send_json(status, codec.error_body(message, **extra), close=close)
+
+    def read_body(self, required: bool = True) -> bytes:
+        """The request body, or ``ValueError`` naming what is wrong with
+        its framing; answer that with ``close=True``.
+
+        A body past :data:`MAX_BODY_BYTES` is read and dropped up to
+        :data:`DRAIN_CAP_BYTES`, so the client sees the 400 instead of a
+        reset. ``required=False`` reads a missing ``Content-Length`` as
+        an empty body.
+        """
+        length = self.headers.get("Content-Length", "" if required else "0")
+        try:
+            length = int(length)
+        except ValueError:
+            raise ValueError("missing or invalid Content-Length") from None
+        if length == 0 and not required:
+            return b""
+        if not 0 < length <= MAX_BODY_BYTES:
+            if 0 < length <= DRAIN_CAP_BYTES:
+                self.rfile.read(length)
+            raise ValueError(
+                f"request body must be 1..{MAX_BODY_BYTES} bytes"
+            )
+        return self.rfile.read(length)
+
+
+class FeedbackRequestHandler(JSONRequestHandler):
+    """JSON-over-HTTP shim; all logic lives in the FeedbackService."""
+
+    @property
+    def service(self) -> FeedbackService:
+        return self.server.service  # type: ignore[attr-defined]
 
     # -- GET ----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz":
-            self._send_json(200, self.service.healthz())
+            self.send_json(200, self.service.healthz())
         elif path == "/problems":
-            self._send_json(200, {"problems": self.service.problems_info()})
+            self.send_json(200, {"problems": self.service.problems_info()})
         elif path == "/stats":
-            self._send_json(200, self.service.stats())
+            self.send_json(200, self.service.stats())
         elif path == "/metrics":
             body = self.service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", METRICS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self.send_bytes(200, body, METRICS_CONTENT_TYPE)
         else:
             self._error(404, f"unknown path {path!r}")
 
@@ -123,7 +171,7 @@ class FeedbackRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {path!r}", close=True)
             return
         try:
-            request = self._read_request()
+            request = codec.decode_grade_request(self.read_body())
         except ValueError as exc:
             self._error(400, str(exc), close=True)
             return
@@ -137,7 +185,7 @@ class FeedbackRequestHandler(BaseHTTPRequestHandler):
             self._error(400, str(exc))
         except QueueFull as exc:
             retry_after = max(1, round(exc.retry_after_s))
-            self._send_json(
+            self.send_json(
                 429,
                 {
                     "error": "grading queue is full",
@@ -151,23 +199,9 @@ class FeedbackRequestHandler(BaseHTTPRequestHandler):
             headers = (
                 ((codec.REQUEST_ID_HEADER, outcome.request_id),)
                 if outcome.request_id
-                else None
+                else ()
             )
-            self._send_json(200, codec.grade_response(outcome), headers=headers)
-
-    def _read_request(self) -> dict:
-        length = self.headers.get("Content-Length")
-        try:
-            length = int(length or "")
-        except ValueError:
-            raise ValueError("missing or invalid Content-Length") from None
-        if not 0 < length <= MAX_BODY_BYTES:
-            if 0 < length <= DRAIN_CAP_BYTES:
-                self.rfile.read(length)
-            raise ValueError(
-                f"request body must be 1..{MAX_BODY_BYTES} bytes"
-            )
-        return codec.decode_grade_request(self.rfile.read(length))
+            self.send_json(200, codec.grade_response(outcome), headers=headers)
 
 
 class FeedbackHTTPServer(ThreadingHTTPServer):

@@ -49,7 +49,14 @@ from concurrent.futures import Future
 
 from repro.analysis.triage import triage_record
 from repro.engines import ENGINES
-from repro.obs import OBS, SLOW_MS, global_registry, new_request_id, render
+from repro.obs import (
+    OBS,
+    SLOW_MS,
+    global_registry,
+    new_request_id,
+    observe_grading,
+    render,
+)
 from repro.obs.events import grading_event
 from repro.resilience.breaker import HALF_OPEN, OPEN, BreakerBoard
 from repro.resilience.deadline import Deadline
@@ -133,9 +140,12 @@ class ThreadExecutor:
         request_id: str = "",
         deadline: Optional[Deadline] = None,
     ) -> dict:
-        return grade_record(
+        record = grade_record(
             self._warmup[problem], source, config, deadline=deadline
         )
+        if OBS.default():
+            observe_grading(record, config.engine)
+        return record
 
     def close(self) -> None:
         pass
@@ -502,10 +512,9 @@ class FeedbackService:
                     handles["request_seconds"].labels(outcome=outcome)
                 )
             seconds_cell.observe(wall_time)
-            # Parent-side stages only: the grading-side stages were
-            # observed where the grading ran (and arrive via worker
-            # deltas in process mode) — re-observing them here would
-            # double count.
+            # Parent-side stages only: the executor observed the
+            # grading-side stages from the record — re-observing them
+            # here would double count.
             stage_cells = handles["stage_cells"]
             for stage, seconds in stages.items():
                 stage_cell = stage_cells.get(stage)

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.api import generate_feedback
 from repro.eml.rules import ErrorModel
 from repro.engines import engine_by_name
-from repro.obs import OBS, global_registry, observe_grading, snapshot_delta
+from repro.obs import OBS, global_registry, observe_grading
 from repro.obs.events import emit
 from repro.problems.registry import Problem
 from repro.resilience import faults
@@ -116,7 +116,8 @@ def grade_record(
     call (fresh engine, explicit ``backend=``), never via process-wide
     defaults, so records are byte-identical whichever executor ran them.
     A raising grading comes back as an error record, not an exception —
-    one pathological submission must cost its own slot only.
+    one pathological submission must cost its own slot only. It records
+    no metrics: the executor observes the record in the serving process.
 
     ``deadline`` is the request's end-to-end deadline when the grading
     runs in the requesting process; across the worker pipe only the
@@ -146,15 +147,9 @@ def grade_record(
             backend=config.backend,
             deadline=deadline,
         )
-        record = report_to_record(report)
+        return report_to_record(report)
     except Exception as exc:
-        record = error_record(warm.name, exc)
-    if OBS.default():
-        # The single record → registry ingestion point: it runs in
-        # whichever process graded, so worker registries fill exactly
-        # like the thread executor's and delta shipping stays uniform.
-        observe_grading(record, config.engine)
-    return record
+        return error_record(warm.name, exc)
 
 
 # -- the preforked worker pool -------------------------------------------------
@@ -199,11 +194,6 @@ def _pool_worker_main(
         except OSError:
             pass
         return
-    # Telemetry baseline *after* warmup: under fork start methods the
-    # child inherits the parent's registry contents (and the warmup just
-    # primed more), none of which this worker may ever ship back — the
-    # parent already holds those counts. Deltas start from here.
-    last_snapshot = global_registry().snapshot()
     # A forked worker holds its own pipe's parent end open, so a parent
     # killed without a drain never shows up as EOF here: watch the
     # parent's sentinel too, and leave when only it is ready.
@@ -239,9 +229,6 @@ def _pool_worker_main(
             record = grade_record(
                 warm, source, request_config, deadline=deadline, drawn=drawn
             )
-        # Ship what this grading added to the worker's registry alongside
-        # the record; the parent merges it so one scrape covers the fleet.
-        delta = None
         if OBS.default():
             emit(
                 "worker_grading",
@@ -251,9 +238,6 @@ def _pool_worker_main(
                 status=record.get("status", "?"),
                 pid=os.getpid(),
             )
-            current = global_registry().snapshot()
-            delta = snapshot_delta(current, last_snapshot)
-            last_snapshot = current
         # Chaos seams on the result pipe: a reply that never arrives
         # (watchdog path) and one the parent cannot parse (recycle path).
         # Either way this worker keeps serving — the *parent* decides its
@@ -267,7 +251,7 @@ def _pool_worker_main(
                 return
             continue
         try:
-            conn.send(("record", record, delta))
+            conn.send(("record", record))
         except (BrokenPipeError, OSError):
             return
 
@@ -634,11 +618,10 @@ class ProcessExecutor:
                         and reply[0] == "record"
                         and isinstance(reply[1], dict)
                     ):
-                        # Fold the worker's per-request metric delta into
-                        # this process's registry: /metrics and /stats in
-                        # the parent then cover work done fleet-wide.
-                        if len(reply) > 2 and reply[2]:
-                            global_registry().merge(reply[2])
+                        # Counted here, from the record: /metrics and
+                        # /stats in the parent cover every worker.
+                        if OBS.default():
+                            observe_grading(reply[1], config.engine)
                         return reply[1]
                     # A reply the parent cannot parse means the worker's
                     # pipe framing can no longer be trusted — recycle it

@@ -162,6 +162,7 @@ class TestServeFlags:
             ("--workers", "0"),
             ("--breaker-threshold", "-1"),
             ("--breaker-reset", "0"),
+            ("--faults", "nonsense"),
         ],
     )
     def test_bad_flag_is_refused_before_the_fleet(self, fleet, flag, value):
@@ -169,3 +170,11 @@ class TestServeFlags:
         # the launcher could only report that they exited.
         with pytest.raises(SystemExit, match=flag):
             main(["serve", *fleet, flag, value, "--port", "0"])
+
+
+def test_route_prints_the_port_it_bound(capsys, monkeypatch):
+    monkeypatch.setattr("repro.fleet.FleetRouter.run", lambda self: self.close())
+    assert main(["route", "127.0.0.1:9", "--port", "0"]) == 0
+    out = capsys.readouterr().out
+    port = re.search(r"routing on http://127\.0\.0\.1:(\d+) ", out)
+    assert port and int(port.group(1)) > 0, out

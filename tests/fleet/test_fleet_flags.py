@@ -14,6 +14,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.fleet import launch
 from repro.server import FeedbackClient
@@ -126,3 +128,11 @@ def test_the_router_assumes_the_fleets_budget(monkeypatch):
         assert fleet.router.default_timeout_s == 120.0
     finally:
         fleet.stop()
+
+
+def test_a_backend_that_dies_in_warmup_says_why():
+    # Started without --fleet-logs: the reason must still reach the error.
+    with pytest.raises(RuntimeError, match="unknown fault point 'nonsense'"):
+        launch.start_fleet(
+            1, only=[PROBLEM], no_prime=True, extra_args=["--faults", "nonsense"]
+        )

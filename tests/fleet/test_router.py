@@ -8,8 +8,10 @@ aggregation keyed by ``node_id``, metrics merging, deadline rewrite —
 is tested in milliseconds and in isolation.
 """
 
+import http.client
 import json
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -18,7 +20,7 @@ import pytest
 from repro.fleet import FleetRouter
 from repro.fleet.ring import routing_key
 from repro.server.client import FeedbackClient, ServerError
-from repro.server.codec import SERVED_BY_HEADER
+from repro.server.codec import MAX_BODY_BYTES, SERVED_BY_HEADER
 from repro.service.canonical import canonicalize
 from repro.problems import get_problem
 
@@ -34,7 +36,7 @@ SOURCES = [
 class FakeBackend:
     """A scripted backend: canned responses, request capture."""
 
-    def __init__(self, node_id, *, healthy=True, counter=7.0):
+    def __init__(self, node_id, *, healthy=True, counter=7.0, hang_up=False):
         backend = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -63,6 +65,10 @@ class FakeBackend:
                     self.send_header("X-Request-Id", request_id)
                 self.end_headers()
                 self.wfile.write(body)
+                if backend.hang_up:
+                    # Close after the reply without saying so, the way a
+                    # backend's idle keep-alive timeout would.
+                    self.close_connection = True
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -119,6 +125,7 @@ class FakeBackend:
 
         self.node_id = node_id
         self.healthy = healthy
+        self.hang_up = hang_up
         self.counter = counter
         self.requests = 0
         self.grade_bodies = []
@@ -366,6 +373,84 @@ def test_keepalive_connections_survive_many_requests(fleet):
     for _ in range(20):
         client.healthz()
     assert client.stats()["role"] == "router"
+
+
+def test_concurrent_clients_are_each_proxied_once(fleet):
+    router, backends, client = fleet
+    errors = []
+
+    def student(source):
+        own = FeedbackClient("127.0.0.1", router.port, timeout_s=10.0)
+        try:
+            for _ in range(5):
+                own.grade(PROBLEM, source)
+        except Exception as exc:  # collected for the assertion below
+            errors.append(exc)
+        finally:
+            own.close()
+
+    threads = [
+        threading.Thread(target=student, args=(source,))
+        for source in SOURCES[:8]
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: lost updates show
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sum(len(backend.grade_bodies) for backend in backends) == 40
+    assert sum(node.requests for node in router.nodes.values()) == 40
+    assert client.stats()["router"]["requests"]["proxied"] == 40
+
+
+def test_close_severs_kept_alive_client_connections(fleet):
+    router, backends, client = fleet
+    client.healthz()  # the client's connection is now kept alive
+    router.close()
+    with pytest.raises((OSError, http.client.HTTPException)):
+        client.grade(PROBLEM, SOURCES[7])
+    assert all(not backend.grade_bodies for backend in backends)
+
+
+def test_a_stale_pooled_backend_connection_is_retried_once():
+    backend = FakeBackend("alpha", hang_up=True)
+    router = FleetRouter([backend.address], problems=[PROBLEM])
+    router.serve_in_thread()
+    client = FeedbackClient("127.0.0.1", router.port, timeout_s=10.0)
+    try:
+        for source in SOURCES[:3]:
+            client.grade(PROBLEM, source)
+    finally:
+        client.close()
+        router.close()
+        backend.stop()
+    sources = [json.loads(body)["source"] for body in backend.grade_bodies]
+    assert sources == SOURCES[:3]
+    assert router.nodes[backend.address].failures == 0
+
+
+def test_an_oversized_body_is_refused_and_never_forwarded(fleet):
+    router, backends, client = fleet
+    conn = http.client.HTTPConnection("127.0.0.1", router.port, timeout=10)
+    try:
+        conn.request(
+            "POST", "/grade", body=b"x" * (MAX_BODY_BYTES + 1),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert response.getheader("Connection") == "close"
+    assert "request body must be" in payload["error"]
+    assert all(not backend.grade_bodies for backend in backends)
 
 
 def test_router_requires_backends_and_rejects_duplicates():

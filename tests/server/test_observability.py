@@ -246,7 +246,7 @@ class TestStatsShape:
 
 
 class TestWorkerAggregation:
-    def test_worker_deltas_merge_into_parent_registry(self, warmup):
+    def test_worker_gradings_are_counted_in_the_parent(self, warmup):
         """N cache-miss gradings in worker processes → N counted here."""
         service = make_service(
             warmup, executor="process", workers=2, prime_workers=False
@@ -267,7 +267,7 @@ class TestWorkerAggregation:
         )
         assert merged == 2.0
         # Engine-depth counters did their work worker-side and still
-        # reached this process's registry via the per-result deltas.
+        # reached this process's registry, observed from the records.
         snapshot = registry.snapshot()
         assert "repro_sat_calls_total" in snapshot
         assert "repro_candidate_runs_total" in snapshot
