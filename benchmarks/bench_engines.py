@@ -67,6 +67,7 @@ class TestEngineComparison:
             "sat_propagations",
             "table_leaves",
             "forker_runs",
+            "forker_reused",
             "candidate_runs",
             "fuel_consumed",
         ):

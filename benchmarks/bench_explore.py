@@ -5,7 +5,10 @@ how long does it take to refute the candidate's whole free-hole region?
 
 - **table** (explorer on) — one path-forked exploration of the region:
   only *reachable* branch combinations execute, each exactly once, and
-  every failing leaf becomes a blocking cube;
+  every failing leaf becomes a blocking cube. The regions of one solve
+  are replayed on one space, as the engine does, so a path an earlier
+  region already ran comes from the forker's trie (``forker_runs``
+  counts the paths executed);
 - **sweep** (the replaced per-candidate strategy) — run every concrete
   combination of the region's free-hole domains one at a time, the
   uncapped version of the old ``_bulk_refute`` product enumeration.
@@ -136,7 +139,7 @@ def test_blocking_loop(problem, name):
     space = _space(problem, verifier, tilde, registry)
 
     table_s = sweep_s = 0.0
-    total_leaves = total_sweep_runs = total_failing = 0
+    total_leaves = total_runs = total_sweep_runs = total_failing = 0
     for assignment, args in pairs:
         expected = verifier.expected(args)
 
@@ -145,6 +148,7 @@ def test_blocking_loop(problem, name):
         _, failing = verifier.table_verdict(table)
         table_s += time.perf_counter() - start
         total_leaves += len(table)
+        total_runs += table.runs
         total_failing += len(failing)
 
         # The sweep must classify the same region: every combination of
@@ -182,6 +186,7 @@ def test_blocking_loop(problem, name):
         "blocking": {
             "regions": len(pairs),
             "table_leaves": total_leaves,
+            "forker_runs": total_runs,
             "failing_leaves": total_failing,
             "sweep_runs": total_sweep_runs,
             "table_s": table_s,

@@ -20,7 +20,8 @@ candidate's free-hole region by running the tilde program once per
 leaf, which is where Table 1 spends most of its execution time. That
 case replays ``CandidateSpace.explore_free_region`` over a prefix of the
 (failing candidate, counterexample) pairs CEGISMIN blocks on two seed-0
-submissions it proves unfixable: ``oddTuples-6.00`` #2, where 79 of the
+submissions it proves unfixable, each round on new forkers (empty path
+tries), so a round runs the paths one solve runs: ``oddTuples-6.00`` #2, where 79 of the
 104 leaves run out of fuel, and ``recurPower-6.00x`` #4, where 112 of
 the 378 leaves exceed the recursion depth; both kinds of leaf run their
 whole budget. The SAT solver is measured three ways: random 3-SAT
@@ -75,6 +76,8 @@ FORKER_CASES = (
     ("recurPower-6.00x", 4, 8),
 )
 FORKER_LEAVES = 482
+#: Rounds of the forker case (each needs its own untimed setup).
+FORKER_ROUNDS = 20
 
 _SUBSTRATE_RESULTS: dict = {}
 _REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -238,6 +241,14 @@ def test_forker_leaves(benchmark):
         for name, index, count in FORKER_CASES
     ]
 
+    def fresh_forkers():
+        # A forker keeps every path it has run, so one kept from an
+        # earlier round would serve this round from memory: each round
+        # gets new forkers over the same compiled programs, untimed.
+        for space, _ in regions:
+            space._forker = None
+            space.forker()
+
     def run():
         leaves = 0
         for space, pairs in regions:
@@ -245,7 +256,8 @@ def test_forker_leaves(benchmark):
                 leaves += len(space.explore_free_region(args, assignment))
         return leaves
 
-    assert benchmark(run) == FORKER_LEAVES
+    leaves = benchmark.pedantic(run, setup=fresh_forkers, rounds=FORKER_ROUNDS)
+    assert leaves == FORKER_LEAVES
     _record("forker_leaves", benchmark)
 
 

@@ -258,15 +258,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.server import (
-        EXECUTOR,
-        FeedbackHTTPServer,
-        FeedbackService,
-        default_executor,
-        warm_registry,
-    )
     from repro.resilience import faults as fault_injection
-    from repro.service import GradingConfig
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
@@ -300,10 +292,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         fault_injection.configure(args.faults)
         print(f"FAULT INJECTION ARMED: {args.faults}")
     # The daemon wants its structured events on stderr (one JSON line per
-    # grading; slow ones at WARNING).
-    from repro.obs.events import attach_stderr_handler
+    # grading; slow ones at WARNING) for as long as it serves.
+    from repro.obs.events import stderr_events
 
-    attach_stderr_handler()
+    with stderr_events():
+        return _serve_node(args)
+
+
+def _serve_node(args: argparse.Namespace) -> int:
+    """``serve`` without ``--fleet``: warm, then serve until interrupted."""
+    from repro.server import (
+        EXECUTOR,
+        FeedbackHTTPServer,
+        FeedbackService,
+        default_executor,
+        warm_registry,
+    )
+    from repro.service import GradingConfig
+
     # Flag > environment > core-count default (EXECUTOR alone would fall
     # back to "thread", the library default — the daemon's default is the
     # multi-core-aware one).
@@ -439,6 +445,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_reset_s=args.breaker_reset,
         problems=args.only,
+        default_timeout_s=args.timeout,
     )
     print(
         f"routing on http://{router.host}:{router.port}  "
@@ -712,6 +719,9 @@ def main(argv: Optional[list] = None) -> int:
         help="seconds an open backend breaker waits before one "
         "half-open probe request",
     )
+    # The budget a request without timeout_s gets: set it to the
+    # backends' serve --timeout, or the router gives up on their gradings.
+    _grading_args(route, DEFAULT_TIMEOUT_S, engine=False)
 
     cache_cmd = sub.add_parser(
         "cache", help="inspect or compact a shared result-store log"

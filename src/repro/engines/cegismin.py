@@ -130,6 +130,7 @@ class CegisMinEngine(Engine):
         sat_calls = 0
         table_leaves = 0
         forker_runs = 0
+        forker_reused = 0
 
         def result(status: str, minimal: bool) -> EngineResult:
             return EngineResult(
@@ -150,6 +151,7 @@ class CegisMinEngine(Engine):
                     "blocked_cubes": len(blocked),
                     "table_leaves": table_leaves,
                     "forker_runs": forker_runs,
+                    "forker_reused": forker_reused,
                     "candidate_runs": space.run_count,
                     "fuel_consumed": space.fuel_consumed,
                     "sat_conflicts": sat_base["conflicts"]
@@ -182,7 +184,7 @@ class CegisMinEngine(Engine):
             region on ``args`` — the whole region is refuted in this one
             SAT round. Explorer off: just the failing run's own cube.
             """
-            nonlocal table_leaves, forker_runs
+            nonlocal table_leaves, forker_runs, forker_reused
             if not self.explorer:
                 # The failing run is the space's last execution at both
                 # call sites (the inductive loop breaks on it; the full
@@ -195,6 +197,7 @@ class CegisMinEngine(Engine):
             )
             table_leaves += len(table)
             forker_runs += table.runs
+            forker_reused += len(table) - table.runs
             _, failing = verifier.table_verdict(table)
             for leaf in failing:
                 block(leaf.cube)

@@ -172,6 +172,7 @@ class EnumerativeEngine(Engine):
         table_leaves = 0
         table_hits = 0
         forker_runs = 0
+        forker_reused = 0
 
         def result(status, assignment=None, cost=None) -> EngineResult:
             return EngineResult(
@@ -195,6 +196,7 @@ class EnumerativeEngine(Engine):
                     "table_leaves": table_leaves,
                     "table_hits": table_hits,
                     "forker_runs": forker_runs,
+                    "forker_reused": forker_reused,
                     "candidate_runs": space.run_count,
                     "fuel_consumed": space.fuel_consumed,
                     "explorer": self.explorer,
@@ -203,7 +205,7 @@ class EnumerativeEngine(Engine):
 
         def table_for(args: tuple) -> Optional[ExplorationTable]:
             """Explore ``args`` up to the cost bound; None when off/huge."""
-            nonlocal table_leaves, forker_runs
+            nonlocal table_leaves, forker_runs, forker_reused
             if not self.explorer:
                 return None
             try:
@@ -217,6 +219,7 @@ class EnumerativeEngine(Engine):
                 return None
             table_leaves += len(table)
             forker_runs += table.runs
+            forker_reused += len(table) - table.runs
             return table
 
         def rejected_by(index: int, assignment: Dict[int, int]) -> bool:

@@ -13,10 +13,11 @@ the outliers.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.obs.config import SLOW_MS
 
@@ -69,11 +70,21 @@ def grading_event(
     )
 
 
-def attach_stderr_handler(level: int = logging.INFO) -> logging.Handler:
-    """Wire ``repro.obs`` events to stderr (the serve CLI's logging)."""
+@contextlib.contextmanager
+def stderr_events(level: int = logging.INFO) -> Iterator[logging.Handler]:
+    """Wire ``repro.obs`` events to stderr for the block (the serve CLI's
+    logging), then give the logger back its handlers, level and
+    propagation, so an in-process ``serve`` leaves no handler bound to a
+    stream that may since have closed."""
     handler = logging.StreamHandler()
     handler.setFormatter(logging.Formatter("%(message)s"))
+    level_before, propagate_before = logger.level, logger.propagate
     logger.addHandler(handler)
     logger.setLevel(level)
     logger.propagate = False
-    return handler
+    try:
+        yield handler
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level_before)
+        logger.propagate = propagate_before

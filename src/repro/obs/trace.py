@@ -11,8 +11,8 @@ inward) and one **stage-timing record** assembled from both sides:
   generate_feedback` wherever it runs: ``parse``, ``rewrite``,
   ``solve``, ``render`` — attached to the grading record under its
   ``metrics`` key together with the engine-depth counters (SAT rounds /
-  conflicts / decisions, explorer tables vs forker runs, candidate
-  executions, fuel consumed).
+  conflicts / decisions, explorer tables vs forker runs executed and
+  reused, candidate executions, fuel consumed).
 
 :func:`observe_grading` is the single ingestion point turning one
 finished record into registry updates. Every executor calls it in the
@@ -42,6 +42,7 @@ ENGINE_COUNTERS = (
     "table_leaves",
     "table_hits",
     "forker_runs",
+    "forker_reused",
     "candidate_runs",
     "fuel_consumed",
 )

@@ -133,11 +133,8 @@ class TestServeFlags:
         def no_fleet(*args, **kwargs):
             pytest.fail("a fleet was launched past a bad flag")
 
-        # The real handler stops the repro.obs logger propagating, which
-        # later caplog tests rely on: no test may reach it.
-        monkeypatch.setattr(
-            "repro.obs.events.attach_stderr_handler", past_the_checks
-        )
+        # Serving's first step after the checks: wiring events to stderr.
+        monkeypatch.setattr("repro.obs.events.stderr_events", past_the_checks)
         monkeypatch.setattr("repro.fleet.start_fleet", no_fleet)
         yield
         SLOW_MS.set(None)

@@ -2,8 +2,9 @@
 
 Hand-built M̃PY spaces with known path structure: the suite pins the
 replay contract (first-read order, path-dependent fan-out), the pruning
-knobs (pinned / fork predicate / budget / max_leaves / deadline), and
-the trie lookup — on both execution backends.
+knobs (pinned / fork predicate / budget / max_leaves / deadline), the
+table's trie lookup and the forker's own path trie — on both execution
+backends.
 """
 
 import time
@@ -12,7 +13,7 @@ import pytest
 
 from repro.compile import COMPILED, INTERP
 from repro.engines import CandidateSpace
-from repro.explore import ERROR, OK, ExplorationLimit
+from repro.explore import ERROR, OK, ExplorationLimit, PathForker, typed_equal
 from repro.mpy import nodes as N
 from repro.mpy import parse_expression
 from repro.tilde.nodes import ChoiceExpr, HoleRegistry
@@ -41,6 +42,21 @@ def _fn(*stmts, params=("x",)):
     )
 
 
+def _flat(table):
+    return [(list(leaf.cube.items()), leaf.outcome) for leaf in table.leaves]
+
+
+def _fresh(space, args, **options):
+    """The same exploration by a forker with an empty path trie."""
+    forker = space.forker()
+    return PathForker(
+        forker.runner,
+        forker.arity,
+        forker.cost,
+        compare_stdout=forker.compare_stdout,
+    ).explore(args, **options)
+
+
 #: ``f(x)``: the test choice decides which of two *different* holes the
 #: run reads next — the canonical path-dependent fan-out.
 BRANCHY = _fn(
@@ -48,6 +64,27 @@ BRANCHY = _fn(
         test=_choice(0, "x > 0", "x < 0"),
         body=(N.Return(value=_choice(1, "x", "x + 1", "x + 2")),),
         orelse=(N.Return(value=_choice(2, "0 - x", "x * x")),),
+    )
+)
+
+
+#: ``f(x)``: four holes of four branches each, every one read on every
+#: path — 256 leaves per input.
+WIDE = _fn(
+    N.Return(
+        value=N.BinOp(
+            op="+",
+            left=N.BinOp(
+                op="+",
+                left=_choice(0, "x", "1", "2", "3"),
+                right=_choice(1, "x", "1", "2", "3"),
+            ),
+            right=N.BinOp(
+                op="+",
+                left=_choice(2, "x", "1", "2", "3"),
+                right=_choice(3, "x", "1", "2", "3"),
+            ),
+        )
     )
 )
 
@@ -274,24 +311,7 @@ class TestLimits:
             space.explore((1,), max_leaves=2)
 
     def test_deadline_raises(self):
-        module = _fn(
-            N.Return(
-                value=N.BinOp(
-                    op="+",
-                    left=N.BinOp(
-                        op="+",
-                        left=_choice(0, "x", "1", "2", "3"),
-                        right=_choice(1, "x", "1", "2", "3"),
-                    ),
-                    right=N.BinOp(
-                        op="+",
-                        left=_choice(2, "x", "1", "2", "3"),
-                        right=_choice(3, "x", "1", "2", "3"),
-                    ),
-                )
-            )
-        )
-        space = _space(module, COMPILED)
+        space = _space(WIDE, COMPILED)
         with pytest.raises(TimeoutError):
             space.explore((1,), deadline=time.monotonic() - 1.0)
 
@@ -301,12 +321,102 @@ class TestLimits:
             space.explore((1,))
 
 
+class TestPathTrie:
+    """A forker runs each path of an input once; later explorations of
+    the input take the paths they share with earlier ones from the trie,
+    with the same tables."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_same_exploration_again_runs_nothing(self, backend):
+        space = _space(BRANCHY, backend)
+        first = space.explore((1,))
+        again = space.explore((1,))
+        assert (first.runs, again.runs) == (5, 0)
+        assert _flat(again) == _flat(first)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_new_pin_reruns_only_the_paths_that_read_it(self, backend):
+        space = _space(BRANCHY, backend)
+        holes = {0, 1}.__contains__
+        before = space.explore((1,), pinned={2: 0}, fork=holes)
+        after = space.explore((1,), pinned={2: 1}, fork=holes)
+        # Hole 2 is read only on the else-arm: one of the four paths.
+        assert (len(before), before.runs) == (4, 4)
+        assert (len(after), after.runs) == (4, 1)
+        assert _flat(after) == _flat(
+            _fresh(space, (1,), pinned={2: 1}, fork=holes)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_input_has_its_own_trie(self, backend):
+        space = _space(BRANCHY, backend)
+        space.explore((1,))
+        other = space.explore((-1,))
+        assert other.runs == len(other) == 5
+        assert _flat(other) == _flat(_fresh(space, (-1,)))
+
+    def test_a_past_deadline_raises_when_every_leaf_is_reused(self):
+        space = _space(WIDE, COMPILED)
+        assert space.explore((1,)).runs == 256
+        with pytest.raises(TimeoutError):
+            space.explore((1,), deadline=time.monotonic() - 1.0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_program_that_reads_no_holes(self, backend):
+        space = _space(_fn(N.Return(value=parse_expression("x + 1"))), backend)
+        first = space.explore((2,))
+        again = space.explore((2,))
+        assert (first.runs, again.runs) == (1, 0)
+        assert _flat(again) == [([], (OK, 3, ()))]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_branch_pinned_at_the_widest_arity(self, backend):
+        # Hole 0 is the widest (five branches). Each pin of it must find
+        # its own child slot of the root: with one slot too few per node,
+        # pin 4 would read the next node's first slot, pin 0's leaf.
+        module = _fn(
+            N.Return(
+                value=N.BinOp(
+                    op="+",
+                    left=_choice(0, "x", "x + 1", "x + 2", "x + 3", "x + 4"),
+                    right=_choice(1, "0", "10"),
+                )
+            )
+        )
+        space = _space(module, backend)
+        hole_1 = {1}.__contains__
+        for branch in range(5):
+            table = space.explore((1,), pinned={0: branch}, fork=hole_1)
+            assert table.runs == 2
+            assert [leaf.outcome for leaf in table.leaves] == [
+                (OK, 1 + branch, ()),
+                (OK, 11 + branch, ()),
+            ]
+        with pytest.raises(ValueError):
+            space.explore((1,), pinned={0: 5})
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reused_outcomes_keep_their_types(self, backend):
+        # Equal outcomes share one copy, keyed by repr: True and 1, and a
+        # list and a tuple, must stay apart.
+        module = _fn(N.Return(value=_choice(0, "True", "1", "[x]", "(x,)")))
+        space = _space(module, backend)
+        first = space.explore((1,))
+        again = space.explore((1,))
+        assert again.runs == 0
+        values = [leaf.outcome[1] for leaf in again.leaves]
+        assert [type(v) for v in values] == [bool, int, list, tuple]
+        assert all(
+            typed_equal(a.outcome, b.outcome)
+            for a, b in zip(first.leaves, again.leaves)
+        )
+
+
 class TestRegistryFreeExploration:
     def test_forker_runs_off_compiled_arities(self):
         """The compile layer alone carries everything unrestricted
         forking needs: run_recorded + cube + arities, no registry."""
         from repro.compile import compile_program
-        from repro.explore import PathForker
 
         program = compile_program(BRANCHY, fuel=10_000)
 

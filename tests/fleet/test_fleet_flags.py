@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
+from repro.engines import DEFAULT_TIMEOUT_S
 from repro.fleet import launch
 from repro.server import FeedbackClient
 from repro.service import GradingConfig
@@ -128,6 +130,23 @@ def test_the_router_assumes_the_fleets_budget(monkeypatch):
         assert fleet.router.default_timeout_s == 120.0
     finally:
         fleet.stop()
+
+
+@pytest.mark.parametrize(
+    "flags, budget", [([], DEFAULT_TIMEOUT_S), (["--timeout", "120"], 120.0)]
+)
+def test_route_assumes_the_budget_it_is_given(monkeypatch, flags, budget):
+    # The same rule for a router started on its own, in front of backends
+    # started with serve --timeout: --timeout takes the same default.
+    seen = []
+
+    def run(self):
+        seen.append(self.default_timeout_s)
+        self.close()
+
+    monkeypatch.setattr("repro.fleet.FleetRouter.run", run)
+    assert main(["route", "127.0.0.1:9", "--port", "0", *flags]) == 0
+    assert seen == [budget]
 
 
 def test_a_backend_that_dies_in_warmup_says_why():

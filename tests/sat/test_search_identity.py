@@ -9,8 +9,10 @@ or execution-backend change that claims to be a pure speedup must leave
 all of them unchanged. This test grades a handful of fast registry
 studentgen submissions through ``CegisMinEngine`` and pins the summed
 ``sat_*`` counters, the summed execution counters (table leaves, forker
-runs, candidate runs, fuel consumed, blocked cubes) and the total CEGIS
-iterations, plus each returned status and assignment.
+runs executed and reused, candidate runs, fuel consumed, blocked cubes)
+and the total CEGIS iterations, plus each returned status and
+assignment. Every table leaf is either a forker run or a path the solve
+had already run, so the two forker counters sum to the table leaves.
 
 A change that alters the search or the execution semantics on purpose
 (blocker literals, clause deletion, a different heap tie-break, a new
@@ -60,6 +62,7 @@ EXPECTED_TOTALS = {
 EXECUTION_COUNTERS = (
     "table_leaves",
     "forker_runs",
+    "forker_reused",
     "candidate_runs",
     "fuel_consumed",
     "blocked_cubes",
@@ -67,7 +70,8 @@ EXECUTION_COUNTERS = (
 
 EXPECTED_EXECUTION_TOTALS = {
     "table_leaves": 17142,
-    "forker_runs": 17142,
+    "forker_runs": 14802,
+    "forker_reused": 2340,
     "candidate_runs": 7119,
     "fuel_consumed": 176207,
     "blocked_cubes": 6127,
@@ -124,4 +128,7 @@ def test_summed_execution_counters_are_pinned(results):
         key: sum(r.stats[key] for r in results) for key in EXECUTION_COUNTERS
     }
     assert totals == EXPECTED_EXECUTION_TOTALS
+    assert totals["forker_runs"] + totals["forker_reused"] == (
+        totals["table_leaves"]
+    )
     assert sum(r.iterations for r in results) == EXPECTED_ITERATIONS

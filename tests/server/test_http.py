@@ -225,6 +225,35 @@ class TestCliServe:
         assert "serving on http://127.0.0.1:" in out
         assert "bye" in out
 
+    def test_serve_gives_the_event_logger_back(self, capsys, monkeypatch):
+        # While serving, events go to stderr only; afterwards repro.obs
+        # must not stay bound to this test's (soon closed) stderr, nor
+        # stop propagating to the caplog tests that run after it.
+        from repro.cli import main
+        from repro.obs.events import logger
+        from repro.server import http as http_mod
+
+        during = []
+
+        def interrupted(self):
+            during.append((len(logger.handlers), logger.propagate))
+            self._BaseServer__is_shut_down.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            http_mod.FeedbackHTTPServer, "serve_forever", interrupted
+        )
+        before = (list(logger.handlers), logger.level, logger.propagate)
+        code = main(
+            ["serve", "--port", "0", "--only", "iterPower-6.00x",
+             "--jobs", "1", "--no-prime"]
+        )
+        assert code == 0
+        assert during == [(len(before[0]) + 1, False)]
+        assert (list(logger.handlers), logger.level, logger.propagate) == (
+            before
+        )
+
     def test_serve_rejects_bad_flags(self):
         from repro.cli import main
 

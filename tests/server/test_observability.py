@@ -299,6 +299,8 @@ class TestExpositionEndpoint:
         try:
             graded = client.grade("iterPower-6.00x", BUGGY)
             assert graded["request_id"]
+            # Its solve replays one forker path it has already run.
+            client.grade("iterPower-6.00x", BUGGY_OTHER)
             text = client.metrics()
         finally:
             client.close()
@@ -310,6 +312,11 @@ class TestExpositionEndpoint:
         assert types["repro_grading_seconds"] == "histogram"
         assert types["repro_grading_stage_seconds"] == "histogram"
         assert types["repro_sat_conflicts_total"] == "counter"
+        # Forker runs executed and forker leaves served from the trie.
+        for key in ("forker_runs", "forker_reused"):
+            family = f"repro_{key}_total"
+            assert types[family] == "counter"
+            assert families[family][f'{family}{{engine="cegismin"}}'] >= 1
         assert types["repro_queue_depth"] == "gauge"
         assert types["repro_cache_entries"] == "gauge"
         count = families["repro_gradings_total"]
