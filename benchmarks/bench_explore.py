@@ -18,7 +18,8 @@ explorer on and every ``(failing candidate, counterexample input)`` pair
 the engine actually blocked is recorded; both strategies then replay
 exactly those blocking steps. A session finalizer writes
 ``BENCH_explore.json`` at the repo root, stamped with the git revision,
-CPU count and Python version, and the final test enforces the
+CPU count and Python version, when every case ran (a partial run leaves
+the committed file alone), and the final test enforces the
 contract: the table strategy is ≥2x the sweep on the aggregate Fig. 2
 blocking workload. End-to-end engine times under ``--explorer on|off``
 are recorded alongside for the trajectory.
@@ -86,7 +87,17 @@ _BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / (
 @pytest.fixture(scope="session", autouse=True)
 def _write_explore_json():
     yield
-    if not _RESULTS:
+    missing = [
+        f"{part}[{name}]"
+        for part in ("blocking", "end_to_end")
+        for name in FIG2
+        if part not in _RESULTS.get(name, {})
+    ]
+    if missing:
+        print(
+            f"\n{_BENCH_JSON.name} left as is; cases that did not run: "
+            f"{', '.join(missing)}"
+        )
         return
     workloads = {k: v for k, v in _RESULTS.items() if k in FIG2}
     table_s = sum(w["blocking"]["table_s"] for w in workloads.values())

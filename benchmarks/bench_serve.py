@@ -26,10 +26,13 @@ bounded space is large enough that per-invocation warmup is a real cost) and the
   same miss stream against one backend *process* vs a 2-backend
   subprocess fleet behind the router (≥ 1.8x on a ≥4-core runner).
 
-A session finalizer writes ``BENCH_serve.json`` at the repo root and the
-final tests enforce the CI contracts: warm cache-miss p50 at least 2x
-better than cold p50, and (on ≥4-core runners) process-executor
-cache-miss throughput at least 2x the thread executor's.
+A session finalizer writes ``BENCH_serve.json`` at the repo root,
+stamped with the git revision, CPU count and Python version, from
+whatever cases ran (CI's fleet job writes the ``fleet`` section from a
+``-k`` subset), and the final tests enforce the CI contracts: warm
+cache-miss p50 at least 2x better than cold p50, and (on ≥4-core
+runners) process-executor cache-miss throughput at least 2x the thread
+executor's.
 """
 
 import json
@@ -44,6 +47,7 @@ import time
 
 import pytest
 
+from benchmarks.conftest import run_stamp
 from repro.problems import get_problem
 from repro.server import FeedbackClient, FeedbackHTTPServer, FeedbackService, warm_registry
 from repro.service import GradingConfig
@@ -131,6 +135,7 @@ def _write_serve_json():
             f"1 vs 2 backend processes"
         ),
         "unix_time": time.time(),
+        **run_stamp(),
         **_RESULTS,
     }
     cold = _RESULTS.get("cold", {}).get("p50")

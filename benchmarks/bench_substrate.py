@@ -34,7 +34,8 @@ dominate the solver's time on Table 1.
 
 A session finalizer writes every mean to ``BENCH_substrate.json`` at the
 repo root, stamped with the git revision, CPU count and Python version,
-so the perf trajectory is tracked PR-over-PR, and the final test
+so the perf trajectory is tracked PR-over-PR; it writes only when every
+case ran, so a partial run leaves the committed file alone. The final test
 enforces the compiled backend's contract: ≥3x the reused tree-walker on
 the same workload.
 """
@@ -82,6 +83,19 @@ FORKER_ROUNDS = 20
 _SUBSTRATE_RESULTS: dict = {}
 _REPO = pathlib.Path(__file__).resolve().parent.parent
 _BENCH_JSON = _REPO / "BENCH_substrate.json"
+#: Every case the committed file records; a run missing any of them
+#: (a ``-k`` subset, a failure) leaves the file as it is.
+SUBSTRATE_CASES = (
+    "interp_fresh",
+    "interp",
+    "compiled",
+    "candidate_interp",
+    "candidate_compiled",
+    "forker_leaves",
+    "sat_3sat",
+    "counting_network",
+    "sat_cegis",
+)
 
 
 def _record(name: str, benchmark) -> None:
@@ -95,7 +109,12 @@ def _record(name: str, benchmark) -> None:
 @pytest.fixture(scope="session", autouse=True)
 def _write_substrate_json():
     yield
-    if not _SUBSTRATE_RESULTS:
+    missing = [c for c in SUBSTRATE_CASES if c not in _SUBSTRATE_RESULTS]
+    if missing:
+        print(
+            f"\n{_BENCH_JSON.name} left as is; cases that did not run: "
+            f"{', '.join(missing)}"
+        )
         return
     payload = {
         "workload": (
@@ -108,19 +127,16 @@ def _write_substrate_json():
         **run_stamp(),
         "timings": _SUBSTRATE_RESULTS,
     }
-    speedups = {}
     pairs = [
         ("interp", "compiled", "compiled_vs_interp_reuse"),
         ("interp_fresh", "compiled", "compiled_vs_interp_fresh"),
         ("candidate_interp", "candidate_compiled", "candidate_switch"),
     ]
-    for slow, fast, label in pairs:
-        if slow in _SUBSTRATE_RESULTS and fast in _SUBSTRATE_RESULTS:
-            speedups[label] = (
-                _SUBSTRATE_RESULTS[slow]["mean_s"]
-                / _SUBSTRATE_RESULTS[fast]["mean_s"]
-            )
-    payload["speedups"] = speedups
+    payload["speedups"] = {
+        label: _SUBSTRATE_RESULTS[slow]["mean_s"]
+        / _SUBSTRATE_RESULTS[fast]["mean_s"]
+        for slow, fast, label in pairs
+    }
     _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
 

@@ -9,9 +9,10 @@ timeout — Section 5.3).
 
 from __future__ import annotations
 
+import threading
 import time
 import weakref
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -120,13 +121,15 @@ class FeedbackReport:
 #: WeakKeyDictionary holding verifiers directly would keep every key
 #: alive through its own value and never evict (the classic weak-dict
 #: cycle). Instead the dict stores weak refs to verifiers and a small
-#: strong LRU ring keeps the hot ones (and, through them, their specs)
-#: alive; anything that falls out of the ring is collectable and gets
-#: rebuilt on next use.
+#: strong LRU ring (each verifier once, most recently used last) keeps
+#: the hot ones (and, through them, their specs) alive; anything that
+#: falls out of the ring is collectable and gets rebuilt on next use.
 _VERIFIERS: "weakref.WeakKeyDictionary[ProblemSpec, weakref.ref]" = (
     weakref.WeakKeyDictionary()
 )
-_HOT_VERIFIERS: "deque" = deque(maxlen=32)
+_HOT_VERIFIERS: "OrderedDict[BoundedVerifier, None]" = OrderedDict()
+_HOT_CAPACITY = 32
+_HOT_LOCK = threading.Lock()
 
 
 def _verifier_cache(spec: ProblemSpec) -> BoundedVerifier:
@@ -135,7 +138,11 @@ def _verifier_cache(spec: ProblemSpec) -> BoundedVerifier:
     if verifier is None:
         verifier = BoundedVerifier(spec)
         _VERIFIERS[spec] = weakref.ref(verifier)
-    _HOT_VERIFIERS.append(verifier)
+    with _HOT_LOCK:
+        _HOT_VERIFIERS[verifier] = None
+        _HOT_VERIFIERS.move_to_end(verifier)
+        if len(_HOT_VERIFIERS) > _HOT_CAPACITY:
+            _HOT_VERIFIERS.popitem(last=False)
     return verifier
 
 

@@ -63,7 +63,7 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.degrade import submission_failing_tests
 from repro.server.warm import Warmup, warm_registry
 from repro.service.cache import GradingConfig, ResultCache, static_key
-from repro.service.canonical import canonicalize
+from repro.service.canonical import canonicalize, memo_info
 from repro.service.records import (
     DEGRADED,
     ERROR,
@@ -581,6 +581,9 @@ class FeedbackService:
             "avg_grade_s": round(avg_grade_s, 4),
             "breakers": self.breakers.stats(),
             "cache": self.cache.stats,
+            #: The canonical-form memo's counts, process-wide (every
+            #: service, batch runner and router in this process shares it).
+            "canonical": memo_info(),
             "problems": {
                 name: served.get(name, 0) for name in self.warmup.problems
             },
@@ -625,6 +628,15 @@ class FeedbackService:
         registry.gauge(
             "repro_cache_entries", help="Result-cache entries resident"
         ).set(self.cache.stats.get("entries", 0))
+        memo = memo_info()
+        for key, help_text in (
+            ("hits", "Canonicalizations answered from the memo"),
+            ("misses", "Canonicalizations computed (memo misses)"),
+            ("entries", "Canonical forms resident in the memo"),
+        ):
+            registry.gauge(
+                f"repro_canonical_memo_{key}", help=help_text
+            ).set(memo[f"memo_{key}"])
         for key, value in self._executor.health().items():
             registry.gauge(
                 f"repro_{key}",

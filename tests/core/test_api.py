@@ -161,3 +161,26 @@ class TestVerifierCache:
         del spec
         gc.collect()
         assert len(_VERIFIERS) < before
+
+    def test_hot_ring_holds_each_verifier_once(self):
+        # Repeated use of one problem must not push every other hot
+        # verifier out of the ring.
+        import gc
+        import weakref
+
+        from repro.core.api import _verifier_cache
+        from repro.mpy.values import Bounds
+
+        def spec_for(factor):
+            return ProblemSpec.from_typed_reference(
+                f"times{factor}",
+                f"def times(x_int):\n    return x_int * {factor}\n",
+                bounds=Bounds(int_bits=3),
+            )
+
+        a, b = spec_for(5), spec_for(7)
+        ref = weakref.ref(_verifier_cache(a))
+        for _ in range(40):
+            _verifier_cache(b)
+        gc.collect()
+        assert _verifier_cache(a) is ref()

@@ -245,6 +245,30 @@ class TestStatsShape:
         assert latency["grading_seconds"]["iterPower-6.00x"]["count"] == 1
 
 
+class TestCanonicalMemo:
+    def test_a_repeated_grading_hits_the_memo(self, warmup):
+        service = make_service(warmup, executor="thread")
+        try:
+            service.grade("iterPower-6.00x", BUGGY)
+            before = service.stats()["canonical"]
+            service.grade("iterPower-6.00x", BUGGY)
+            after = service.stats()["canonical"]
+            text = service.metrics_text()
+        finally:
+            service.close()
+        assert set(after) == {
+            "memo_hits", "memo_misses", "memo_entries", "memo_capacity"
+        }
+        # The counts are process-wide, so only the delta is this test's.
+        assert after["memo_hits"] >= before["memo_hits"] + 1
+        assert 1 <= after["memo_entries"] <= after["memo_capacity"]
+        types, families = parse_exposition(text)
+        for key in ("hits", "misses", "entries"):
+            assert types[f"repro_canonical_memo_{key}"] == "gauge"
+        hits = families["repro_canonical_memo_hits"]
+        assert hits["repro_canonical_memo_hits"] >= after["memo_hits"]
+
+
 class TestWorkerAggregation:
     def test_worker_gradings_are_counted_in_the_parent(self, warmup):
         """N cache-miss gradings in worker processes → N counted here."""
