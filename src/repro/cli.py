@@ -32,6 +32,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import gc
 import pathlib
 import sys
 import time
@@ -329,55 +330,55 @@ def _serve_node(args: argparse.Namespace) -> int:
     config = GradingConfig(args.engine, args.timeout)
     print(f"warming {'all' if not args.only else len(args.only)} problems ...")
     warmup = warm_registry(
-        names=args.only,
-        config=config,
-        # In process mode the workers prime (and self-test) their own
-        # copies — the parent's primed caches would never grade a
-        # request, so priming the registry N+1 times is skipped.
-        prime=not args.no_prime and executor != "process",
-        progress=warmed,
+        names=args.only, config=config, prime=not args.no_prime, progress=warmed
     )
     print(f"warmup done: {len(warmup)} problems in {warmup.total_time_s:.2f}s")
-
-    if executor == "process":
-        workers = args.workers if args.workers is not None else args.jobs
-        sharding = "sharded" if args.shard_problems else "replicated"
-        print(
-            f"forking {workers} pre-warmed grading worker(s) "
-            f"({sharding} problems) ..."
-        )
-    service = FeedbackService(
-        warmup=warmup,
-        jobs=args.jobs,
-        queue_limit=args.queue,
-        cache=cache,
-        config=config,
-        executor=executor,
-        workers=args.workers,
-        shard=args.shard_problems,
-        prime_workers=not args.no_prime,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
-        node_id=args.node_id,
-    )
-    server = FeedbackHTTPServer(
-        service, host=args.host, port=args.port, verbose=args.verbose
-    )
-    storage = args.store or "in-memory"
-    print(
-        f"serving on http://{args.host}:{server.port}  "
-        f"(node={service.node_id}, executor={service.executor}, "
-        f"jobs={args.jobs}, queue={args.queue}, cache={storage})"
-    )
+    # The warm heap lives as long as the server: freeze it, so no
+    # collection here or in a worker forked from here walks it (a walk
+    # would also copy each page it touches into the worker).
+    gc.collect()
+    gc.freeze()
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\ndraining in-flight gradings ...")
-        server.shutdown_gracefully(drain=True)
-        print("bye")
+        if executor == "process":
+            workers = args.workers if args.workers is not None else args.jobs
+            routing = "sharded" if args.shard_problems else "replicated"
+            print(
+                f"forking {workers} grading worker(s) from the warm "
+                f"problems ({routing} routing) ..."
+            )
+        service = FeedbackService(
+            warmup=warmup,
+            jobs=args.jobs,
+            queue_limit=args.queue,
+            cache=cache,
+            config=config,
+            executor=executor,
+            workers=args.workers,
+            shard=args.shard_problems,
+            breaker_threshold=args.breaker_threshold,
+            breaker_reset_s=args.breaker_reset,
+            node_id=args.node_id,
+        )
+        server = FeedbackHTTPServer(
+            service, host=args.host, port=args.port, verbose=args.verbose
+        )
+        storage = args.store or "in-memory"
+        print(
+            f"serving on http://{args.host}:{server.port}  "
+            f"(node={service.node_id}, executor={service.executor}, "
+            f"jobs={args.jobs}, queue={args.queue}, cache={storage})"
+        )
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("\ndraining in-flight gradings ...")
+            server.shutdown_gracefully(drain=True)
+            print("bye")
+        finally:
+            if args.store:
+                cache.close()  # stop the flush thread, push the last batch
     finally:
-        if args.store:
-            cache.close()  # stop the flush thread, push the last batch
+        gc.unfreeze()
     return 0
 
 
@@ -589,7 +590,7 @@ def main(argv: Optional[list] = None) -> int:
         choices=["thread", "process"],
         help=(
             "where admitted gradings run: 'process' (default on multi-core "
-            "machines) forks pre-warmed worker processes so cache misses "
+            "machines) forks workers from the warm problems so cache misses "
             "scale across cores; 'thread' (default on one core) grades on "
             "the request thread, GIL-bound"
         ),
@@ -604,9 +605,10 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument(
         "--shard-problems",
         action="store_true",
-        help="partition warm problems across worker processes instead of "
-        "replicating them into every worker: bounds per-process warm "
-        "memory, at the price of serializing requests that hit one shard",
+        help="route each problem to one subset of the worker processes "
+        "instead of to any worker; routing only: every forked worker maps "
+        "the whole warm heap, so this bounds no memory and serializes "
+        "requests that hit one shard",
     )
     serve.add_argument(
         "--queue",
@@ -650,8 +652,9 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument(
         "--no-prime",
         action="store_true",
-        help="skip the full-pipeline priming grade per problem "
-        "(faster startup, colder first requests)",
+        help="skip the full-pipeline priming grade per problem, the "
+        "startup self-test the server runs once before it forks any "
+        "worker (faster startup, colder first requests, no self-test)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"

@@ -45,8 +45,8 @@ from repro.service.cache import GradingConfig
 LOG_TAIL_LINES = 40
 
 #: How long one backend may take to warm and pass its health check.
-#: Process-executor backends prime every worker's problem copies; on a
-#: loaded CI core that is minutes, not seconds.
+#: A backend warms and primes every problem it serves before it forks
+#: its workers; on a loaded CI core that is minutes, not seconds.
 DEFAULT_WARMUP_TIMEOUT_S = 600.0
 
 

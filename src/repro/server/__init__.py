@@ -16,9 +16,9 @@ recompiles anything. Batch runs grade through the same
   cache (persisted through the result store), graceful drain, and a
   pluggable grading executor: ``thread`` grades on the request thread
   (GIL-bound), ``process`` fans cache misses out over a
-  :class:`~repro.service.workers.ProcessExecutor` pool of preforked,
-  pre-warmed worker processes (optional problem sharding, automatic
-  recycling of crashed or wedged workers);
+  :class:`~repro.service.workers.ProcessExecutor` pool of worker
+  processes forked from the warm, primed problems (optional problem
+  routing, automatic recycling of crashed or wedged workers);
 - :mod:`repro.server.http` — stdlib ``ThreadingHTTPServer`` JSON facade
   (``POST /grade``, ``GET /problems``, ``GET /healthz``, ``GET
   /stats``, ``GET /metrics`` Prometheus exposition, ``X-Request-Id``

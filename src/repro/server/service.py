@@ -16,10 +16,11 @@ drive it directly with threads. One instance owns:
   thread against the shared warm verifiers — simple, but the engine
   loop is pure-Python CPU work, so the GIL caps throughput at one core
   no matter what ``jobs`` says. ``process`` dispatches to a
-  :class:`~repro.service.workers.ProcessExecutor` pool of preforked,
-  pre-warmed worker processes (optionally sharding problems across
-  workers), the only configuration where ``--jobs 4`` buys 4 cores of
-  cache-miss throughput;
+  :class:`~repro.service.workers.ProcessExecutor` pool of worker
+  processes forked from this one's warm problems (optionally routing
+  each problem to a subset of them), the only configuration where
+  ``--jobs 4`` buys 4 cores of cache-miss throughput. Either way the
+  warm problems are built (and primed) once, in this process;
 - **in-flight dedup**: concurrent identical submissions (same cache
   key) ride one grading — the followers await the leader's record
   without consuming admission slots;
@@ -170,7 +171,6 @@ class FeedbackService:
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         shard: bool = False,
-        prime_workers: Optional[bool] = None,
         breaker_threshold: int = 5,
         breaker_reset_s: float = 30.0,
         node_id: Optional[str] = None,
@@ -187,20 +187,11 @@ class FeedbackService:
         self.config = config if config is not None else GradingConfig()
         self.executor = EXECUTOR.resolve(executor)
         if warmup is None:
-            # In process mode the parent's warm state never grades a
-            # request — the workers prime (and self-test) their own
-            # copies, so the parent skips the priming pass.
-            if self.executor == PROCESS and prime_workers is None:
-                prime_workers = True
-            warmup = warm_registry(
-                config=self.config, prime=self.executor != PROCESS
-            )
-        # The parent warmup stays fully materialized even in process
-        # mode: /problems reports table sizes from it, canonicalize
-        # needs the specs, and per-request engine overrides keep the
-        # thread-identical semantics available. One resident copy of the
-        # tables is the accepted price; the *priming* pass (engine
-        # solves) is what process mode skips.
+            warmup = warm_registry(config=self.config)
+        # The one warm copy: requests are canonicalized against it,
+        # /problems reports from it, the thread executor grades on it,
+        # and a process pool forks from it (priming, the self-test, ran
+        # when it was warmed, before any worker exists).
         self.warmup = warmup
         self.jobs = jobs
         self.queue_limit = queue_limit
@@ -211,29 +202,13 @@ class FeedbackService:
         self.slow_ms = SLOW_MS.default()
         self.workers = workers if workers is not None else jobs
         if self.executor == PROCESS:
-            if prime_workers is None:
-                # Infer from the warmup: --no-prime means no priming
-                # anywhere. (The CLI passes this explicitly and skips the
-                # *parent* prime instead — in process mode the parent's
-                # primed caches never grade anything, so priming the
-                # registry N+1 times would be pure startup waste.)
-                prime_workers = all(
-                    warm.primed for warm in self.warmup.problems.values()
-                )
             self._executor = ProcessExecutor(
-                problems=[
-                    (warm.problem, warm.model)
-                    for warm in self.warmup.problems.values()
-                ],
-                config=self.config,
+                problems=list(self.warmup.problems.values()),
                 workers=self.workers,
-                prime=prime_workers,
                 shard=shard,
             )
-            # Block until every worker warmed its shard: the first cache
-            # miss must never pay a warmup (and a problem that fails its
-            # priming self-test must refuse startup, as in-thread warmup
-            # does).
+            # Block until every worker has reported in: a pool that
+            # cannot start must refuse startup, not fail requests.
             self._executor.wait_ready()
         else:
             self._executor = ThreadExecutor(self.warmup)

@@ -21,8 +21,9 @@ of trivially-reformatted resubmissions. This package turns
   background compaction;
 - :mod:`repro.service.workers` — the grading executors: the one grading
   call, and the :class:`~repro.service.workers.ProcessExecutor` pool of
-  preforked, pre-warmed grading workers (problem sharding, crash/timeout
-  recycling) that scales cache misses across cores;
+  grading workers forked from the parent's warm problems (problem
+  routing, crash/timeout recycling) that scales cache misses across
+  cores;
 - :mod:`repro.service.runner` — the batch runner: it grades through the
   feedback server's grading call and adds job-store resume, input-order
   results and progress callbacks.

@@ -110,8 +110,10 @@ class _RenamingPrinter(Printer):
     locals α-renamed to the ``_cv`` namespace.
 
     Each top-level ``def`` is printed under its own rename map; other
-    top-level statements are printed as written. Function names are
-    kept (they are interface, not style). A module that already uses the
+    top-level statements are printed as written. A top-level function's
+    name is kept (it is interface, not style); a nested ``def`` is
+    printed through the map like every use of its name, so a local it
+    shares a name with is renamed at both. A module that already uses the
     canonical namespace sets :attr:`clash`, and its caller prints it
     un-renamed instead, since renaming could merge distinct programs.
     """
@@ -130,7 +132,8 @@ class _RenamingPrinter(Printer):
 
     def stmt_FuncDef(self, stmt: N.FuncDef, depth: int, lines: list) -> None:
         params = ", ".join(self.names.get(p, p) for p in stmt.params)
-        self._emit(depth, f"def {stmt.name}({params}):", lines)
+        name = self.names.get(stmt.name, stmt.name)
+        self._emit(depth, f"def {name}({params}):", lines)
         self._block(stmt.body, depth + 1, lines)
 
     def expr_Var(self, expr: N.Var):

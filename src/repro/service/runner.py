@@ -7,11 +7,12 @@ error records and the executors are the service's. Each
 :meth:`BatchRunner.run` builds a service over the runner's own problem,
 error model and verifier (by default the process-wide one corpus
 generation fills), and closes it at the end. ``jobs > 1`` feeds
-the served :class:`~repro.service.workers.ProcessExecutor` pool from
-``jobs`` client threads, so a crashed or wedged worker costs one
-submission an ``error`` record. The runner adds what a batch has and a
-request does not: job-store **resume**, results in **input order**, a
-**progress callback** and :class:`BatchStats`.
+the served :class:`~repro.service.workers.ProcessExecutor` pool, forked
+from that warm state, from ``jobs`` client threads, so a crashed or
+wedged worker costs one submission an ``error`` record. The runner
+adds what a batch has and a request does not: job-store **resume**,
+results in **input order**, a **progress callback** and
+:class:`BatchStats`.
 
 Dedup tradeoff: a duplicate receives its *representative's* report
 verbatim — status, cost and minimality are exact (α-renaming cannot
@@ -252,7 +253,6 @@ class BatchRunner:
             # Explicit, so REPRO_EXECUTOR cannot make a serial batch a pool.
             executor=THREAD if self.jobs == 1 else PROCESS,
             workers=workers,
-            prime_workers=False,
             # No breakers: a run of timeouts on one problem must not turn
             # the rest of a corpus into degraded records.
             breaker_threshold=0,

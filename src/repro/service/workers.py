@@ -5,28 +5,30 @@ The engine loop is pure-Python CPU work, so a thread per request buys
 solve. This module owns the way a grading actually runs:
 
 - :func:`grade_record`, the one grading call every executor makes;
-- :class:`ProcessExecutor`, the pool of **preforked, pre-warmed** worker
-  processes behind ``serve --executor process`` and every parallel
-  batch (:class:`~repro.service.runner.BatchRunner` with ``jobs > 1``
-  grades through a :class:`~repro.server.service.FeedbackService` over
-  it). Each worker warms (and optionally primes, reusing
-  :mod:`repro.server.warm`) its assigned ``(problem, error model)``
-  pairs once at startup; requests are routed to a worker that owns the
-  problem.
-  With ``shard=True`` the problem set is partitioned across workers so
-  per-process warm memory stays bounded; without it every worker warms
-  every problem and any free worker can take any request. A worker that
-  crashes or blows through its watchdog budget is **recycled** — killed
-  and respawned — so one pathological submission can never permanently
-  wedge a grading slot.
+- :class:`ProcessExecutor`, the pool of **preforked** worker processes
+  behind ``serve --executor process`` and every parallel batch
+  (:class:`~repro.service.runner.BatchRunner` with ``jobs > 1`` grades
+  through a :class:`~repro.server.service.FeedbackService` over it).
+  The pool takes the parent's warm problems
+  (:class:`~repro.server.warm.WarmProblem`): the parent builds, primes
+  and self-tests them once, and a worker serves from the copy it
+  inherits at fork (under a pickling start method the same state
+  arrives pickled). A worker never warms, builds a verifier table or
+  primes; its *warmup* is reporting in. Requests are routed to a
+  worker that owns the problem. ``shard=True`` partitions the problems
+  across workers for routing only: a forked worker maps the parent's
+  whole warm heap either way. A worker that crashes or blows through
+  its watchdog budget is **recycled** — killed and respawned from the
+  same warm parent — so one pathological submission can never
+  permanently wedge a grading slot.
 
 The thread executor (grade on the calling request thread) lives next to
 :class:`~repro.server.service.FeedbackService`; both satisfy the same
 contract: ``grade(problem, source, config, request_id, deadline) ->
 record``, ``close()``, and ``info()``/``health()`` payloads. ``config``
 is the service's :class:`~repro.service.cache.GradingConfig` under the
-request's engine and remaining budget. A pool worker gets the service's
-config at spawn, to warm and prime, and each request's on the pipe.
+request's engine and remaining budget; it travels with each request on
+the pipe.
 """
 
 from __future__ import annotations
@@ -38,19 +40,20 @@ import multiprocessing.connection
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.api import generate_feedback
-from repro.eml.rules import ErrorModel
 from repro.engines import engine_by_name
 from repro.obs import OBS, global_registry, observe_grading
 from repro.obs.events import emit
-from repro.problems.registry import Problem
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline
 from repro.service.cache import GradingConfig
 from repro.service.records import error_record, report_to_record
 from repro.settings import Setting, choice
+
+if TYPE_CHECKING:  # repro.server.warm imports this package
+    from repro.server.warm import WarmProblem
 
 THREAD = "thread"
 PROCESS = "process"
@@ -154,45 +157,30 @@ def grade_record(
 
 # -- the preforked worker pool -------------------------------------------------
 
-#: A pool's unit of work: a problem and the error model to grade it with.
-Pair = Tuple[Problem, ErrorModel]
-
 
 def _pool_worker_main(
     conn,
-    pairs: List[Pair],
-    config: GradingConfig,
-    prime: bool,
+    state: Dict[str, "WarmProblem"],
     warm_crash: bool = False,
 ) -> None:
-    """One pool worker: warm the assigned pairs, then serve the pipe.
+    """One pool worker: report in, then serve the pipe from ``state``.
 
-    Runs in the child process. Imports of the server package happen here,
-    not at module scope — :mod:`repro.server.warm` imports this package,
-    and the service layer must stay importable without the server.
+    Runs in the child process. ``state`` is the parent's warm problems
+    for this worker's routes, built and primed before the fork: the
+    worker grades against them as they are.
 
     The worker consults no fault plan: it drops any it inherited or read
     from the environment, and acts out only what the parent drew for it
     (``warm_crash`` at spawn, a set of points per request).
     """
-    from repro.server.warm import warm_problem
-
     faults.configure(None)
+    # Chaos seam: a worker that dies before it reports in — the parent
+    # must cap respawns instead of thrashing forever.
+    if warm_crash:
+        os._exit(32)
     try:
-        # Chaos seam: a worker that dies during its warmup self-test —
-        # the parent must cap respawns instead of thrashing forever.
-        if warm_crash:
-            os._exit(32)
-        state = {
-            problem.name: warm_problem(problem, config, model=model, prime=prime)
-            for problem, model in pairs
-        }
-        conn.send(("ready", sorted(state)))
-    except BaseException as exc:  # report, then die: parent decides
-        try:
-            conn.send(("failed", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
+        conn.send("ready")
+    except OSError:
         return
     # A forked worker holds its own pipe's parent end open, so a parent
     # killed without a drain never shows up as EOF here: watch the
@@ -272,29 +260,30 @@ class _WorkerHandle:
 
     def __init__(self, index: int, problems: List[str]):
         self.index = index
-        #: The problems this worker warms; routing only offers it those.
+        #: The problems this worker serves; routing only offers it those.
         self.problems = list(problems)
         self.process = None
         self.conn = None
         self.lock = threading.Lock()
         self.ready = False
-        #: Consecutive warmup failures since the last successful warm. At
+        #: Consecutive start-ups that died before reporting in. At
         #: ``max_warm_failures`` the slot is marked ``failed`` and never
-        #: respawned — a problem that crashes every warmup would otherwise
-        #: thrash forks forever.
+        #: respawned — a worker that crashes every start-up would
+        #: otherwise thrash forks forever.
         self.warm_failures = 0
         self.failed = False
 
 
 class ProcessExecutor:
-    """A pool of preforked, pre-warmed grading worker processes.
+    """A pool of preforked grading worker processes over warm problems.
 
-    Construction spawns the workers immediately; each warms (and primes)
-    its assigned ``(problem, error model)`` pairs under ``config`` in
-    parallel with its siblings. All three pickle, so they reach a worker
-    under any multiprocessing start method. Call :meth:`wait_ready` to block until
+    ``problems`` are the parent's warm problems, already built (and
+    primed, when the caller primes): construction forks the workers at
+    once, each serving from the copy it inherits. A ``WarmProblem``
+    pickles, so the same state reaches a worker under any
+    multiprocessing start method. Call :meth:`wait_ready` to block until
     every worker has reported in — the service does this before taking
-    traffic, so the first cache miss never pays a warmup.
+    traffic.
     """
 
     kind = PROCESS
@@ -305,16 +294,14 @@ class ProcessExecutor:
     #: work), not slow — kill and respawn it.
     grace_s = 15.0
 
-    #: How long a worker may take to warm its shard before the executor
+    #: How long a worker may take to report in before the executor
     #: declares startup failed.
     ready_timeout_s = 600.0
 
     def __init__(
         self,
-        problems: Sequence[Pair],
-        config: Optional[GradingConfig] = None,
+        problems: Sequence["WarmProblem"],
         workers: int = 2,
-        prime: bool = True,
         shard: bool = False,
         grace_s: Optional[float] = None,
         max_warm_failures: int = 3,
@@ -323,17 +310,15 @@ class ProcessExecutor:
             raise ValueError("workers must be >= 1")
         if not problems:
             raise ValueError("a ProcessExecutor needs at least one problem")
-        #: problem name -> its pair; one model per problem.
-        self._pairs: Dict[str, Pair] = {
-            problem.name: (problem, model) for problem, model in problems
+        #: problem name -> the parent's warm state for it.
+        self._warm: Dict[str, "WarmProblem"] = {
+            warm.name: warm for warm in problems
         }
-        self.problems = sorted(self._pairs)
-        self.config = config if config is not None else GradingConfig()
-        self.prime = prime
+        self.problems = sorted(self._warm)
         self.sharded = shard
         if grace_s is not None:
             self.grace_s = grace_s
-        #: Respawn budget for warmup crashes (see ``_WorkerHandle``).
+        #: Respawn budget for start-up crashes (see ``_WorkerHandle``).
         self.max_warm_failures = max_warm_failures
         self._ctx = multiprocessing.get_context()
         self._recycled = 0
@@ -350,7 +335,7 @@ class ProcessExecutor:
             _WorkerHandle(index, assigned)
             for index, assigned in enumerate(assignments)
         ]
-        #: problem name -> the handles that warm it (routing table).
+        #: problem name -> the handles that serve it (routing table).
         self._routes: Dict[str, List[_WorkerHandle]] = {
             name: [h for h in self._workers if name in h.problems]
             for name in self.problems
@@ -366,9 +351,7 @@ class ProcessExecutor:
             target=_pool_worker_main,
             args=(
                 child_conn,
-                [self._pairs[name] for name in handle.problems],
-                self.config,
-                self.prime,
+                {name: self._warm[name] for name in handle.problems},
                 # Drawn per spawn, so a one-shot warm crash kills one
                 # worker, not every respawn.
                 faults.fired("worker.warm_crash"),
@@ -387,9 +370,10 @@ class ProcessExecutor:
     ) -> None:
         """Consume the worker's startup report (caller holds its lock).
 
-        Raises :class:`TimeoutError` when the worker is *still warming*
-        (it is healthy, just not done — do not kill it) and
-        :class:`RuntimeError` when it reported a failed warmup.
+        Raises :class:`TimeoutError` when the worker has not reported in
+        yet (it may be healthy, just slow to start — do not kill it) and
+        :class:`RuntimeError` when its first message is not that report
+        (:class:`EOFError` when it died first).
         """
         if handle.ready:
             return
@@ -399,22 +383,23 @@ class ProcessExecutor:
                 f"grading worker {handle.index} did not finish warming "
                 f"{handle.problems} within {window:.0f}s"
             )
-        kind, payload = handle.conn.recv()
-        if kind != "ready":
+        report = handle.conn.recv()
+        if report != "ready":
             raise RuntimeError(
-                f"grading worker {handle.index} failed to warm "
-                f"{handle.problems}: {payload}"
+                f"grading worker {handle.index} sent {report!r:.80} "
+                "instead of its ready report"
             )
         handle.ready = True
         handle.warm_failures = 0
 
     def wait_ready(self) -> None:
-        """Block until every worker warmed its shard; raise on failure.
+        """Block until every worker has reported in; raise on failure.
 
-        A failed worker (a problem that flunks its priming self-test,
-        say) fails the whole executor — a pool that silently serves a
-        subset of its problems would turn requests for the rest into
-        errors much harder to diagnose than a refused startup.
+        A failed worker (one that cannot load its warm state under a
+        pickling start method, say) fails the whole executor — a pool
+        that silently serves a subset of its problems would turn
+        requests for the rest into errors much harder to diagnose than a
+        refused startup.
         """
         try:
             for handle in self._workers:
@@ -513,19 +498,19 @@ class ProcessExecutor:
     # -- request path --------------------------------------------------------
 
     def _acquire(self, problem: str) -> _WorkerHandle:
-        """A locked handle for a worker that warms ``problem``.
+        """A locked handle for a worker that serves ``problem``.
 
         Preference order, rotating the starting offset so unsharded
-        pools spread load: idle *ready* workers, then idle ones still
-        warming (startup, or a recycled slot mid-re-warm — a request
-        stuck waiting on a warmup is strictly worse than one queued
-        behind a short grading), then block on one round-robin —
+        pools spread load: idle *ready* workers, then idle ones that
+        have not reported in (startup, or a freshly recycled slot — a
+        request stuck waiting on a start-up is strictly worse than one
+        queued behind a short grading), then block on one round-robin —
         fairness comes from the service's admission gate, which bounds
         how many requests contend here.
         """
         routed = self._routes.get(problem)
         if not routed:
-            raise KeyError(f"no grading worker warms problem {problem!r}")
+            raise KeyError(f"no grading worker serves problem {problem!r}")
         eligible = [handle for handle in routed if not handle.failed]
         if not eligible:
             raise RuntimeError(
@@ -568,24 +553,24 @@ class ProcessExecutor:
         window = max(0.0, config.timeout_s) + self.grace_s
         try:
             if not handle.ready:
-                # A freshly recycled worker re-warms asynchronously; wait
-                # at most this request's own budget for it — holding the
-                # admission slot for ready_timeout_s would re-create the
-                # wedge the watchdog exists to break.
+                # A freshly recycled worker reports in asynchronously;
+                # wait at most this request's own budget for it — holding
+                # the admission slot for ready_timeout_s would re-create
+                # the wedge the watchdog exists to break.
                 try:
                     self._await_ready(handle, timeout=window)
                 except TimeoutError as exc:
-                    # Still warming — healthy, just slow. Leave it alone
-                    # (killing it would restart the warmup from zero).
+                    # Not reported in yet — healthy, just slow. Leave it
+                    # alone (killing it would restart it from zero).
                     return error_record(problem, exc)
                 except (EOFError, RuntimeError, OSError) as exc:
-                    # Warmup failed outright (reported failure, or the
-                    # worker died mid-warm and the pipe hit EOF): this
-                    # worker will never serve as-is. Ordering matters —
-                    # TimeoutError is an OSError, so the leave-it-alone
-                    # case is caught above. Respawn up to the cap; past
-                    # it the slot is retired for good (a deterministic
-                    # warm crash would thrash forks forever).
+                    # Start-up failed outright (the worker died before
+                    # reporting in and the pipe hit EOF, or garbled its
+                    # report): this worker will never serve as-is.
+                    # Ordering matters — TimeoutError is an OSError, so
+                    # the leave-it-alone case is caught above. Respawn up
+                    # to the cap; past it the slot is retired for good (a
+                    # deterministic warm crash would thrash forks forever).
                     handle.warm_failures += 1
                     if handle.warm_failures >= self.max_warm_failures:
                         self._fail_permanently(handle)

@@ -79,9 +79,8 @@ def warmup():
 def tiers(request, warmup):
     """One direct server and one 2-backend fleet, same executor.
 
-    Process-mode services skip worker priming: priming affects startup
-    self-tests, never record content, and five services re-priming the
-    whole registry would dominate the suite's wall clock.
+    Every service shares the module's warmup, primed once: a process
+    pool forks from it rather than warming its own copy.
     """
     executor = request.param
     kwargs = dict(
@@ -91,7 +90,7 @@ def tiers(request, warmup):
         executor=executor,
     )
     if executor == "process":
-        kwargs.update(workers=1, prime_workers=False)
+        kwargs.update(workers=1)
     direct_service = FeedbackService(node_id="direct", **kwargs)
     backend_a = FeedbackService(node_id="fleet-a", **kwargs)
     backend_b = FeedbackService(node_id="fleet-b", **kwargs)

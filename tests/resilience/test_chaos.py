@@ -19,6 +19,7 @@ from repro.obs import reset_global_registry
 from repro.problems import get_problem
 from repro.resilience import faults
 from repro.server import FeedbackService, warm_registry
+from repro.server import warm as warm_mod
 from repro.service import GradingConfig
 from repro.service import workers as workers_mod
 from repro.service.records import comparable_record
@@ -70,10 +71,10 @@ def make_service(warmup, **kwargs):
 
 
 def make_pool(**kwargs):
-    problem = get_problem(PROBLEM)
-    kwargs.setdefault("problems", [(problem, problem.model)])
+    kwargs.setdefault(
+        "problems", [warm_mod.warm_problem(get_problem(PROBLEM), prime=False)]
+    )
     kwargs.setdefault("workers", 1)
-    kwargs.setdefault("prime", False)
     return ProcessExecutor(**kwargs)
 
 
@@ -338,6 +339,27 @@ class TestWorkerFaults:
         )
         assert fired.value(point="worker.reply_drop") == 1
         assert fired.value(point="worker.reply_malformed") == 1
+
+    def test_a_recycled_worker_grades_without_warming(self, monkeypatch):
+        pool = make_pool()
+        try:
+            pool.wait_ready()
+            # From here, warming raises: the respawn must serve the warm
+            # state it forks with, not build its own.
+            def refuse(*args, **kwargs):
+                raise AssertionError("a pool worker called warm_problem")
+
+            monkeypatch.setattr(warm_mod, "warm_problem", refuse)
+            handle = pool._workers[0]
+            handle.process.kill()
+            handle.process.join(10.0)
+            lost = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=20.0))
+            assert "died mid-request" in lost["detail"]
+            record = pool.grade(PROBLEM, BUGGY, GradingConfig(timeout_s=20.0))
+            assert record["status"] == "fixed"
+            assert pool.info()["recycled"] == 1
+        finally:
+            pool.close()
 
     def test_reply_malformed_recycles_the_worker(self):
         faults.arm("worker.reply_malformed", count=1)

@@ -6,8 +6,8 @@ worker process produces is byte-for-byte identical (modulo wall time,
 via :func:`~repro.service.records.comparable_record`) to the one the
 in-thread executor produces from the same warm state. The Fig. 2
 computeDeriv trio additionally pins real solves (status ``fixed``, the
-paper's costs) across the executor boundary — a worker that warmed with
-the wrong engine or backend diverges here.
+paper's costs) across the executor boundary — a worker grading on any
+state but the warm problems it forked from diverges here.
 
 The process service runs *sharded* on purpose: routing must be
 invisible in the records too.

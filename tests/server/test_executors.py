@@ -2,29 +2,35 @@
 
 The differential suite (``test_executor_differential.py``) proves the
 executors produce identical records; this module tests the machinery
-itself — worker lifecycle, crash/watchdog recycling, shard routing —
-plus the warm-priming engine fix the executor relies on (workers prime
-with the *serving* engine, not a hardcoded one).
+itself — worker lifecycle, crash/watchdog recycling, shard routing, the
+pool contract (workers serve the parent's warm problems and never warm
+or prime their own) — plus the warm-priming engine fix (the parent
+primes with the *serving* engine, not a hardcoded one).
 """
 
+import gc
 import os
+import pickle
 import select
 import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 import repro
 from repro.problems import get_problem
-from repro.server import FeedbackService, warm_registry
+from repro.server import FeedbackService, WarmupError, warm_registry
 from repro.server import warm as warm_mod
 from repro.service import GradingConfig
+from repro.service.records import comparable_record
 from repro.service.workers import (
     EXECUTOR,
     ProcessExecutor,
     default_executor,
+    grade_record,
     shard_problems,
 )
 
@@ -88,13 +94,9 @@ class TestShardAssignment:
 
 @pytest.fixture(scope="module")
 def pool():
+    warmup = warm_registry(names=["iterPower-6.00x", "prodBySum-6.00"])
     executor = ProcessExecutor(
-        problems=[
-            (problem, problem.model)
-            for problem in map(get_problem, ["iterPower-6.00x", "prodBySum-6.00"])
-        ],
-        workers=2,
-        shard=True,
+        problems=list(warmup.problems.values()), workers=2, shard=True
     )
     executor.wait_ready()
     yield executor
@@ -128,7 +130,7 @@ class TestProcessExecutor:
         record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "error"
         assert "recycled" in record["detail"]
-        # The replacement worker re-warms and serves the next request.
+        # The replacement worker serves the next request.
         record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
         assert pool.info()["recycled"] == recycled_before + 1
@@ -195,15 +197,81 @@ class TestProcessExecutor:
         assert record["status"] == "fixed"
 
 
+def refuse_to_warm(*args, **kwargs):
+    raise AssertionError("a pool worker called warm_problem")
+
+
+@pytest.fixture
+def iterpower_warm():
+    return warm_mod.warm_problem(get_problem("iterPower-6.00x"))
+
+
+class TestWarmInheritance:
+    """A pool serves the parent's warm problems: no worker warms, builds
+    a verifier table or primes. ``warm_problem`` is patched to raise once
+    the parent has warmed, so a worker that called it (a forked one
+    inherits the patch) could not start or grade."""
+
+    def test_a_pool_grades_from_the_parents_warm_state(
+        self, iterpower_warm, monkeypatch
+    ):
+        monkeypatch.setattr(warm_mod, "warm_problem", refuse_to_warm)
+        pool = ProcessExecutor([iterpower_warm], workers=2)
+        try:
+            pool.wait_ready()
+            # Two idle workers, so consecutive requests go to each in turn.
+            for _ in range(2):
+                record = pool.grade(
+                    "iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0)
+                )
+                assert record["status"] == "fixed"
+        finally:
+            pool.close()
+
+    def test_a_warm_problem_grades_the_same_after_a_pickle_round_trip(
+        self, iterpower_warm
+    ):
+        # What a worker receives under a pickling start method.
+        clone = pickle.loads(pickle.dumps(iterpower_warm))
+        assert clone.info() == iterpower_warm.info()
+        config = GradingConfig(timeout_s=20.0)
+        record = grade_record(iterpower_warm, BUGGY, config)
+        assert record["status"] == "fixed"
+        assert comparable_record(
+            grade_record(clone, BUGGY, config)
+        ) == comparable_record(record)
+
+    def test_a_failed_self_test_refuses_startup_before_any_fork(
+        self, monkeypatch
+    ):
+        from repro.cli import main
+
+        def fork(self, handle):
+            raise AssertionError("a grading worker was forked")
+
+        monkeypatch.setattr(ProcessExecutor, "_start", fork)
+        monkeypatch.setattr(
+            warm_mod,
+            "generate_feedback",
+            lambda *args, **kwargs: SimpleNamespace(status="no_fix"),
+        )
+        with pytest.raises(WarmupError, match="iterPower-6.00x"):
+            main(
+                ["serve", "--executor", "process", "--workers", "2",
+                 "--port", "0", "--only", "iterPower-6.00x"]
+            )
+
+
 #: A server that builds a 2-worker pool, reports the worker pids once
-#: every worker is warm, then idles until it is killed.
+#: every worker has reported in, then idles until it is killed.
 POOL_SERVER = """
 import time
 from repro.problems import get_problem
+from repro.server.warm import warm_problem
 from repro.service.workers import ProcessExecutor
 
-problem = get_problem("iterPower-6.00x")
-pool = ProcessExecutor([(problem, problem.model)], workers=2, prime=False)
+warm = warm_problem(get_problem("iterPower-6.00x"), prime=False)
+pool = ProcessExecutor([warm], workers=2)
 pool.wait_ready()
 print(*(handle.process.pid for handle in pool._workers), flush=True)
 time.sleep(600)
@@ -295,16 +363,23 @@ class TestServiceIntegration:
 
 
 class TestCliExecutorResolution:
-    def test_serve_honors_repro_executor_env_and_defers_priming(
+    def test_serve_honors_repro_executor_env_and_primes_in_the_parent(
         self, capsys, monkeypatch
     ):
         # `REPRO_EXECUTOR` must steer the daemon too, not just library
-        # construction; and in process mode the parent skips priming
-        # (the workers prime and self-test their own copies).
+        # construction; and in process mode the parent primes (and
+        # self-tests) the warm problems once, then forks its workers
+        # from that frozen heap, which it unfreezes when it returns.
         from repro.cli import main
         from repro.server import http as http_mod
 
+        seen = {}
+
         def interrupted(self):
+            seen["primed"] = [
+                warm.primed for warm in self.service.warmup.problems.values()
+            ]
+            seen["frozen"] = gc.get_freeze_count()
             self._BaseServer__is_shut_down.set()
             raise KeyboardInterrupt
 
@@ -312,6 +387,7 @@ class TestCliExecutorResolution:
             http_mod.FeedbackHTTPServer, "serve_forever", interrupted
         )
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        frozen_before = gc.get_freeze_count()
         code = main(
             ["serve", "--port", "0", "--only", "iterPower-6.00x",
              "--jobs", "1"]
@@ -319,7 +395,10 @@ class TestCliExecutorResolution:
         out = capsys.readouterr().out
         assert code == 0
         assert "executor=process" in out
-        assert "priming skipped" in out  # parent prime deferred
+        assert "priming skipped" not in out
+        assert seen["primed"] == [True]
+        assert seen["frozen"] > frozen_before
+        assert gc.get_freeze_count() == frozen_before
         assert "bye" in out
 
 

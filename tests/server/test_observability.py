@@ -219,7 +219,7 @@ class TestStatsShape:
     def test_latency_section_under_both_executors(self, warmup, executor):
         kwargs = {"executor": executor}
         if executor == "process":
-            kwargs.update(workers=2, prime_workers=False)
+            kwargs.update(workers=2)
         service = make_service(warmup, **kwargs)
         try:
             service.grade("iterPower-6.00x", BUGGY)
@@ -272,9 +272,7 @@ class TestCanonicalMemo:
 class TestWorkerAggregation:
     def test_worker_gradings_are_counted_in_the_parent(self, warmup):
         """N cache-miss gradings in worker processes → N counted here."""
-        service = make_service(
-            warmup, executor="process", workers=2, prime_workers=False
-        )
+        service = make_service(warmup, executor="process", workers=2)
         try:
             one = service.grade("iterPower-6.00x", BUGGY)
             two = service.grade("iterPower-6.00x", BUGGY_OTHER)
@@ -301,9 +299,7 @@ class TestWorkerAggregation:
         assert solve is not None and solve.count == 2
 
     def test_healthz_reports_worker_readiness(self, warmup):
-        service = make_service(
-            warmup, executor="process", workers=2, prime_workers=False
-        )
+        service = make_service(warmup, executor="process", workers=2)
         try:
             health = service.healthz()
         finally:

@@ -141,6 +141,35 @@ class TestCanonicalize:
             "print(f(3))\n"
         )
 
+    def test_a_nested_def_is_renamed_with_the_local_it_shares_a_name_with(
+        self,
+    ):
+        # `g` is a local and a nested def: the call names the def, so this
+        # returns its argument. Spelled `h`, the call names the int and
+        # raises. One canonical text for both would serve one's verdict
+        # for the other.
+        shadowed = (
+            "def f(a):\n"
+            "    g = 1\n"
+            "    def g(b):\n"
+            "        return b\n"
+            "    return g(a)\n"
+        )
+        calls_the_int = shadowed.replace("g = 1", "h = 1").replace(
+            "return g(a)", "return h(a)"
+        )
+        assert canonicalize(shadowed).text == (
+            "def f(_cv0):\n"
+            "    _cv1 = 1\n"
+            "    def _cv1(b):\n"
+            "        return b\n"
+            "    return _cv1(_cv0)\n"
+        )
+        assert (
+            canonicalize(shadowed).digest
+            != canonicalize(calls_the_int).digest
+        )
+
 
 #: SHA-256 over the canonical digests of each registry problem's seed-0
 #: studentgen corpus (incorrect, correct, then syntax-error attempts),
