@@ -331,7 +331,6 @@ def _cache_miss_throughput(executor: str, sources) -> dict:
         queue_limit=256,
         config=GradingConfig(timeout_s=TIMEOUT_S),
         executor=executor,
-        workers=SCALE_WORKERS,
     )
     server = FeedbackHTTPServer(service, port=0)
     server.serve_in_thread()
@@ -394,8 +393,8 @@ def test_cache_miss_scaling_thread_vs_process(submissions):
 
 
 def test_process_scaling_contract():
-    """CI contract: on a ≥4-core runner, ``--executor process --workers
-    4`` grades cache misses at ≥2x the thread executor's rate.
+    """CI contract: on a ≥4-core runner, ``--executor process --jobs 4``
+    grades cache misses at ≥2x the thread executor's rate.
 
     The engine loop is pure-Python CPU work: the thread executor cannot
     exceed ~1 core, so 4 preforked workers have a 4-core budget to clear

@@ -11,8 +11,8 @@ Subcommands:
   ``--resume`` to continue an interrupted run); exits non-zero when any
   submission timed out or errored;
 - ``serve`` — run the persistent feedback server (warm precompiled
-  problems, admission queue, shared result cache, process-sharded
-  grading executors on multi-core machines); ``--fleet N`` launches N
+  problems, admission queue, shared result cache, a pool of ``--jobs``
+  grading processes on multi-core machines); ``--fleet N`` launches N
   backend server processes fronted by one consistent-hashing router,
   ``--store`` persists the cache to the append-log result store every
   backend reads through;
@@ -265,12 +265,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--jobs must be >= 1")
     if args.queue < 0:
         raise SystemExit("--queue must be >= 0")
-    if args.workers is not None and args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     if args.breaker_threshold < 0:
         raise SystemExit("--breaker-threshold must be >= 0")
     if args.breaker_reset <= 0:
         raise SystemExit("--breaker-reset must be > 0")
+    if args.fleet_logs is not None and not pathlib.Path(args.fleet_logs).is_dir():
+        raise SystemExit(f"--fleet-logs: not a directory: {args.fleet_logs}")
     if args.slow_ms is not None:
         # Process-wide default: worker forks inherit it, and the service
         # needs no extra plumbing for the event threshold.
@@ -340,12 +340,7 @@ def _serve_node(args: argparse.Namespace) -> int:
     gc.freeze()
     try:
         if executor == "process":
-            workers = args.workers if args.workers is not None else args.jobs
-            routing = "sharded" if args.shard_problems else "replicated"
-            print(
-                f"forking {workers} grading worker(s) from the warm "
-                f"problems ({routing} routing) ..."
-            )
+            print(f"forking {args.jobs} grading worker(s) from the warm problems ...")
         service = FeedbackService(
             warmup=warmup,
             jobs=args.jobs,
@@ -353,8 +348,6 @@ def _serve_node(args: argparse.Namespace) -> int:
             cache=cache,
             config=config,
             executor=executor,
-            workers=args.workers,
-            shard=args.shard_problems,
             breaker_threshold=args.breaker_threshold,
             breaker_reset_s=args.breaker_reset,
             node_id=args.node_id,
@@ -394,8 +387,6 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         "--breaker-threshold", str(args.breaker_threshold),
         "--breaker-reset", str(args.breaker_reset),
     ]
-    if args.shard_problems:
-        extra_args.append("--shard-problems")
     if args.slow_ms is not None:
         extra_args += ["--slow-ms", str(args.slow_ms)]
     if args.faults:
@@ -410,7 +401,6 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         queue=args.queue,
         executor=args.executor,
-        workers=args.workers,
         only=args.only,
         store=args.store,
         config=GradingConfig(args.engine, args.timeout),
@@ -527,16 +517,19 @@ def main(argv: Optional[list] = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every --problem/--only takes registry names only, so an unknown
+    # one is a usage error before any verb runs.
+    names = {"choices": [p.name for p in all_problems()], "metavar": "NAME"}
 
     sub.add_parser("problems", help="list benchmark problems")
 
     grade = sub.add_parser("grade", help="classify a submission")
     grade.add_argument("file")
-    grade.add_argument("--problem", required=True)
+    grade.add_argument("--problem", required=True, **names)
 
     feedback = sub.add_parser("feedback", help="generate feedback")
     feedback.add_argument("file")
-    feedback.add_argument("--problem", required=True)
+    feedback.add_argument("--problem", required=True, **names)
     feedback.add_argument(
         "--level",
         type=int,
@@ -553,7 +546,7 @@ def main(argv: Optional[list] = None) -> int:
         "batch", help="grade a directory of submissions in parallel"
     )
     batch.add_argument("directory", help="directory of submission files")
-    batch.add_argument("--problem", required=True)
+    batch.add_argument("--problem", required=True, **names)
     batch.add_argument(
         "--jobs", type=int, default=1, help="parallel worker processes"
     )
@@ -582,7 +575,8 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321)
     serve.add_argument(
-        "--jobs", type=int, default=2, help="concurrent grading slots"
+        "--jobs", type=int, default=2, help="concurrent grading slots; with "
+        "--executor process, each slot is one worker process"
     )
     serve.add_argument(
         "--executor",
@@ -594,21 +588,6 @@ def main(argv: Optional[list] = None) -> int:
             "scale across cores; 'thread' (default on one core) grades on "
             "the request thread, GIL-bound"
         ),
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="grading worker processes for --executor process "
-        "(default: --jobs)",
-    )
-    serve.add_argument(
-        "--shard-problems",
-        action="store_true",
-        help="route each problem to one subset of the worker processes "
-        "instead of to any worker; routing only: every forked worker maps "
-        "the whole warm heap, so this bounds no memory and serializes "
-        "requests that hit one shard",
     )
     serve.add_argument(
         "--queue",
@@ -647,7 +626,8 @@ def main(argv: Optional[list] = None) -> int:
     )
     _grading_args(serve, DEFAULT_TIMEOUT_S)
     serve.add_argument(
-        "--only", nargs="*", default=None, help="warm only these problems"
+        "--only", nargs="*", default=None, help="warm only these problems",
+        **names,
     )
     serve.add_argument(
         "--no-prime",
@@ -707,6 +687,7 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         help="route only these problems (must match the backends' "
         "--only set)",
+        **names,
     )
     route.add_argument(
         "--breaker-threshold",
@@ -751,6 +732,7 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         help="lint this registry problem's model (repeatable; implies "
         "problem-aware checks: dead rules, candidate-space estimate)",
+        **names,
     )
     lint.add_argument(
         "--format", default="text", choices=["text", "json"]
@@ -765,6 +747,7 @@ def main(argv: Optional[list] = None) -> int:
         action="append",
         default=None,
         help="cover this problem (repeatable; default: every problem)",
+        **names,
     )
     coverage.add_argument(
         "--dir",
@@ -805,7 +788,8 @@ def main(argv: Optional[list] = None) -> int:
         "--jobs", type=int, default=1, help="parallel worker processes"
     )
     table1.add_argument(
-        "--only", nargs="*", default=None, help="restrict to these problems"
+        "--only", nargs="*", default=None, help="restrict to these problems",
+        **names,
     )
 
     args = parser.parse_args(argv)

@@ -83,7 +83,6 @@ class BackendProcess:
         jobs: int = 2,
         queue: int = 16,
         executor: Optional[str] = None,
-        workers: Optional[int] = None,
         only: Optional[Sequence[str]] = None,
         store: Optional[str] = None,
         config: GradingConfig,
@@ -117,8 +116,6 @@ class BackendProcess:
         ]
         if executor:
             command += ["--executor", executor]
-        if workers is not None:
-            command += ["--workers", str(workers)]
         if only:
             command += ["--only", *only]
         if store:
@@ -282,7 +279,6 @@ def start_fleet(
     jobs: int = 2,
     queue: int = 16,
     executor: Optional[str] = None,
-    workers: Optional[int] = None,
     only: Optional[Sequence[str]] = None,
     store: Optional[str] = None,
     config: Optional[GradingConfig] = None,
@@ -323,7 +319,6 @@ def start_fleet(
                     jobs=jobs,
                     queue=queue,
                     executor=executor,
-                    workers=workers,
                     only=only,
                     store=store,
                     config=config,

@@ -39,7 +39,8 @@ per stage, the parent observes each record a worker process sends back,
 and its registry — scraped at ``/metrics`` — covers the whole pool.
 
 Start it with ``repro-feedback serve --port 8321 --jobs 4``;
-``--executor process --workers 4`` is the default on a multi-core box.
+``--executor process`` (four workers, one per job) is the default on a
+multi-core box.
 """
 
 import importlib

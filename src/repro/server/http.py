@@ -13,7 +13,7 @@ never needs its own concurrency story. Endpoints:
   readiness in process-executor mode;
 - ``GET /stats`` — counters, queue depth, cache statistics, latency
   percentiles, and the grading-executor view (kind, worker count,
-  shard assignments, recycle count);
+  recycle count);
 - ``GET /metrics`` — Prometheus text exposition of the whole fleet
   (worker gradings counted in the parent registry).
 

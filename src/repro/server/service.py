@@ -16,10 +16,10 @@ drive it directly with threads. One instance owns:
   thread against the shared warm verifiers — simple, but the engine
   loop is pure-Python CPU work, so the GIL caps throughput at one core
   no matter what ``jobs`` says. ``process`` dispatches to a
-  :class:`~repro.service.workers.ProcessExecutor` pool of worker
-  processes forked from this one's warm problems (optionally routing
-  each problem to a subset of them), the only configuration where
-  ``--jobs 4`` buys 4 cores of cache-miss throughput. Either way the
+  :class:`~repro.service.workers.ProcessExecutor` pool of ``jobs``
+  worker processes forked from this one's warm problems, each serving
+  every problem, the only configuration where ``--jobs 4`` buys 4
+  cores of cache-miss throughput. Either way the
   warm problems are built (and primed) once, in this process;
 - **in-flight dedup**: concurrent identical submissions (same cache
   key) ride one grading — the followers await the leader's record
@@ -169,8 +169,6 @@ class FeedbackService:
         cache: Optional[ResultCache] = None,
         config: Optional[GradingConfig] = None,
         executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shard: bool = False,
         breaker_threshold: int = 5,
         breaker_reset_s: float = 30.0,
         node_id: Optional[str] = None,
@@ -181,8 +179,6 @@ class FeedbackService:
             raise ValueError("queue_limit must be >= 0")
         if breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
         #: Resolved once here (``None`` = the process defaults now).
         self.config = config if config is not None else GradingConfig()
         self.executor = EXECUTOR.resolve(executor)
@@ -200,12 +196,11 @@ class FeedbackService:
         #: process default, else ``REPRO_SLOW_MS``) — per-request event
         #: emission must not re-read the environment.
         self.slow_ms = SLOW_MS.default()
-        self.workers = workers if workers is not None else jobs
         if self.executor == PROCESS:
+            # One worker per grading slot: admission never lets more
+            # than ``jobs`` gradings contend for the pool.
             self._executor = ProcessExecutor(
-                problems=list(self.warmup.problems.values()),
-                workers=self.workers,
-                shard=shard,
+                problems=list(self.warmup.problems.values()), workers=jobs
             )
             # Block until every worker has reported in: a pool that
             # cannot start must refuse startup, not fail requests.
@@ -546,12 +541,6 @@ class FeedbackService:
             "queued": queued,
             "backend": self.config.backend,
             "executor": executor_info,
-            #: Which grading unit owns which problems: the worker shard
-            #: map in sharded process mode, else one shard holding the
-            #: whole warm registry (replicated workers grade anything, as
-            #: does the request thread). Stable for the process lifetime.
-            "shards": executor_info.get("assignments")
-            or {"0": sorted(self.warmup.problems)},
             "by_status": by_status,
             "avg_grade_s": round(avg_grade_s, 4),
             "breakers": self.breakers.stats(),

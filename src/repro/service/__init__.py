@@ -21,9 +21,9 @@ of trivially-reformatted resubmissions. This package turns
   background compaction;
 - :mod:`repro.service.workers` — the grading executors: the one grading
   call, and the :class:`~repro.service.workers.ProcessExecutor` pool of
-  grading workers forked from the parent's warm problems (problem
-  routing, crash/timeout recycling) that scales cache misses across
-  cores;
+  grading workers forked from the parent's warm problems (each serving
+  every problem, crash/timeout recycling) that scales cache misses
+  across cores;
 - :mod:`repro.service.runner` — the batch runner: it grades through the
   feedback server's grading call and adds job-store resume, input-order
   results and progress callbacks.
@@ -56,7 +56,6 @@ from repro.service.workers import (
     EXECUTORS,
     ProcessExecutor,
     default_executor,
-    shard_problems,
 )
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "ResultStore",
     "StoreClient",
     "default_executor",
-    "shard_problems",
     "cache_key",
     "canonicalize",
     "comparable_record",

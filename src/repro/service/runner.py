@@ -202,7 +202,7 @@ class BatchRunner:
             settle(index, entry["report"], entry["key"], None)
 
         if pending:
-            service = self._service(workers=min(self.jobs, len(pending)))
+            service = self._service(jobs=min(self.jobs, len(pending)))
 
             def grade(indices: List[int]) -> None:
                 for index in indices:
@@ -231,7 +231,7 @@ class BatchRunner:
         self.stats.wall_time = time.monotonic() - started
         return [results[index] for index in range(len(batch))]
 
-    def _service(self, workers: int) -> "FeedbackService":
+    def _service(self, jobs: int) -> "FeedbackService":
         """The one-problem service a run grades through."""
         # Cycle break: repro.server imports this package.
         from repro.server.service import FeedbackService
@@ -246,13 +246,12 @@ class BatchRunner:
         )
         return FeedbackService(
             warmup=Warmup(problems={self.problem.name: warm}),
-            jobs=self.jobs,
+            jobs=jobs,
             queue_limit=0,  # at most ``jobs`` requests are ever in flight
             cache=self.cache,
             config=self.config,
             # Explicit, so REPRO_EXECUTOR cannot make a serial batch a pool.
             executor=THREAD if self.jobs == 1 else PROCESS,
-            workers=workers,
             # No breakers: a run of timeouts on one problem must not turn
             # the rest of a corpus into degraded records.
             breaker_threshold=0,

@@ -14,13 +14,11 @@ solve. This module owns the way a grading actually runs:
   and self-tests them once, and a worker serves from the copy it
   inherits at fork (under a pickling start method the same state
   arrives pickled). A worker never warms, builds a verifier table or
-  primes; its *warmup* is reporting in. Requests are routed to a
-  worker that owns the problem. ``shard=True`` partitions the problems
-  across workers for routing only: a forked worker maps the parent's
-  whole warm heap either way. A worker that crashes or blows through
-  its watchdog budget is **recycled** — killed and respawned from the
-  same warm parent — so one pathological submission can never
-  permanently wedge a grading slot.
+  primes; its *warmup* is reporting in. Every worker serves every
+  warm problem, so a request goes to any free worker. A worker that
+  crashes or blows through its watchdog budget is **recycled** —
+  killed and respawned from the same warm parent — so one pathological
+  submission can never permanently wedge a grading slot.
 
 The thread executor (grade on the calling request thread) lives next to
 :class:`~repro.server.service.FeedbackService`; both satisfy the same
@@ -40,7 +38,7 @@ import multiprocessing.connection
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.api import generate_feedback
 from repro.engines import engine_by_name
@@ -80,30 +78,12 @@ _WORKER_FAULT_ENDS = ("worker.crash", "worker.reply_drop")
 def default_executor() -> str:
     """The executor the ``serve`` CLI picks when none is named.
 
-    Process-sharded grading is the only way cache misses scale past one
-    core, so it is the default whenever there is more than one core to
+    A process pool is the only way cache misses scale past one core, so
+    it is the default whenever there is more than one core to
     scale onto; a single-core box gets nothing from forking and keeps
     the in-thread path.
     """
     return PROCESS if (os.cpu_count() or 1) > 1 else THREAD
-
-
-def shard_problems(
-    names: Sequence[str], shards: int
-) -> List[List[str]]:
-    """Partition problem names round-robin over up to ``shards`` buckets.
-
-    Deterministic (sorted input order) so every service instance — and a
-    restarted worker — computes the same routing; no bucket is ever
-    empty (fewer problems than shards means fewer buckets).
-    """
-    ordered = sorted(set(names))
-    buckets: List[List[str]] = [
-        [] for _ in range(max(1, min(shards, len(ordered))))
-    ]
-    for index, name in enumerate(ordered):
-        buckets[index % len(buckets)].append(name)
-    return buckets
 
 
 def grade_record(
@@ -165,9 +145,9 @@ def _pool_worker_main(
 ) -> None:
     """One pool worker: report in, then serve the pipe from ``state``.
 
-    Runs in the child process. ``state`` is the parent's warm problems
-    for this worker's routes, built and primed before the fork: the
-    worker grades against them as they are.
+    Runs in the child process. ``state`` is the parent's warm problems,
+    built and primed before the fork: the worker grades against them as
+    they are. The parent dispatches only problems it warmed.
 
     The worker consults no fault plan: it drops any it inherited or read
     from the environment, and acts out only what the parent drew for it
@@ -207,16 +187,10 @@ def _pool_worker_main(
             os._exit(31)
         if "worker.hang" in drawn:
             time.sleep(drawn["worker.hang"])
-        warm = state.get(problem)
-        if warm is None:
-            record = error_record(
-                problem,
-                KeyError(f"problem {problem!r} is not warmed in this worker"),
-            )
-        else:
-            record = grade_record(
-                warm, source, request_config, deadline=deadline, drawn=drawn
-            )
+        record = grade_record(
+            state[problem], source, request_config, deadline=deadline,
+            drawn=drawn,
+        )
         if OBS.default():
             emit(
                 "worker_grading",
@@ -249,7 +223,6 @@ class _WorkerHandle:
 
     __slots__ = (
         "index",
-        "problems",
         "process",
         "conn",
         "lock",
@@ -258,10 +231,8 @@ class _WorkerHandle:
         "failed",
     )
 
-    def __init__(self, index: int, problems: List[str]):
+    def __init__(self, index: int):
         self.index = index
-        #: The problems this worker serves; routing only offers it those.
-        self.problems = list(problems)
         self.process = None
         self.conn = None
         self.lock = threading.Lock()
@@ -278,12 +249,12 @@ class ProcessExecutor:
     """A pool of preforked grading worker processes over warm problems.
 
     ``problems`` are the parent's warm problems, already built (and
-    primed, when the caller primes): construction forks the workers at
-    once, each serving from the copy it inherits. A ``WarmProblem``
-    pickles, so the same state reaches a worker under any
-    multiprocessing start method. Call :meth:`wait_ready` to block until
-    every worker has reported in — the service does this before taking
-    traffic.
+    primed, when the caller primes): construction forks ``workers``
+    processes at once, each serving every problem from the copy it
+    inherits. A ``WarmProblem`` pickles, so the same state reaches a
+    worker under any multiprocessing start method. Call
+    :meth:`wait_ready` to block until every worker has reported in — the
+    service does this before taking traffic.
     """
 
     kind = PROCESS
@@ -302,7 +273,6 @@ class ProcessExecutor:
         self,
         problems: Sequence["WarmProblem"],
         workers: int = 2,
-        shard: bool = False,
         grace_s: Optional[float] = None,
         max_warm_failures: int = 3,
     ):
@@ -314,8 +284,6 @@ class ProcessExecutor:
         self._warm: Dict[str, "WarmProblem"] = {
             warm.name: warm for warm in problems
         }
-        self.problems = sorted(self._warm)
-        self.sharded = shard
         if grace_s is not None:
             self.grace_s = grace_s
         #: Respawn budget for start-up crashes (see ``_WorkerHandle``).
@@ -325,21 +293,8 @@ class ProcessExecutor:
         self._rr = itertools.count()
         self._state_lock = threading.Lock()  # counters + respawn
         self._closed = False
-        assignments = (
-            shard_problems(self.problems, workers)
-            if shard
-            else [list(self.problems)] * workers
-        )
-        self.workers = len(assignments)
-        self._workers = [
-            _WorkerHandle(index, assigned)
-            for index, assigned in enumerate(assignments)
-        ]
-        #: problem name -> the handles that serve it (routing table).
-        self._routes: Dict[str, List[_WorkerHandle]] = {
-            name: [h for h in self._workers if name in h.problems]
-            for name in self.problems
-        }
+        self.workers = workers
+        self._workers = [_WorkerHandle(index) for index in range(workers)]
         for handle in self._workers:
             self._start(handle)
 
@@ -351,7 +306,7 @@ class ProcessExecutor:
             target=_pool_worker_main,
             args=(
                 child_conn,
-                {name: self._warm[name] for name in handle.problems},
+                self._warm,
                 # Drawn per spawn, so a one-shot warm crash kills one
                 # worker, not every respawn.
                 faults.fired("worker.warm_crash"),
@@ -381,7 +336,7 @@ class ProcessExecutor:
         if not handle.conn.poll(window):
             raise TimeoutError(
                 f"grading worker {handle.index} did not finish warming "
-                f"{handle.problems} within {window:.0f}s"
+                f"within {window:.0f}s"
             )
         report = handle.conn.recv()
         if report != "ready":
@@ -435,7 +390,7 @@ class ProcessExecutor:
         """Retire a slot whose warmups keep dying (caller holds its lock).
 
         No respawn: ``max_warm_failures`` consecutive warm crashes mean
-        the next fork would crash too. The slot drops out of routing and
+        the next fork would crash too. The slot takes no more requests and
         ``/healthz`` reports it until the process restarts.
         """
         process = handle.process
@@ -452,7 +407,6 @@ class ProcessExecutor:
             level=logging.ERROR,
             worker=handle.index,
             warm_failures=handle.warm_failures,
-            problems=list(handle.problems),
         )
         if OBS.default():
             global_registry().counter(
@@ -497,25 +451,22 @@ class ProcessExecutor:
 
     # -- request path --------------------------------------------------------
 
-    def _acquire(self, problem: str) -> _WorkerHandle:
-        """A locked handle for a worker that serves ``problem``.
+    def _acquire(self) -> _WorkerHandle:
+        """A locked handle for a worker that has not failed for good.
 
-        Preference order, rotating the starting offset so unsharded
-        pools spread load: idle *ready* workers, then idle ones that
-        have not reported in (startup, or a freshly recycled slot — a
-        request stuck waiting on a start-up is strictly worse than one
-        queued behind a short grading), then block on one round-robin —
+        Preference order, rotating the starting offset so the pool
+        spreads load: idle *ready* workers, then idle ones that have not
+        reported in (startup, or a freshly recycled slot — a request
+        stuck waiting on a start-up is strictly worse than one queued
+        behind a short grading), then block on one round-robin —
         fairness comes from the service's admission gate, which bounds
         how many requests contend here.
         """
-        routed = self._routes.get(problem)
-        if not routed:
-            raise KeyError(f"no grading worker serves problem {problem!r}")
-        eligible = [handle for handle in routed if not handle.failed]
+        eligible = [handle for handle in self._workers if not handle.failed]
         if not eligible:
             raise RuntimeError(
-                f"all grading workers for {problem!r} have permanently "
-                "failed (warmup crash cap reached); restart the server"
+                "all grading workers have permanently failed (warmup "
+                "crash cap reached); restart the server"
             )
         offset = next(self._rr)
         count = len(eligible)
@@ -542,14 +493,16 @@ class ProcessExecutor:
         request_id: str = "",
         deadline: Optional[Deadline] = None,
     ) -> dict:
-        """Dispatch one grading to a worker owning ``problem``.
+        """Dispatch one grading to a free worker.
 
         ``deadline`` is accepted for executor-contract parity but unused
         here: monotonic instants do not cross process boundaries, so the
         service ships the *remaining* budget as the config's shrunk
         ``timeout_s`` and the worker restarts a local clock.
         """
-        handle = self._acquire(problem)
+        if problem not in self._warm:
+            raise KeyError(f"no grading worker serves problem {problem!r}")
+        handle = self._acquire()
         window = max(0.0, config.timeout_s) + self.grace_s
         try:
             if not handle.ready:
@@ -654,12 +607,7 @@ class ProcessExecutor:
         return {
             "kind": self.kind,
             "workers": self.workers,
-            "sharded": self.sharded,
             "recycled": recycled,
-            "assignments": {
-                str(handle.index): list(handle.problems)
-                for handle in self._workers
-            },
         }
 
     def health(self) -> dict:

@@ -84,10 +84,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "There is an error" in out
 
-    def test_unknown_problem_errors(self, submission):
-        with pytest.raises(KeyError):
-            main(["grade", submission, "--problem", "nope"])
-
     def test_unknown_engine_rejected(self, submission):
         with pytest.raises(SystemExit):
             main(
@@ -101,12 +97,13 @@ class TestCli:
                 ]
             )
 
-    def test_table1_takes_no_engine(self):
+    def test_table1_takes_no_engine(self, capsys):
         # Table 1 grades with the default engine only; an --engine flag
         # it ignored would mislabel the whole table.
         with pytest.raises(SystemExit) as exc:
-            main(["table1", "--engine", "enumerative", "--only", "nope"])
+            main(["table1", "--engine", "enumerative", "--only", "prodBySum-6.00"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_global_flags_are_backend_and_obs(self, capsys):
         # Exploration tables and triage are always on: their ablation is
@@ -122,22 +119,73 @@ class _PastTheChecks(Exception):
     """``serve`` reached its first step after the flag checks."""
 
 
+@pytest.fixture
+def no_serving(monkeypatch):
+    """Stop ``serve`` right after its flag checks, and fail any fleet or
+    router that starts."""
+
+    def past_the_checks():
+        raise _PastTheChecks
+
+    def no_fleet(*args, **kwargs):
+        pytest.fail("a fleet was launched past a bad flag")
+
+    def no_router(self):
+        self.close()
+        pytest.fail("a router ran past a bad flag")
+
+    # Serving's first step after the checks: wiring events to stderr.
+    monkeypatch.setattr("repro.obs.events.stderr_events", past_the_checks)
+    monkeypatch.setattr("repro.fleet.start_fleet", no_fleet)
+    monkeypatch.setattr("repro.fleet.FleetRouter.run", no_router)
+    yield
+    SLOW_MS.set(None)
+
+
+@pytest.mark.usefixtures("no_serving")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grade", "attempt.py", "--problem", "nope"],
+        ["feedback", "attempt.py", "--problem", "nope"],
+        ["batch", "submissions", "--problem", "nope"],
+        ["table1", "--only", "nope"],
+        ["lint", "--problem", "nope"],
+        ["coverage", "--problem", "nope"],
+        ["serve", "--only", "nope", "--port", "0"],
+        ["serve", "--fleet", "1", "--only", "nope", "--port", "0"],
+        ["route", "127.0.0.1:9", "--only", "nope", "--port", "0"],
+    ],
+    ids=[
+        "grade", "feedback", "batch", "table1", "lint", "coverage", "serve",
+        "serve-fleet", "route",
+    ],
+)
+def test_unknown_problem_is_a_usage_error(capsys, argv):
+    # Refused while parsing, before any grading, warm-up, fleet or router
+    # starts: a traceback (or a router that 404s every grade) said less.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("no_serving")
 class TestServeFlags:
     """``serve`` checks its flags once, before the fleet branch."""
 
-    @pytest.fixture(autouse=True)
-    def stubs(self, monkeypatch):
-        def past_the_checks():
-            raise _PastTheChecks
-
-        def no_fleet(*args, **kwargs):
-            pytest.fail("a fleet was launched past a bad flag")
-
-        # Serving's first step after the checks: wiring events to stderr.
-        monkeypatch.setattr("repro.obs.events.stderr_events", past_the_checks)
-        monkeypatch.setattr("repro.fleet.start_fleet", no_fleet)
-        yield
-        SLOW_MS.set(None)
+    def test_serve_flags_are_pinned(self, capsys):
+        # A new serve knob has to be added here on purpose.
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out))
+        assert flags == {
+            "--help", "--host", "--port", "--jobs", "--executor", "--queue",
+            "--store", "--node-id", "--fleet", "--fleet-logs", "--engine",
+            "--timeout", "--only", "--no-prime", "--verbose", "--slow-ms",
+            "--breaker-threshold", "--breaker-reset", "--faults",
+        }
 
     def test_zero_slow_ms_is_accepted(self):
         # The same rule as REPRO_SLOW_MS=0: every grading counts as slow.
@@ -156,10 +204,10 @@ class TestServeFlags:
         [
             ("--jobs", "0"),
             ("--queue", "-1"),
-            ("--workers", "0"),
             ("--breaker-threshold", "-1"),
             ("--breaker-reset", "0"),
             ("--faults", "nonsense"),
+            ("--fleet-logs", "/dev/null/logs"),
         ],
     )
     def test_bad_flag_is_refused_before_the_fleet(self, fleet, flag, value):

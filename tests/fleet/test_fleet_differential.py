@@ -90,7 +90,7 @@ def tiers(request, warmup):
         executor=executor,
     )
     if executor == "process":
-        kwargs.update(workers=1)
+        kwargs.update(jobs=1)  # one worker per service; requests are sequential
     direct_service = FeedbackService(node_id="direct", **kwargs)
     backend_a = FeedbackService(node_id="fleet-a", **kwargs)
     backend_b = FeedbackService(node_id="fleet-b", **kwargs)

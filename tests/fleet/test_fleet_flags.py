@@ -33,8 +33,8 @@ BUGGY = """def iterPower(base, exp):
 
 COMMAND = [
     "--backend", "interp",
-    "serve", "--fleet", "1", "--executor", "process", "--workers", "1",
-    "--shard-problems", "--breaker-threshold", "2", "--breaker-reset", "9",
+    "serve", "--fleet", "1", "--executor", "process", "--jobs", "1",
+    "--breaker-threshold", "2", "--breaker-reset", "9",
     "--engine", "enumerative", "--timeout", "12", "--only", PROBLEM,
     "--no-prime", "--port", "0",
 ]
@@ -90,7 +90,8 @@ def test_fleet_backends_run_under_the_operators_flags():
         try:
             (node,) = client.stats()["nodes"].values()
             assert node["backend"] == "interp"
-            assert node["executor"]["sharded"] is True
+            assert node["jobs"] == 1
+            assert node["executor"]["workers"] == 1
             assert node["breakers"]["threshold"] == 2
             assert node["breakers"]["reset_s"] == 9.0
             reply = client.grade(PROBLEM, BUGGY)

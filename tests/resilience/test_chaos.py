@@ -428,10 +428,9 @@ class TestDeadlineContract:
     ):
         service = FeedbackService(
             warmup=rush_warmup,
-            jobs=2,
+            jobs=1,
             queue_limit=4,
             executor=executor,
-            workers=1,
         )
         try:
             budget = 2.0

@@ -8,9 +8,6 @@ in-thread executor produces from the same warm state. The Fig. 2
 computeDeriv trio additionally pins real solves (status ``fixed``, the
 paper's costs) across the executor boundary — a worker grading on any
 state but the warm problems it forked from diverges here.
-
-The process service runs *sharded* on purpose: routing must be
-invisible in the records too.
 """
 
 import json
@@ -80,10 +77,8 @@ def executors():
     process_service = FeedbackService(
         warmup=warmup,
         jobs=2,
-        workers=2,
         config=GradingConfig(timeout_s=TIMEOUT_S),
         executor="process",
-        shard=True,
     )
     yield thread_service, process_service
     thread_service.close()

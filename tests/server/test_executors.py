@@ -1,11 +1,12 @@
-"""Process-executor machinery: sharding, routing, recycling, priming.
+"""Process-executor machinery: dispatch, recycling, priming.
 
 The differential suite (``test_executor_differential.py``) proves the
 executors produce identical records; this module tests the machinery
-itself — worker lifecycle, crash/watchdog recycling, shard routing, the
-pool contract (workers serve the parent's warm problems and never warm
-or prime their own) — plus the warm-priming engine fix (the parent
-primes with the *serving* engine, not a hardcoded one).
+itself — worker lifecycle, crash/watchdog recycling, dispatch (every
+worker serves every problem), the pool contract (workers serve the
+parent's warm problems and never warm or prime their own) — plus the
+warm-priming engine fix (the parent primes with the *serving* engine,
+not a hardcoded one).
 """
 
 import gc
@@ -31,7 +32,6 @@ from repro.service.workers import (
     ProcessExecutor,
     default_executor,
     grade_record,
-    shard_problems,
 )
 
 BUGGY = """def iterPower(base, exp):
@@ -74,29 +74,24 @@ class TestExecutorResolution:
         assert default_executor() == "thread"
 
 
-class TestShardAssignment:
-    def test_partition_covers_and_is_disjoint(self):
-        names = [f"p{i}" for i in range(7)]
-        buckets = shard_problems(names, 3)
-        assert len(buckets) == 3
-        flat = [name for bucket in buckets for name in bucket]
-        assert sorted(flat) == sorted(names)  # cover, no duplicates
+TWO_PROBLEMS = ["iterPower-6.00x", "prodBySum-6.00"]
 
-    def test_deterministic_regardless_of_input_order(self):
-        names = ["c", "a", "b", "d"]
-        assert shard_problems(names, 2) == shard_problems(
-            list(reversed(names)), 2
-        )
 
-    def test_more_shards_than_problems_collapses(self):
-        assert shard_problems(["only"], 4) == [["only"]]
+def grade_both(pool):
+    """Grade the buggy iterPower and the prodBySum reference on ``pool``."""
+    config = GradingConfig(timeout_s=20.0)
+    record = pool.grade("iterPower-6.00x", BUGGY, config)
+    assert record["status"] == "fixed"
+    reference = get_problem("prodBySum-6.00").spec.reference_source
+    record = pool.grade("prodBySum-6.00", reference, config)
+    assert record["status"] == "already_correct"
 
 
 @pytest.fixture(scope="module")
 def pool():
-    warmup = warm_registry(names=["iterPower-6.00x", "prodBySum-6.00"])
+    warmup = warm_registry(names=TWO_PROBLEMS)
     executor = ProcessExecutor(
-        problems=list(warmup.problems.values()), workers=2, shard=True
+        problems=list(warmup.problems.values()), workers=1
     )
     executor.wait_ready()
     yield executor
@@ -104,27 +99,33 @@ def pool():
 
 
 class TestProcessExecutor:
-    def test_sharded_routing_serves_both_problems(self, pool):
-        assignments = pool.info()["assignments"]
-        owned = sorted(
-            name for bucket in assignments.values() for name in bucket
-        )
-        assert owned == ["iterPower-6.00x", "prodBySum-6.00"]
-        # Disjoint shards: each worker warmed exactly one problem.
-        assert all(len(bucket) == 1 for bucket in assignments.values())
-        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
-        assert record["status"] == "fixed"
-        reference = get_problem("prodBySum-6.00").spec.reference_source
-        record = pool.grade("prodBySum-6.00", reference, GradingConfig(timeout_s=20.0))
-        assert record["status"] == "already_correct"
+    def test_one_worker_serves_both_problems(self, pool):
+        grade_both(pool)
 
     def test_unrouted_problem_is_an_error(self, pool):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no grading worker serves"):
             pool.grade("not-a-problem", BUGGY, GradingConfig(timeout_s=5.0))
+
+    def test_a_retired_worker_leaves_every_problem_to_the_rest(self):
+        warmup = warm_registry(names=TWO_PROBLEMS, prime=False)
+        fresh = ProcessExecutor(list(warmup.problems.values()), workers=2)
+        try:
+            fresh.wait_ready()
+            assert set(fresh.info()) == {"kind", "workers", "recycled"}
+            # Retired and dead: a grading dispatched to it would come
+            # back as an error record, not a verdict.
+            retired = fresh._workers[0]
+            retired.failed = True
+            retired.process.kill()
+            retired.process.join(10.0)
+            grade_both(fresh)
+            assert fresh.info()["recycled"] == 0
+        finally:
+            fresh.close()
 
     def test_crashed_worker_is_recycled_and_slot_recovers(self, pool):
         recycled_before = pool.info()["recycled"]
-        handle = pool._routes["iterPower-6.00x"][0]
+        handle = pool._workers[0]
         handle.process.kill()  # simulate a segfaulting grading
         handle.process.join(10.0)
         record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
@@ -137,7 +138,7 @@ class TestProcessExecutor:
 
     def test_watchdog_recycles_wedged_worker(self, pool):
         recycled_before = pool.info()["recycled"]
-        handle = pool._routes["iterPower-6.00x"][0]
+        handle = pool._workers[0]
         handle.conn = WedgedConn(handle.conn)
         saved = pool.grace_s
         pool.grace_s = 0.05  # don't sit out the real grace period
@@ -161,7 +162,7 @@ class TestProcessExecutor:
         # ready_timeout_s) and must NOT kill the worker — recycling a
         # healthy-but-warming worker would restart the warmup from zero,
         # forever.
-        handle = pool._routes["iterPower-6.00x"][0]
+        handle = pool._workers[0]
         recycled_before = pool.info()["recycled"]
         real_conn = handle.conn
         handle.conn = WedgedConn(real_conn)  # a warmup that never ends
@@ -185,7 +186,7 @@ class TestProcessExecutor:
         # Dying *during* the warmup (OOM-killed before the ready
         # message) must not leave a permanently dead slot: the pipe EOF
         # in the ready-wait recycles it like any other crash.
-        handle = pool._routes["iterPower-6.00x"][0]
+        handle = pool._workers[0]
         recycled_before = pool.info()["recycled"]
         handle.ready = False  # the warmup never completed...
         handle.process.kill()  # ...because the worker died during it
@@ -257,7 +258,7 @@ class TestWarmInheritance:
         )
         with pytest.raises(WarmupError, match="iterPower-6.00x"):
             main(
-                ["serve", "--executor", "process", "--workers", "2",
+                ["serve", "--executor", "process", "--jobs", "2",
                  "--port", "0", "--only", "iterPower-6.00x"]
             )
 
@@ -334,7 +335,6 @@ class TestServiceIntegration:
             warmup=warmup,
             jobs=2,
             executor="process",
-            workers=2,
             config=GradingConfig(timeout_s=20.0),
         )
         try:
@@ -357,9 +357,10 @@ class TestServiceIntegration:
             service.close()
 
     def test_workers_must_be_positive(self):
+        # A process pool has one worker per grading slot.
         warmup = warm_registry(names=["iterPower-6.00x"])
         with pytest.raises(ValueError):
-            FeedbackService(warmup=warmup, workers=0)
+            FeedbackService(warmup=warmup, jobs=0)
 
 
 class TestCliExecutorResolution:

@@ -217,10 +217,7 @@ class TestRecordIdentity:
 class TestStatsShape:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_latency_section_under_both_executors(self, warmup, executor):
-        kwargs = {"executor": executor}
-        if executor == "process":
-            kwargs.update(workers=2)
-        service = make_service(warmup, **kwargs)
+        service = make_service(warmup, executor=executor)
         try:
             service.grade("iterPower-6.00x", BUGGY)
             service.grade("iterPower-6.00x", BUGGY)  # cache hit
@@ -272,7 +269,7 @@ class TestCanonicalMemo:
 class TestWorkerAggregation:
     def test_worker_gradings_are_counted_in_the_parent(self, warmup):
         """N cache-miss gradings in worker processes → N counted here."""
-        service = make_service(warmup, executor="process", workers=2)
+        service = make_service(warmup, executor="process")
         try:
             one = service.grade("iterPower-6.00x", BUGGY)
             two = service.grade("iterPower-6.00x", BUGGY_OTHER)
@@ -299,7 +296,7 @@ class TestWorkerAggregation:
         assert solve is not None and solve.count == 2
 
     def test_healthz_reports_worker_readiness(self, warmup):
-        service = make_service(warmup, executor="process", workers=2)
+        service = make_service(warmup, executor="process")
         try:
             health = service.healthz()
         finally:

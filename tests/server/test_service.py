@@ -332,9 +332,8 @@ class TestCacheSharingUnderLoad:
 
 
 class TestNodeIdentity:
-    """The fleet router keys its aggregated views by ``node_id`` and
-    reads shard assignments from ``/stats`` — both must be present and
-    stable for the process lifetime."""
+    """The fleet router keys its aggregated views by ``node_id``, so it
+    must be present and stable for the process lifetime."""
 
     def test_explicit_node_id_in_stats_and_healthz(self, warmup):
         service = make_service(warmup, node_id="node-7")
@@ -347,11 +346,6 @@ class TestNodeIdentity:
         assert first  # never empty
         assert service.stats()["node_id"] == first
         assert service.healthz()["node_id"] == first
-
-    def test_thread_executor_reports_one_shard_with_everything(self, warmup):
-        service = make_service(warmup, executor="thread")
-        shards = service.stats()["shards"]
-        assert shards == {"0": ["iterPower-6.00x"]}
 
     def test_store_client_backed_service_persists_through_the_log(
         self, warmup, tmp_path
