@@ -44,6 +44,7 @@ from repro.core.feedback import FeedbackLevel
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES, engine_by_name
 from repro.obs import OBS, SLOW_MS
 from repro.problems import all_problems, get_problem
+from repro.resilience.deadline import MAX_BUDGET_S, budget
 
 
 def cmd_problems(args: argparse.Namespace) -> int:
@@ -481,9 +482,10 @@ def _grading_args(
         parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES)
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=budget,
         default=timeout_s,
-        help=f"per-submission solver budget in seconds (default {timeout_s:g})",
+        help=f"per-submission solver budget in seconds, at most "
+        f"{MAX_BUDGET_S:g} (default {timeout_s:g})",
     )
 
 

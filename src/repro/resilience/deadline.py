@@ -25,7 +25,29 @@ the service's 0.5 s grace.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Union
+
+#: The largest solve budget a request or a ``--timeout`` may ask for: one
+#: day. A pool worker's watchdog waits the budget plus its grace on the
+#: worker's pipe, and ``select`` refuses waits past about 24.8 days.
+MAX_BUDGET_S = 86_400.0
+
+
+def budget(value: Union[str, int, float]) -> float:
+    """A solve budget from outside (a request body, a flag), in seconds.
+
+    A positive, finite number of at most :data:`MAX_BUDGET_S`, or its
+    text; anything else raises :class:`ValueError`. A NaN budget would
+    switch every deadline off (every comparison with NaN is false), so
+    it is refused with the rest.
+    """
+    seconds = float(value) if isinstance(value, str) else value
+    if not 0 < seconds <= MAX_BUDGET_S:
+        raise ValueError(
+            "a solve budget must be a positive number of seconds, at most "
+            f"{MAX_BUDGET_S:g}; got {value!r}"
+        )
+    return float(seconds)
 
 
 class Deadline:

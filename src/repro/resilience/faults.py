@@ -22,14 +22,13 @@ triggers::
 
 Worker processes never consult a plan of their own. The
 :class:`~repro.service.workers.ProcessExecutor` consumes the triggers of
-the points a worker acts out in the parent, with :func:`draw`: per
-request at dispatch, and ``worker.warm_crash`` at spawn. The fired
-points travel with the request and the worker acts them out; a drawn
-fault that ends the request (a crash, a dropped reply) leaves the
-triggers of the points after it unconsumed. So a plan
-armed in the parent, even after startup, governs its workers under any
-multiprocessing start method, and ``n=K`` means K fires across the
-parent, its workers and every respawn, not K per process.
+the points a worker acts out in the parent, with :func:`draw`, per
+request at dispatch. The fired points travel with the request and the
+worker acts them out; a drawn fault that ends the request (a crash, a
+dropped reply) leaves the triggers of the points after it unconsumed.
+So a plan armed in the parent, even after startup, governs its workers,
+and ``n=K`` means K fires across the parent, its workers and every
+respawn, not K per process.
 
 Every fired fault counts once into
 ``repro_faults_injected_total{point=...}`` (observability on), in the
@@ -57,7 +56,6 @@ DEFAULT_DELAY_S = 30.0
 POINTS = frozenset(
     {
         "worker.crash",  # worker exits hard mid-grade
-        "worker.warm_crash",  # worker exits hard during warmup
         "worker.hang",  # worker sleeps past the watchdog grace
         "worker.reply_drop",  # grading result never sent back
         "worker.reply_malformed",  # garbage tuple on the result pipe
@@ -254,11 +252,6 @@ def inject(point: str, exc: Optional[BaseException] = None) -> None:
     """Raise at an armed seam (``exc`` lets IO seams raise OSError)."""
     if enabled() and should_fire(point):
         raise exc if exc is not None else FaultInjected(point)
-
-
-def fired(point: str) -> bool:
-    """Bare trigger consultation for seams with custom fault behavior."""
-    return enabled() and should_fire(point)
 
 
 def draw(points: Sequence[str], ends: Collection[str] = ()) -> Dict[str, float]:

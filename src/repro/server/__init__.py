@@ -17,8 +17,8 @@ recompiles anything. Batch runs grade through the same
   pluggable grading executor: ``thread`` grades on the request thread
   (GIL-bound), ``process`` fans cache misses out over a
   :class:`~repro.service.workers.ProcessExecutor` pool of worker
-  processes forked from the warm, primed problems (optional problem
-  routing, automatic recycling of crashed or wedged workers);
+  processes forked from the warm, primed problems (each serving every
+  problem, automatic recycling of crashed or wedged workers);
 - :mod:`repro.server.http` — stdlib ``ThreadingHTTPServer`` JSON facade
   (``POST /grade``, ``GET /problems``, ``GET /healthz``, ``GET
   /stats``, ``GET /metrics`` Prometheus exposition, ``X-Request-Id``

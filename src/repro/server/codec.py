@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from repro.resilience.deadline import budget
+
 #: Refuse request bodies past this size: the biggest real submissions are
 #: a few KB, so anything megabytes-large is a mistake or abuse.
 MAX_BODY_BYTES = 1 << 20
@@ -56,8 +58,9 @@ def parse_grade_request(payload: object) -> dict:
     """Validate one decoded ``POST /grade`` body; raises ``ValueError``.
 
     Returns a fresh dict with exactly the recognized fields, coerced
-    (``timeout_s`` to float) — the form every tier grades, routes and
-    keys caches from.
+    (``timeout_s`` to a float checked by
+    :func:`~repro.resilience.deadline.budget`) — the form every tier
+    grades, routes and keys caches from.
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
@@ -75,13 +78,9 @@ def parse_grade_request(payload: object) -> dict:
         request["engine"] = engine
     timeout_s = payload.get("timeout_s")
     if timeout_s is not None:
-        if (
-            isinstance(timeout_s, bool)
-            or not isinstance(timeout_s, (int, float))
-            or timeout_s <= 0
-        ):
-            raise ValueError("'timeout_s' must be a positive number")
-        request["timeout_s"] = float(timeout_s)
+        if isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float)):
+            raise ValueError("'timeout_s' must be a number")
+        request["timeout_s"] = budget(timeout_s)
     unknown = set(payload) - GRADE_FIELDS
     if unknown:
         raise ValueError(f"unknown request fields {sorted(unknown)}")

@@ -202,9 +202,6 @@ class FeedbackService:
             self._executor = ProcessExecutor(
                 problems=list(self.warmup.problems.values()), workers=jobs
             )
-            # Block until every worker has reported in: a pool that
-            # cannot start must refuse startup, not fail requests.
-            self._executor.wait_ready()
         else:
             self._executor = ThreadExecutor(self.warmup)
 
@@ -637,20 +634,15 @@ class FeedbackService:
             "problems": len(self.warmup),
             "uptime_s": round(time.monotonic() - self._started, 3),
         }
-        # Process-executor pools report slot readiness (ready / warming /
-        # recycled / permanently failed); the thread executor has nothing
-        # to add.
-        executor_health = self._executor.health()
-        payload.update(executor_health)
+        # A process pool reports its size and its recycles; the thread
+        # executor has nothing to add.
+        payload.update(self._executor.health())
         snapshot = self.breakers.snapshot()
         payload["breakers_open"] = snapshot[OPEN]
         payload["breakers_half_open"] = snapshot[HALF_OPEN]
         # Degraded = some requests are currently answered with partial
-        # feedback or reduced capacity: an open breaker, or a retired
-        # worker slot.
-        payload["degraded"] = bool(
-            snapshot[OPEN] or executor_health.get("workers_failed", 0)
-        )
+        # feedback: an open breaker.
+        payload["degraded"] = bool(snapshot[OPEN])
         return payload
 
     def close(self, drain: bool = True) -> None:

@@ -19,8 +19,7 @@ and refuses to serve.
 Both run under the serving :class:`~repro.service.cache.GradingConfig`,
 so the self-test covers, and warms, what requests grade under, and both
 run once per serving process, in the parent: a process-executor pool
-forks from the warm, primed problems (or, under a pickling start
-method, receives them pickled), so no worker warms or primes.
+forks from the warm, primed problems, so no worker warms or primes.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.compile import BACKEND
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES
@@ -90,14 +90,6 @@ class GradingConfig:
             timeout_s = self.timeout_s
         return cache_key(
             problem, model_digest, canonical, engine or self.engine, timeout_s
-        )
-
-    def prefixes(self, problem: str, model_digest: str) -> Tuple[str, str]:
-        """The key prefixes a stored batch result resumes under: the
-        graded one, then the triaged one."""
-        return (
-            self.key(problem, model_digest, ""),
-            static_key(problem, model_digest, ""),
         )
 
     def override(self, engine: Optional[str], timeout_s: float) -> "GradingConfig":

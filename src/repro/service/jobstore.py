@@ -9,10 +9,11 @@ machine reboot) loses at most the in-flight submissions: every append is
 flushed *and* fsynced before returning, so a completed line survives both
 the process dying and the machine dying. Rerunning with ``resume`` loads
 the completed ids and grades only the remainder. Corrupt trailing lines —
-the signature of a crash mid-write — are ignored on load, as are entries
-whose stored cache key no longer matches the resuming run's configuration
-(problem, model digest, engine, budget): a store written under an edited
-error model must be re-graded, not served as stale reports.
+the signature of a crash mid-write — are ignored on load. Each entry
+keeps the cache key it was graded under, so a resuming
+:class:`~repro.service.runner.BatchRunner` serves it only when the
+submission would get that key now: an edited file, or a store written
+under an edited error model, is re-graded, not served as a stale report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.obs.events import emit
 from repro.service.records import is_record
@@ -36,17 +37,11 @@ class JobStore:
     def exists(self) -> bool:
         return self.path.exists()
 
-    def load(
-        self, key_prefix: Union[str, Tuple[str, ...], None] = None
-    ) -> Dict[str, dict]:
+    def load(self) -> Dict[str, dict]:
         """Completed entries keyed by submission id.
 
         Later lines win (a re-graded submission supersedes its earlier
-        record); malformed lines are skipped. With ``key_prefix`` (one
-        prefix or a tuple of them), entries whose stored cache key starts
-        with none of them are dropped — they were graded under a
-        different problem, error model, engine or solver budget and are
-        stale for the resuming run.
+        record); malformed lines are skipped.
         """
         completed: Dict[str, dict] = {}
         if not self.path.exists():
@@ -68,10 +63,6 @@ class JobStore:
                     and is_record(entry.get("report"))
                 ):
                     corrupt += 1
-                    continue
-                if key_prefix is not None and not str(
-                    entry.get("key") or ""
-                ).startswith(key_prefix):
                     continue
                 completed[entry["id"]] = entry
         if corrupt:

@@ -8,11 +8,12 @@ error records and the executors are the service's. Each
 error model and verifier (by default the process-wide one corpus
 generation fills), and closes it at the end. ``jobs > 1`` feeds
 the served :class:`~repro.service.workers.ProcessExecutor` pool, forked
-from that warm state, from ``jobs`` client threads, so a crashed or
-wedged worker costs one submission an ``error`` record. The runner
-adds what a batch has and a request does not: job-store **resume**,
-results in **input order**, a **progress callback** and
-:class:`BatchStats`.
+from that warm state, from up to ``jobs`` client threads, one worker
+each, so a crashed or wedged worker costs one submission an ``error``
+record. The runner adds what a batch has and a request does not:
+job-store **resume** (a stored result serves a file only under the key
+the file would be graded under now), results in **input order**, a
+**progress callback** and :class:`BatchStats`.
 
 Dedup tradeoff: a duplicate receives its *representative's* report
 verbatim — status, cost and minimality are exact (α-renaming cannot
@@ -22,10 +23,9 @@ flagged ``cached=True`` so callers needing letter-perfect feedback for
 every copy can re-render; the classroom payoff (the one conceptual error
 half the class shares is solved once) is why dedup is the default. The
 representative is the first copy in input order at any ``jobs``: with
-``jobs > 1`` the copies sharing a :meth:`FeedbackService.key
-<repro.server.service.FeedbackService.key>` go to one client thread,
+``jobs > 1`` the copies sharing a cache key go to one client thread,
 first copy first, so the rest are cache hits that never hold a thread
-while it grades.
+while it grades, and the pool has no more workers than distinct keys.
 """
 
 from __future__ import annotations
@@ -46,16 +46,16 @@ from repro.service.cache import (
     DEFAULT_TIMEOUT_S,
     GradingConfig,
     ResultCache,
+    static_key,
 )
-from repro.service.canonical import model_digest
+from repro.service.canonical import canonicalize, model_digest
 from repro.service.jobstore import JobStore
 from repro.service.records import ERROR, record_to_report
 from repro.service.workers import PROCESS, THREAD
 
 # Not called here: the benchmark's per-layer tracer (perfbench/pb/trace.py)
-# looks both up in this module and patches them where they are held.
+# looks it up in this module and patches it where it is held.
 from repro.core.api import generate_feedback  # noqa: F401
-from repro.service.canonical import canonicalize  # noqa: F401
 
 if TYPE_CHECKING:
     from repro.engines.verify import BoundedVerifier
@@ -131,7 +131,7 @@ class BatchRunner:
         self.model = model if model is not None else problem.model
         self.jobs = jobs
         #: Resolved once here (the backend from the process default
-        #: *now*), so the resume prefixes and every run's gradings agree.
+        #: *now*), so the resume keys and every run's gradings agree.
         self.config = GradingConfig(engine or DEFAULT_ENGINE, timeout_s)
         self.cache = cache if cache is not None else ResultCache()
         self.store = store
@@ -143,11 +143,15 @@ class BatchRunner:
             verifier if verifier is not None else _verifier_cache(problem.spec)
         )
         self.stats = BatchStats()
-        #: A stored result resumes only under the same problem, model,
-        #: engine and budget; a triage verdict, filed under the
-        #: engine-independent static address, under the same model.
-        self._resume_prefixes: Tuple[str, ...] = self.config.prefixes(
-            problem.name, model_digest(self.model)
+        self._model_digest = model_digest(self.model)
+
+    def _keys(self, source: str) -> Tuple[str, str]:
+        """The graded and the static key the service gives ``source``."""
+        name = self.problem.name
+        digest = canonicalize(source, self.problem.spec).digest
+        return (
+            self.config.key(name, self._model_digest, digest),
+            static_key(name, self._model_digest, digest),
         )
 
     def run(
@@ -182,17 +186,16 @@ class BatchRunner:
                 if self.progress is not None:
                     self.progress(len(results), len(batch), result)
 
-        # The store drops, at load time, every entry written under another
-        # configuration (e.g. an edited error model): those are re-graded.
-        completed = (
-            self.store.load(key_prefix=self._resume_prefixes)
-            if (self.store and self.resume)
-            else {}
-        )
+        completed = self.store.load() if (self.store and self.resume) else {}
         pending: List[int] = []
         for index, item in enumerate(batch):
             entry = completed.get(item.sid)
-            if entry is None:
+            # A stored result resumes only under a key the service would
+            # file this source under now: the same problem, model, engine
+            # and budget (a triage verdict: the same model) and the same
+            # submission up to α-renaming. Anything else, an edited file
+            # or an edited error model, is re-graded.
+            if entry is None or entry.get("key") not in self._keys(item.source):
                 pending.append(index)
                 continue
             # Seed the cache so still-pending duplicates of this
@@ -202,7 +205,16 @@ class BatchRunner:
             settle(index, entry["report"], entry["key"], None)
 
         if pending:
-            service = self._service(jobs=min(self.jobs, len(pending)))
+            copies: Dict[str, List[int]] = {}
+            if self.jobs > 1:
+                for index in pending:
+                    key = self._keys(batch[index].source)[0]
+                    copies.setdefault(key, []).append(index)
+            # A client thread per distinct submission, up to ``jobs``, and a
+            # pool worker per client thread: a copy is a cache hit on its
+            # representative's thread.
+            workers = min(self.jobs, len(copies)) if copies else 1
+            service = self._service(jobs=workers)
 
             def grade(indices: List[int]) -> None:
                 for index in indices:
@@ -213,11 +225,7 @@ class BatchRunner:
                 if self.jobs == 1:
                     grade(pending)
                 else:
-                    copies: Dict[str, List[int]] = {}
-                    for index in pending:
-                        key = service.key(self.problem.name, batch[index].source)
-                        copies.setdefault(key, []).append(index)
-                    clients = ThreadPoolExecutor(min(self.jobs, len(copies)))
+                    clients = ThreadPoolExecutor(workers)
                     try:
                         list(clients.map(grade, copies.values()))
                     finally:

@@ -11,14 +11,14 @@ solve. This module owns the way a grading actually runs:
   through a :class:`~repro.server.service.FeedbackService` over it).
   The pool takes the parent's warm problems
   (:class:`~repro.server.warm.WarmProblem`): the parent builds, primes
-  and self-tests them once, and a worker serves from the copy it
-  inherits at fork (under a pickling start method the same state
-  arrives pickled). A worker never warms, builds a verifier table or
-  primes; its *warmup* is reporting in. Every worker serves every
-  warm problem, so a request goes to any free worker. A worker that
-  crashes or blows through its watchdog budget is **recycled** —
-  killed and respawned from the same warm parent — so one pathological
-  submission can never permanently wedge a grading slot.
+  and self-tests them once, and every worker is forked from it and
+  serves the copy it inherits. A worker never warms, builds a verifier
+  table or primes, so it has nothing to start: it serves from the
+  moment it exists. Every worker serves every warm problem, so a
+  request goes to any free worker. A worker that crashes or blows
+  through its watchdog budget is **recycled** — killed and forked anew
+  from the same warm parent — so one pathological submission can never
+  permanently wedge a grading slot.
 
 The thread executor (grade on the calling request thread) lives next to
 :class:`~repro.server.service.FeedbackService`; both satisfy the same
@@ -138,30 +138,17 @@ def grade_record(
 # -- the preforked worker pool -------------------------------------------------
 
 
-def _pool_worker_main(
-    conn,
-    state: Dict[str, "WarmProblem"],
-    warm_crash: bool = False,
-) -> None:
-    """One pool worker: report in, then serve the pipe from ``state``.
+def _pool_worker_main(conn, state: Dict[str, "WarmProblem"]) -> None:
+    """One pool worker: serve the pipe from ``state``.
 
-    Runs in the child process. ``state`` is the parent's warm problems,
+    Runs in the forked child. ``state`` is the parent's warm problems,
     built and primed before the fork: the worker grades against them as
     they are. The parent dispatches only problems it warmed.
 
-    The worker consults no fault plan: it drops any it inherited or read
-    from the environment, and acts out only what the parent drew for it
-    (``warm_crash`` at spawn, a set of points per request).
+    The worker consults no fault plan: it drops the one it inherited and
+    acts out only what the parent drew for each request.
     """
     faults.configure(None)
-    # Chaos seam: a worker that dies before it reports in — the parent
-    # must cap respawns instead of thrashing forever.
-    if warm_crash:
-        os._exit(32)
-    try:
-        conn.send("ready")
-    except OSError:
-        return
     # A forked worker holds its own pipe's parent end open, so a parent
     # killed without a drain never shows up as EOF here: watch the
     # parent's sentinel too, and leave when only it is ready.
@@ -221,28 +208,13 @@ def _pool_worker_main(
 class _WorkerHandle:
     """Parent-side view of one worker process (one request at a time)."""
 
-    __slots__ = (
-        "index",
-        "process",
-        "conn",
-        "lock",
-        "ready",
-        "warm_failures",
-        "failed",
-    )
+    __slots__ = ("index", "process", "conn", "lock")
 
     def __init__(self, index: int):
         self.index = index
         self.process = None
         self.conn = None
         self.lock = threading.Lock()
-        self.ready = False
-        #: Consecutive start-ups that died before reporting in. At
-        #: ``max_warm_failures`` the slot is marked ``failed`` and never
-        #: respawned — a worker that crashes every start-up would
-        #: otherwise thrash forks forever.
-        self.warm_failures = 0
-        self.failed = False
 
 
 class ProcessExecutor:
@@ -251,10 +223,10 @@ class ProcessExecutor:
     ``problems`` are the parent's warm problems, already built (and
     primed, when the caller primes): construction forks ``workers``
     processes at once, each serving every problem from the copy it
-    inherits. A ``WarmProblem`` pickles, so the same state reaches a
-    worker under any multiprocessing start method. Call
-    :meth:`wait_ready` to block until every worker has reported in — the
-    service does this before taking traffic.
+    inherits. The pool always forks, whatever the platform's default
+    start method: nothing is pickled to a worker, and it has nothing to
+    start. A fork that fails stops the workers already forked and
+    raises, so a pool that cannot start refuses startup.
     """
 
     kind = PROCESS
@@ -265,17 +237,7 @@ class ProcessExecutor:
     #: work), not slow — kill and respawn it.
     grace_s = 15.0
 
-    #: How long a worker may take to report in before the executor
-    #: declares startup failed.
-    ready_timeout_s = 600.0
-
-    def __init__(
-        self,
-        problems: Sequence["WarmProblem"],
-        workers: int = 2,
-        grace_s: Optional[float] = None,
-        max_warm_failures: int = 3,
-    ):
+    def __init__(self, problems: Sequence["WarmProblem"], workers: int = 2):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if not problems:
@@ -284,19 +246,19 @@ class ProcessExecutor:
         self._warm: Dict[str, "WarmProblem"] = {
             warm.name: warm for warm in problems
         }
-        if grace_s is not None:
-            self.grace_s = grace_s
-        #: Respawn budget for start-up crashes (see ``_WorkerHandle``).
-        self.max_warm_failures = max_warm_failures
-        self._ctx = multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context("fork")
         self._recycled = 0
         self._rr = itertools.count()
         self._state_lock = threading.Lock()  # counters + respawn
         self._closed = False
         self.workers = workers
         self._workers = [_WorkerHandle(index) for index in range(workers)]
-        for handle in self._workers:
-            self._start(handle)
+        try:
+            for handle in self._workers:
+                self._start(handle)
+        except BaseException:
+            self.close()
+            raise
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -304,13 +266,7 @@ class ProcessExecutor:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(
-                child_conn,
-                self._warm,
-                # Drawn per spawn, so a one-shot warm crash kills one
-                # worker, not every respawn.
-                faults.fired("worker.warm_crash"),
-            ),
+            args=(child_conn, self._warm),
             name=f"repro-grader-{handle.index}",
             daemon=True,
         )
@@ -318,51 +274,6 @@ class ProcessExecutor:
         child_conn.close()
         handle.process = process
         handle.conn = parent_conn
-        handle.ready = False
-
-    def _await_ready(
-        self, handle: _WorkerHandle, timeout: Optional[float] = None
-    ) -> None:
-        """Consume the worker's startup report (caller holds its lock).
-
-        Raises :class:`TimeoutError` when the worker has not reported in
-        yet (it may be healthy, just slow to start — do not kill it) and
-        :class:`RuntimeError` when its first message is not that report
-        (:class:`EOFError` when it died first).
-        """
-        if handle.ready:
-            return
-        window = timeout if timeout is not None else self.ready_timeout_s
-        if not handle.conn.poll(window):
-            raise TimeoutError(
-                f"grading worker {handle.index} did not finish warming "
-                f"within {window:.0f}s"
-            )
-        report = handle.conn.recv()
-        if report != "ready":
-            raise RuntimeError(
-                f"grading worker {handle.index} sent {report!r:.80} "
-                "instead of its ready report"
-            )
-        handle.ready = True
-        handle.warm_failures = 0
-
-    def wait_ready(self) -> None:
-        """Block until every worker has reported in; raise on failure.
-
-        A failed worker (one that cannot load its warm state under a
-        pickling start method, say) fails the whole executor — a pool
-        that silently serves a subset of its problems would turn
-        requests for the rest into errors much harder to diagnose than a
-        refused startup.
-        """
-        try:
-            for handle in self._workers:
-                with handle.lock:
-                    self._await_ready(handle)
-        except BaseException:
-            self.close()
-            raise
 
     def _recycle(self, handle: _WorkerHandle) -> None:
         """Kill and respawn a crashed/wedged worker (caller holds lock)."""
@@ -384,37 +295,6 @@ class ProcessExecutor:
             global_registry().counter(
                 "repro_worker_recycles_total",
                 help="Grading workers killed and respawned (crash/wedge)",
-            ).inc()
-
-    def _fail_permanently(self, handle: _WorkerHandle) -> None:
-        """Retire a slot whose warmups keep dying (caller holds its lock).
-
-        No respawn: ``max_warm_failures`` consecutive warm crashes mean
-        the next fork would crash too. The slot takes no more requests and
-        ``/healthz`` reports it until the process restarts.
-        """
-        process = handle.process
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join(5.0)
-        if handle.conn is not None:
-            handle.conn.close()
-            handle.conn = None
-        handle.ready = False
-        handle.failed = True
-        emit(
-            "worker_failed_permanently",
-            level=logging.ERROR,
-            worker=handle.index,
-            warm_failures=handle.warm_failures,
-        )
-        if OBS.default():
-            global_registry().counter(
-                "repro_worker_permanent_failures_total",
-                help=(
-                    "Grading workers retired after repeated warmup "
-                    "failures (never respawned)"
-                ),
             ).inc()
 
     def close(self) -> None:
@@ -452,36 +332,20 @@ class ProcessExecutor:
     # -- request path --------------------------------------------------------
 
     def _acquire(self) -> _WorkerHandle:
-        """A locked handle for a worker that has not failed for good.
+        """A locked worker handle.
 
-        Preference order, rotating the starting offset so the pool
-        spreads load: idle *ready* workers, then idle ones that have not
-        reported in (startup, or a freshly recycled slot — a request
-        stuck waiting on a start-up is strictly worse than one queued
-        behind a short grading), then block on one round-robin —
-        fairness comes from the service's admission gate, which bounds
+        One non-blocking pass over the pool, rotating the starting offset
+        so the pool spreads load, then a block on one worker round-robin
+        — fairness comes from the service's admission gate, which bounds
         how many requests contend here.
         """
-        eligible = [handle for handle in self._workers if not handle.failed]
-        if not eligible:
-            raise RuntimeError(
-                "all grading workers have permanently failed (warmup "
-                "crash cap reached); restart the server"
-            )
         offset = next(self._rr)
-        count = len(eligible)
-        for only_ready in (True, False):
-            for index in range(count):
-                handle = eligible[(offset + index) % count]
-                # handle.ready is read unlocked: stale False just demotes
-                # a freshly-ready worker to the second pass.
-                if only_ready and not handle.ready:
-                    continue
-                if handle.lock.acquire(blocking=False):
-                    return handle
-        ready = [handle for handle in eligible if handle.ready]
-        pool = ready or eligible
-        handle = pool[offset % len(pool)]
+        count = len(self._workers)
+        for index in range(count):
+            handle = self._workers[(offset + index) % count]
+            if handle.lock.acquire(blocking=False):
+                return handle
+        handle = self._workers[offset % count]
         handle.lock.acquire()
         return handle
 
@@ -505,38 +369,6 @@ class ProcessExecutor:
         handle = self._acquire()
         window = max(0.0, config.timeout_s) + self.grace_s
         try:
-            if not handle.ready:
-                # A freshly recycled worker reports in asynchronously;
-                # wait at most this request's own budget for it — holding
-                # the admission slot for ready_timeout_s would re-create
-                # the wedge the watchdog exists to break.
-                try:
-                    self._await_ready(handle, timeout=window)
-                except TimeoutError as exc:
-                    # Not reported in yet — healthy, just slow. Leave it
-                    # alone (killing it would restart it from zero).
-                    return error_record(problem, exc)
-                except (EOFError, RuntimeError, OSError) as exc:
-                    # Start-up failed outright (the worker died before
-                    # reporting in and the pipe hit EOF, or garbled its
-                    # report): this worker will never serve as-is.
-                    # Ordering matters — TimeoutError is an OSError, so
-                    # the leave-it-alone case is caught above. Respawn up
-                    # to the cap; past it the slot is retired for good (a
-                    # deterministic warm crash would thrash forks forever).
-                    handle.warm_failures += 1
-                    if handle.warm_failures >= self.max_warm_failures:
-                        self._fail_permanently(handle)
-                        return error_record(
-                            problem,
-                            RuntimeError(
-                                f"grading worker {handle.index} failed "
-                                f"warmup {handle.warm_failures} times and "
-                                f"was permanently retired ({exc})"
-                            ),
-                        )
-                    self._recycle(handle)
-                    return error_record(problem, exc)
             try:
                 handle.conn.send(
                     (
@@ -548,32 +380,9 @@ class ProcessExecutor:
                         faults.draw(_WORKER_FAULTS, _WORKER_FAULT_ENDS),
                     )
                 )
-                if handle.conn.poll(window):
-                    reply = handle.conn.recv()
-                    if (
-                        isinstance(reply, tuple)
-                        and len(reply) >= 2
-                        and reply[0] == "record"
-                        and isinstance(reply[1], dict)
-                    ):
-                        # Counted here, from the record: /metrics and
-                        # /stats in the parent cover every worker.
-                        if OBS.default():
-                            observe_grading(reply[1], config.engine)
-                        return reply[1]
-                    # A reply the parent cannot parse means the worker's
-                    # pipe framing can no longer be trusted — recycle it
-                    # rather than raise through the service layer.
-                    self._recycle(handle)
-                    return error_record(
-                        problem,
-                        RuntimeError(
-                            f"grading worker {handle.index} sent a "
-                            f"malformed reply ({reply!r:.80}); worker "
-                            "recycled"
-                        ),
-                    )
-            except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
+                replied = handle.conn.poll(window)
+                reply = handle.conn.recv() if replied else None
+            except (EOFError, OSError) as exc:
                 # The worker died mid-request; the submission's grading is
                 # lost (status=error, never cached) but the slot is not.
                 self._recycle(handle)
@@ -584,15 +393,44 @@ class ProcessExecutor:
                         f"({type(exc).__name__}); worker recycled"
                     ),
                 )
-            # poll() timed out: the engine's own deadline is long past, so
-            # the worker is wedged — recycle it and report the loss.
+            except BaseException:
+                # The request is on the pipe and its reply unread (a wait
+                # the OS refuses, an interrupt): that reply would answer
+                # the next request here, so this worker goes.
+                self._recycle(handle)
+                raise
+            if not replied:
+                # The engine's own deadline is long past, so the worker
+                # is wedged — recycle it and report the loss.
+                self._recycle(handle)
+                return error_record(
+                    problem,
+                    TimeoutError(
+                        f"grading worker {handle.index} still busy "
+                        f"{self.grace_s:.0f}s past the "
+                        f"{config.timeout_s:.0f}s budget; worker recycled"
+                    ),
+                )
+            if (
+                isinstance(reply, tuple)
+                and len(reply) >= 2
+                and reply[0] == "record"
+                and isinstance(reply[1], dict)
+            ):
+                # Counted here, from the record: /metrics and /stats in
+                # the parent cover every worker.
+                if OBS.default():
+                    observe_grading(reply[1], config.engine)
+                return reply[1]
+            # A reply the parent cannot parse means the worker's pipe
+            # framing can no longer be trusted — recycle it rather than
+            # raise through the service layer.
             self._recycle(handle)
             return error_record(
                 problem,
-                TimeoutError(
-                    f"grading worker {handle.index} still busy "
-                    f"{self.grace_s:.0f}s past the {config.timeout_s:.0f}s "
-                    "budget; worker recycled"
+                RuntimeError(
+                    f"grading worker {handle.index} sent a malformed reply "
+                    f"({reply!r:.80}); worker recycled"
                 ),
             )
         finally:
@@ -611,19 +449,7 @@ class ProcessExecutor:
         }
 
     def health(self) -> dict:
-        """The ``GET /healthz`` view of the pool: slot readiness.
-
-        ``ready`` flags are read unlocked — a worker that just reported
-        in may briefly count as warming, never the reverse for long.
-        """
-        ready = sum(1 for handle in self._workers if handle.ready)
-        failed = sum(1 for handle in self._workers if handle.failed)
+        """The ``GET /healthz`` view of the pool: its size and recycles."""
         with self._state_lock:
             recycled = self._recycled
-        return {
-            "workers": self.workers,
-            "workers_ready": ready,
-            "workers_warming": self.workers - ready - failed,
-            "workers_failed": failed,
-            "workers_recycled": recycled,
-        }
+        return {"workers": self.workers, "workers_recycled": recycled}

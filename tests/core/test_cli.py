@@ -171,6 +171,26 @@ def test_unknown_problem_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.usefixtures("no_serving")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["feedback", "attempt.py", "--problem", "iterPower-6.00x"],
+        ["serve", "--port", "0"],
+    ],
+)
+@pytest.mark.parametrize("timeout", ["0", "nan", "inf"])
+def test_a_budget_that_is_not_positive_and_finite_is_a_usage_error(
+    capsys, argv, timeout
+):
+    # 0 answers every grading with a timeout, and NaN switches every
+    # deadline off: refused while parsing, before anything starts.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--timeout", timeout])
+    assert exc.value.code == 2
+    assert "argument --timeout: invalid budget value" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("no_serving")
 class TestServeFlags:
     """``serve`` checks its flags once, before the fleet branch."""
 

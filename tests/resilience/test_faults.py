@@ -95,11 +95,6 @@ class TestProcessWidePlan:
         # Exhausted: nothing drawn.
         assert faults.draw(("grade.slow",)) == {}
 
-    def test_fired_consumes_trigger(self):
-        faults.arm("worker.reply_drop", count=1)
-        assert faults.fired("worker.reply_drop")
-        assert not faults.fired("worker.reply_drop")
-
     def test_draw_stops_at_a_fault_that_ends_the_request(self):
         # A crash ends the request: the slow point after it is never
         # acted out, so it keeps its shot for the next draw.

@@ -47,6 +47,11 @@ def test_optional_fields_stay_off_the_wire_when_unset():
         {"problem": "p", "source": "s", "timeout_s": -1},
         {"problem": "p", "source": "s", "timeout_s": True},
         {"problem": "p", "source": "s", "timeout_s": "30"},
+        # NaN would switch every deadline off; json.loads parses NaN and
+        # Infinity. A budget is at most a day.
+        {"problem": "p", "source": "s", "timeout_s": float("nan")},
+        {"problem": "p", "source": "s", "timeout_s": float("inf")},
+        {"problem": "p", "source": "s", "timeout_s": 1e7},
         {"problem": "p", "source": "s", "typo_field": 1},
     ],
 )

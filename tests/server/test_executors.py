@@ -10,8 +10,8 @@ not a hardcoded one).
 """
 
 import gc
+import multiprocessing
 import os
-import pickle
 import select
 import signal
 import subprocess
@@ -26,13 +26,7 @@ from repro.problems import get_problem
 from repro.server import FeedbackService, WarmupError, warm_registry
 from repro.server import warm as warm_mod
 from repro.service import GradingConfig
-from repro.service.records import comparable_record
-from repro.service.workers import (
-    EXECUTOR,
-    ProcessExecutor,
-    default_executor,
-    grade_record,
-)
+from repro.service.workers import EXECUTOR, ProcessExecutor, default_executor
 
 BUGGY = """def iterPower(base, exp):
     result = 0
@@ -44,7 +38,7 @@ BUGGY = """def iterPower(base, exp):
 
 class WedgedConn:
     """A connection whose replies never arrive: deterministic stand-in
-    for a worker stuck in uninterruptible work (or still warming)."""
+    for a worker stuck in uninterruptible work."""
 
     def __init__(self, conn):
         self._conn = conn
@@ -93,7 +87,6 @@ def pool():
     executor = ProcessExecutor(
         problems=list(warmup.problems.values()), workers=1
     )
-    executor.wait_ready()
     yield executor
     executor.close()
 
@@ -105,23 +98,6 @@ class TestProcessExecutor:
     def test_unrouted_problem_is_an_error(self, pool):
         with pytest.raises(KeyError, match="no grading worker serves"):
             pool.grade("not-a-problem", BUGGY, GradingConfig(timeout_s=5.0))
-
-    def test_a_retired_worker_leaves_every_problem_to_the_rest(self):
-        warmup = warm_registry(names=TWO_PROBLEMS, prime=False)
-        fresh = ProcessExecutor(list(warmup.problems.values()), workers=2)
-        try:
-            fresh.wait_ready()
-            assert set(fresh.info()) == {"kind", "workers", "recycled"}
-            # Retired and dead: a grading dispatched to it would come
-            # back as an error record, not a verdict.
-            retired = fresh._workers[0]
-            retired.failed = True
-            retired.process.kill()
-            retired.process.join(10.0)
-            grade_both(fresh)
-            assert fresh.info()["recycled"] == 0
-        finally:
-            fresh.close()
 
     def test_crashed_worker_is_recycled_and_slot_recovers(self, pool):
         recycled_before = pool.info()["recycled"]
@@ -154,52 +130,77 @@ class TestProcessExecutor:
         record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
         assert record["status"] == "fixed"
 
-    def test_rewarming_worker_is_not_killed_by_impatient_requests(
-        self, pool
+    def test_a_failed_fork_stops_the_workers_already_forked(
+        self, iterpower_warm, monkeypatch
     ):
-        # A recycled worker re-warms asynchronously. A request landing on
-        # it during the warmup must fail fast (its own budget, not
-        # ready_timeout_s) and must NOT kill the worker — recycling a
-        # healthy-but-warming worker would restart the warmup from zero,
-        # forever.
-        handle = pool._workers[0]
-        recycled_before = pool.info()["recycled"]
-        real_conn = handle.conn
-        handle.conn = WedgedConn(real_conn)  # a warmup that never ends
-        handle.ready = False
-        saved = pool.grace_s
-        pool.grace_s = 0.05
-        try:
-            record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=0.0))
-        finally:
-            pool.grace_s = saved
-            handle.conn = real_conn
-            handle.ready = True
-        assert record["status"] == "error"
-        assert "did not finish warming" in record["detail"]
-        assert pool.info()["recycled"] == recycled_before  # left alone
-        assert handle.process.is_alive()
-        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
-        assert record["status"] == "fixed"
+        # A pool that cannot start refuses startup, and leaves no worker
+        # behind to wait for its parent's exit.
+        forked = []
+        fork = ProcessExecutor._start
 
-    def test_worker_crashing_mid_warm_is_recycled(self, pool):
-        # Dying *during* the warmup (OOM-killed before the ready
-        # message) must not leave a permanently dead slot: the pipe EOF
-        # in the ready-wait recycles it like any other crash.
-        handle = pool._workers[0]
+        def second_fork_fails(self, handle):
+            if forked:
+                raise OSError("fork failed")
+            fork(self, handle)
+            forked.append(handle.process)
+
+        monkeypatch.setattr(ProcessExecutor, "_start", second_fork_fails)
+        with pytest.raises(OSError, match="fork failed"):
+            ProcessExecutor([iterpower_warm], workers=2)
+        (first,) = forked
+        first.join(10.0)
+        assert not first.is_alive()
+
+    def test_a_failed_wait_leaves_no_reply_for_the_next_request(self, pool):
+        # The request is on the worker's pipe when the wait for its reply
+        # fails (select refuses a wait this long): the worker goes, so
+        # its late reply cannot answer the next request.
         recycled_before = pool.info()["recycled"]
-        handle.ready = False  # the warmup never completed...
-        handle.process.kill()  # ...because the worker died during it
-        handle.process.join(10.0)
-        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
-        assert record["status"] == "error"
+        with pytest.raises(OverflowError):
+            pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=1e7))
+        reference = get_problem("iterPower-6.00x").spec.reference_source
+        record = pool.grade(
+            "iterPower-6.00x", reference, GradingConfig(timeout_s=20.0)
+        )
+        assert record["status"] == "already_correct"  # not BUGGY's "fixed"
         assert pool.info()["recycled"] == recycled_before + 1
-        record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
-        assert record["status"] == "fixed"
 
 
 def refuse_to_warm(*args, **kwargs):
     raise AssertionError("a pool worker called warm_problem")
+
+
+def _src_root():
+    """The directory ``repro`` imports from, for a child interpreter."""
+    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+#: Makes ``spawn`` the default start method, patches grading to raise,
+#: then grades the reference on a 1-worker pool and prints the record's
+#: status and detail.
+SPAWN_DEFAULT = """
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+from repro.problems import get_problem
+from repro.server.warm import warm_problem
+from repro.service import GradingConfig
+from repro.service import workers
+
+warm = warm_problem(get_problem("iterPower-6.00x"), prime=False)
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("refused")
+
+workers.generate_feedback = refuse
+pool = workers.ProcessExecutor([warm], workers=1)
+try:
+    record = pool.grade(
+        warm.name, warm.spec.reference_source, GradingConfig(timeout_s=20.0)
+    )
+finally:
+    pool.close()
+print(record["status"], record.get("detail", ""))
+"""
 
 
 @pytest.fixture
@@ -219,7 +220,7 @@ class TestWarmInheritance:
         monkeypatch.setattr(warm_mod, "warm_problem", refuse_to_warm)
         pool = ProcessExecutor([iterpower_warm], workers=2)
         try:
-            pool.wait_ready()
+            assert set(pool.info()) == {"kind", "workers", "recycled"}
             # Two idle workers, so consecutive requests go to each in turn.
             for _ in range(2):
                 record = pool.grade(
@@ -229,18 +230,23 @@ class TestWarmInheritance:
         finally:
             pool.close()
 
-    def test_a_warm_problem_grades_the_same_after_a_pickle_round_trip(
-        self, iterpower_warm
-    ):
-        # What a worker receives under a pickling start method.
-        clone = pickle.loads(pickle.dumps(iterpower_warm))
-        assert clone.info() == iterpower_warm.info()
-        config = GradingConfig(timeout_s=20.0)
-        record = grade_record(iterpower_warm, BUGGY, config)
-        assert record["status"] == "fixed"
-        assert comparable_record(
-            grade_record(clone, BUGGY, config)
-        ) == comparable_record(record)
+    @pytest.mark.skipif(
+        "spawn" not in multiprocessing.get_all_start_methods(),
+        reason="needs the spawn start method",
+    )
+    def test_the_pool_forks_whatever_the_default_start_method(self):
+        # Grading is patched to raise in the parent: a forked worker
+        # inherits the patch and answers with its error, where a spawned
+        # one would import the real grading call and grade the reference.
+        out = subprocess.run(
+            [sys.executable, "-c", SPAWN_DEFAULT],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=_src_root()),
+            timeout=120.0,
+            check=True,
+        ).stdout
+        assert out.strip() == "error RuntimeError: refused"
 
     def test_a_failed_self_test_refuses_startup_before_any_fork(
         self, monkeypatch
@@ -263,8 +269,8 @@ class TestWarmInheritance:
             )
 
 
-#: A server that builds a 2-worker pool, reports the worker pids once
-#: every worker has reported in, then idles until it is killed.
+#: A server that builds a 2-worker pool, reports the worker pids right
+#: after, then idles until it is killed.
 POOL_SERVER = """
 import time
 from repro.problems import get_problem
@@ -273,7 +279,6 @@ from repro.service.workers import ProcessExecutor
 
 warm = warm_problem(get_problem("iterPower-6.00x"), prime=False)
 pool = ProcessExecutor([warm], workers=2)
-pool.wait_ready()
 print(*(handle.process.pid for handle in pool._workers), flush=True)
 time.sleep(600)
 """
@@ -295,12 +300,11 @@ class TestOrphanedWorkers:
     def test_workers_exit_when_their_server_is_killed(self):
         # A server killed without a drain (SIGKILL) must not leave its
         # pool workers behind, blocked on a pipe nobody writes to.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         server = subprocess.Popen(
             [sys.executable, "-c", POOL_SERVER],
             stdout=subprocess.PIPE,
             text=True,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=_src_root()),
         )
         pids = []
         try:

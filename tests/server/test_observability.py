@@ -301,9 +301,12 @@ class TestWorkerAggregation:
             health = service.healthz()
         finally:
             service.close()
+        # A forked worker has nothing to start: the pool reports its
+        # size and its recycles, and nothing about readiness.
+        assert {key for key in health if key.startswith("workers")} == {
+            "workers", "workers_recycled",
+        }
         assert health["workers"] == 2
-        assert health["workers_ready"] == 2
-        assert health["workers_warming"] == 0
         assert health["workers_recycled"] == 0
 
 

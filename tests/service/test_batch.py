@@ -194,6 +194,26 @@ class TestParallelBatchAccounting:
         assert [r.report.status for r in results] == EXPECTED
         assert runner.stats.dedup_hits == 2
 
+    def test_the_pool_has_a_worker_per_distinct_submission_at_most(
+        self, monkeypatch
+    ):
+        # Four copies of one submission: one grading, three duplicates,
+        # so a second worker would serve no client.
+        sizes = []
+        build = BatchRunner._service
+
+        def spying(runner, jobs):
+            service = build(runner, jobs)
+            sizes.append(service.stats()["executor"]["workers"])
+            return service
+
+        monkeypatch.setattr(BatchRunner, "_service", spying)
+        runner = BatchRunner(PROBLEM, jobs=2, timeout_s=20)
+        runner.run([BUGGY] * 4)
+        assert sizes == [1]
+        assert runner.stats.graded == 1
+        assert runner.stats.dedup_hits == 3
+
     def test_client_threads_lose_no_update(self, tmp_path):
         # More client threads than cores, switching as often as the
         # interpreter allows: every item still settles exactly once, in
@@ -470,26 +490,42 @@ class TestTriagedResume:
 
 
 class TestStaleResume:
-    def test_load_key_prefix_drops_stale_entries(self, tmp_path):
-        store = JobStore(tmp_path / "results.jsonl")
-        store.append("alice.py", _RECORD, key="p:aa:cegismin:t20:" + "1" * 64)
-        store.append("bob.py", _RECORD, key="p:bb:cegismin:t20:" + "2" * 64)
-        store.append("carol.py", _RECORD, key=None)
-        assert len(store.load()) == 3
-        kept = store.load(key_prefix="p:aa:cegismin:t20:")
-        assert set(kept) == {"alice.py"}
-
     def test_resume_after_model_change_regrades(self, tmp_path):
         # The stale-resume bug: a job store written under one model
-        # digest must not satisfy a resume under another. The store-level
-        # filter (not just the runner's own check) drops the entries.
-        store = JobStore(tmp_path / "results.jsonl")
+        # digest must not satisfy a resume under another.
+        path = tmp_path / "results.jsonl"
+        store = JobStore(path)
         BatchRunner(PROBLEM, jobs=1, timeout_s=20, store=store).run([ITEMS[0]])
-        entry = next(iter(store.load().values()))
-        stale_prefix = entry["key"].rsplit(":", 1)[0].replace(
-            entry["key"].split(":")[1], "f" * 16
+        digest = next(iter(store.load().values()))["key"].split(":")[1]
+        path.write_text(path.read_text().replace(digest, "f" * len(digest)))
+        resumed = BatchRunner(
+            PROBLEM, jobs=1, timeout_s=20, store=store, resume=True
         )
-        assert store.load(key_prefix=stale_prefix + ":") == {}
+        (result,) = resumed.run([ITEMS[0]])
+        assert not result.resumed
+        assert resumed.stats.graded == 1
+
+    def test_resume_regrades_an_edited_file(self, tmp_path):
+        # The stored record answers the file as it was: once a.py is
+        # replaced by the reference, it is graded again. An α-renamed
+        # copy has the stored key, so it still resumes.
+        store = JobStore(tmp_path / "results.jsonl")
+        BatchRunner(PROBLEM, jobs=1, timeout_s=20, store=store).run(
+            [BatchItem("a.py", BUGGY), BatchItem("b.py", BUGGY)]
+        )
+        resumed = BatchRunner(
+            PROBLEM, jobs=1, timeout_s=20, store=store, resume=True
+        )
+        edited, renamed = resumed.run(
+            [
+                BatchItem("a.py", PROBLEM.spec.reference_source),
+                BatchItem("b.py", BUGGY_RENAMED),
+            ]
+        )
+        assert not edited.resumed
+        assert edited.report.status == "already_correct"
+        assert renamed.resumed
+        assert renamed.report.status == "fixed"
 
 
 class TestErrorRecords:
@@ -564,16 +600,3 @@ class TestBatchExitCode:
         )
         capsys.readouterr()
         assert code == 0
-
-
-_RECORD = {
-    "v": 1,
-    "status": "fixed",
-    "problem": "p",
-    "cost": 1,
-    "minimal": True,
-    "fixed_source": None,
-    "wall_time": 0.1,
-    "detail": "",
-    "items": [],
-}

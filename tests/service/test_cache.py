@@ -172,15 +172,6 @@ class TestPinnedKeys:
             PINNED["default"]
         )
 
-    def test_grading_config_resume_prefixes(self, parts):
-        name, digest, _ = parts
-        assert GradingConfig(timeout_s=45.0).prefixes(name, digest) == (
-            f"{_PINNED_PREFIX}:cegismin:t45:", f"{_PINNED_PREFIX}:static:"
-        )
-        assert GradingConfig("enumerative", 45.0).prefixes(name, digest) == (
-            f"{_PINNED_PREFIX}:enumerative:t45:", f"{_PINNED_PREFIX}:static:"
-        )
-
     def test_grading_config_value_semantics(self):
         config = GradingConfig("enumerative", 12.0, "interp")
         assert pickle.loads(pickle.dumps(config)) == config
@@ -204,9 +195,6 @@ class TestPinnedKeys:
         monkeypatch.setenv(var, "maybe")
         config = GradingConfig(timeout_s=45.0)
         assert config.key(*parts) == PINNED["default"]
-        assert config.prefixes(*parts[:2]) == (
-            f"{_PINNED_PREFIX}:cegismin:t45:", f"{_PINNED_PREFIX}:static:"
-        )
 
     def test_service_key_matches_the_batch_runner(self):
         problem = get_problem("iterPower-6.00x")
