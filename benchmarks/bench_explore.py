@@ -121,9 +121,7 @@ def _write_explore_json():
 @pytest.fixture(scope="module")
 def problem():
     p = get_problem("compDeriv-6.00x")
-    verifier = BoundedVerifier(p.spec)
-    verifier.inputs  # materialize once for every workload
-    return p, verifier
+    return p, BoundedVerifier(p.spec)
 
 
 def _space(problem, verifier, tilde, registry):

@@ -48,7 +48,7 @@ import time
 import pytest
 
 from benchmarks.conftest import capture_blocked_regions, run_stamp
-from repro.compile import compile_program
+from repro.compile import BACKEND, compile_program
 from repro.core.rewriter import rewrite_submission
 from repro.eml import apply_error_model, parse_error_model
 from repro.engines import BoundedVerifier, CandidateSpace, CegisMinEngine
@@ -239,14 +239,14 @@ def _blocked_regions(problem, index, count):
     verifier = BoundedVerifier(problem.spec)
     pairs, result = capture_blocked_regions(problem, verifier, tilde, registry)
     assert result.status == "no_fix"
-    space = CandidateSpace(
-        tilde,
-        problem.spec.student_function,
-        verifier.candidate_fuel,
-        registry=registry,
-        backend="compiled",
-        compare_stdout=problem.spec.compare_stdout,
-    )
+    with BACKEND.using("compiled"):
+        space = CandidateSpace(
+            tilde,
+            problem.spec.student_function,
+            verifier.candidate_fuel,
+            registry=registry,
+            compare_stdout=problem.spec.compare_stdout,
+        )
     return space, pairs[:count]
 
 
@@ -363,14 +363,14 @@ def _cegis_blocked_cubes():
 
     HoleEncoding.block_cube = recording
     try:
-        result = CegisMinEngine(explorer=True).solve(
-            tilde,
-            registry,
-            problem.spec,
-            BoundedVerifier(problem.spec),
-            timeout_s=120,
-            backend="compiled",
-        )
+        with BACKEND.using("compiled"):
+            result = CegisMinEngine(explorer=True).solve(
+                tilde,
+                registry,
+                problem.spec,
+                BoundedVerifier(problem.spec),
+                timeout_s=120,
+            )
     finally:
         HoleEncoding.block_cube = block_cube
     assert result.status == "no_fix"

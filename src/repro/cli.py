@@ -795,11 +795,11 @@ def main(argv: Optional[list] = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    # Process defaults: each GradingConfig resolves them once.
+    # Process settings, set before anything is built: every executor
+    # reads the backend when it is built, and pool workers inherit both.
     if args.backend is not None:
         BACKEND.set(args.backend)
     if args.obs is not None:
-        # Telemetry stays a process default: batch/serve workers inherit it.
         OBS.set(args.obs)
     handlers = {
         "problems": cmd_problems,

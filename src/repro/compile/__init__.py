@@ -12,8 +12,9 @@ switching candidates is an array write, with zero recompilation.
 Semantics are bit-identical to :mod:`repro.mpy.interp` by construction
 (operator semantics are the interpreter's own methods, borrowed by the
 :class:`~repro.compile.runtime.Machine`) and by the differential suite in
-``tests/compile/``. :mod:`.backend` selects between the two substrates
-(``REPRO_BACKEND`` / CLI ``--backend`` escape hatch).
+``tests/compile/``. :data:`.backend.BACKEND`, a process setting
+(``REPRO_BACKEND`` / CLI ``--backend``), selects between the two
+substrates; every executor reads it when it is built.
 """
 
 from repro.compile.backend import BACKEND, BACKENDS, COMPILED, INTERP
@@ -21,15 +22,15 @@ from repro.compile.compiler import CompiledProgram, compile_program
 from repro.compile.runtime import CompiledClosure, Frame, Machine
 
 
-def make_executor(module, fuel, backend=None):
+def make_executor(module, fuel):
     """An ``Interpreter``-compatible executor (``.call`` + ``.fuel``).
 
     Used wherever a plain MPY module is executed repeatedly (the
     verifier's reference side, submission grading): returns a
     :class:`CompiledProgram` or a tree-walking ``Interpreter`` according
-    to the selected backend.
+    to the process's :data:`BACKEND` now.
     """
-    if BACKEND.resolve(backend) == COMPILED:
+    if BACKEND.default() == COMPILED:
         return compile_program(module, fuel=fuel)
     from repro.mpy.interp import Interpreter
 

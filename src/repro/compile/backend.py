@@ -9,7 +9,9 @@ Two substrates execute (M̃)PY programs:
   holds the compiler to).
 
 :data:`BACKEND` is set by the CLI's ``--backend`` flag or the
-``REPRO_BACKEND`` environment variable (see :mod:`repro.settings`).
+``REPRO_BACKEND`` environment variable (see :mod:`repro.settings`): a
+process setting, read by every executor when it is built and inherited
+by forked pool workers. No verdict and no cache key depends on it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.compile import make_executor
+from repro.compile import BACKEND, make_executor
 from repro.core.feedback import (
     FeedbackGenerator,
     FeedbackItem,
@@ -135,7 +135,8 @@ _HOT_LOCK = threading.Lock()
 def _verifier_cache(spec: ProblemSpec) -> BoundedVerifier:
     ref = _VERIFIERS.get(spec)
     verifier = ref() if ref is not None else None
-    if verifier is None:
+    # A verifier built before a switch of BACKEND is replaced, not used.
+    if verifier is None or verifier.backend != BACKEND.default():
         verifier = BoundedVerifier(spec)
         _VERIFIERS[spec] = weakref.ref(verifier)
     with _HOT_LOCK:
@@ -193,15 +194,13 @@ def generate_feedback(
     engine: Optional[Engine] = None,
     timeout_s: float = 60.0,
     verifier: Optional[BoundedVerifier] = None,
-    backend: Optional[str] = None,
     deadline: Optional[Deadline] = None,
 ) -> FeedbackReport:
     """Run the full pipeline on one student submission.
 
-    ``backend`` pins the execution substrate for this call — candidate
-    side via ``Engine.solve(backend=...)``, reference side via a
-    non-cached ``BoundedVerifier(backend=...)`` when no verifier is
-    supplied. ``None`` defers to the process default everywhere.
+    Candidates run on the process's :data:`~repro.compile.BACKEND`, and
+    the reference on the one ``verifier`` was built on (by default the
+    process-wide verifier of ``spec`` for the current backend).
 
     ``deadline`` carries the request's end-to-end budget into the solve
     (queue wait already spent from it); ``None`` starts a fresh
@@ -251,14 +250,7 @@ def generate_feedback(
         return report(status, detail=str(parse_error))
 
     if verifier is None:
-        # The process-wide cache only holds default-substrate verifiers;
-        # an explicit backend gets its own (reference outcomes agree
-        # either way — the differential suite pins the substrates equal).
-        verifier = (
-            _verifier_cache(spec)
-            if backend is None
-            else BoundedVerifier(spec, backend=backend)
-        )
+        verifier = _verifier_cache(spec)
 
     try:
         tilde, registry = rewrite_submission(module, spec, model)
@@ -278,7 +270,6 @@ def generate_feedback(
         spec,
         verifier,
         timeout_s=timeout_s,
-        backend=backend,
         deadline=deadline,
     )
     book("solve")

@@ -1,8 +1,8 @@
 """Common engine interface, result type, and the candidate space.
 
 :class:`CandidateSpace` is the engines' shared view of one M̃PY search
-space: the tilde module, its hole registry, and an execution substrate
-(compiled closures by default, the tree-walker as escape hatch). It
+space: the tilde module, its hole registry, and one recording runner
+(compiled closures by default, the tree-walker under ``interp``). It
 serves both access patterns the engines need:
 
 - **per-candidate** — :meth:`CandidateSpace.outcome` runs one assignment
@@ -31,7 +31,7 @@ from repro.explore import (
     outcome_of,
 )
 from repro.mpy import nodes as N
-from repro.symbolic.recorder import InterpPathRunner, RecordingInterpreter
+from repro.symbolic.recorder import InterpPathRunner
 from repro.tilde.nodes import HoleRegistry
 
 if TYPE_CHECKING:
@@ -80,10 +80,6 @@ class EngineResult:
         return self.status == FIXED
 
 
-def _has_top_level_state(module: N.Module) -> bool:
-    return any(not isinstance(stmt, N.FuncDef) for stmt in module.body)
-
-
 class _ProgramPathRunner:
     """Adapts a :class:`~repro.compile.compiler.CompiledProgram` to the
     forker's two-method runner protocol (entry point bound once)."""
@@ -93,6 +89,10 @@ class _ProgramPathRunner:
     def __init__(self, program, function: str):
         self.program = program
         self.function = function
+
+    @property
+    def fuel(self) -> int:
+        return self.program.fuel
 
     def run_recorded(self, args: tuple, assignment: Dict[int, int]):
         return self.program.run_recorded(self.function, args, assignment)
@@ -104,12 +104,11 @@ class _ProgramPathRunner:
 class CandidateSpace:
     """One M̃PY candidate space, executable and explorable.
 
-    Under the default ``compiled`` backend the module is lowered to
-    closures exactly once; switching candidates is an assignment-array
-    write (zero recompilation). The ``interp`` backend is the tree-walker
-    escape hatch, reusing one interpreter when the module carries no
-    top-level state. ``backend=None`` defers to the process default
-    (:data:`repro.compile.BACKEND`).
+    One recording runner, built on the process's
+    :data:`~repro.compile.BACKEND`, serves the per-candidate runs and
+    the path forker alike: the compiled program (lowered to closures
+    once; switching candidates is an assignment-array write) or the
+    tree-walker's :class:`~repro.symbolic.recorder.InterpPathRunner`.
     """
 
     def __init__(
@@ -118,21 +117,15 @@ class CandidateSpace:
         function: str,
         fuel: int,
         registry: Optional[HoleRegistry] = None,
-        backend: Optional[str] = None,
         compare_stdout: bool = False,
     ):
-        self.tilde = tilde
-        self.function = function
         self.fuel = fuel
         self.registry = registry
         self.compare_stdout = compare_stdout
-        self.backend = BACKEND.resolve(backend)
-        self.stateful = _has_top_level_state(tilde)
-        self._interp: Optional[RecordingInterpreter] = None
-        self._program = (
-            compile_program(tilde, fuel=fuel)
-            if self.backend == COMPILED
-            else None
+        self.runner = (
+            _ProgramPathRunner(compile_program(tilde, fuel=fuel), function)
+            if BACKEND.default() == COMPILED
+            else InterpPathRunner(tilde, function, fuel)
         )
         self._forker: Optional[PathForker] = None
         #: Telemetry: direct candidate executions through :meth:`run` and
@@ -147,7 +140,6 @@ class CandidateSpace:
         registry: HoleRegistry,
         spec: "ProblemSpec",
         verifier,
-        backend: Optional[str] = None,
     ) -> "CandidateSpace":
         """The space one engine solve searches: ``spec``'s entry point
         and stdout rule, run on the verifier's calibrated fuel."""
@@ -156,7 +148,6 @@ class CandidateSpace:
             spec.student_function,
             verifier.candidate_fuel,
             registry=registry,
-            backend=backend,
             compare_stdout=spec.compare_stdout,
         )
 
@@ -166,38 +157,15 @@ class CandidateSpace:
         """Run one candidate on one input; the cube record covers the
         whole run (top-level re-execution included)."""
         self.run_count += 1
+        runner = self.runner
         try:
-            if self._program is not None:
-                return self._program.run_recorded(
-                    self.function, args, assignment
-                )
-            if self.stateful or self._interp is None:
-                # Two-phase construction: __init__ executes the module top
-                # level and can raise; installing the instance first keeps
-                # its partial touch record readable through cube() (callers
-                # treat the raise as this run's error outcome and then read
-                # the failing path's cube).
-                interp = RecordingInterpreter.__new__(RecordingInterpreter)
-                self._interp = interp
-                interp.__init__(self.tilde, assignment, fuel=self.fuel)
-                return interp.call(self.function, args)
-            return self._interp.run(
-                self.function, args, assignment=assignment
-            )
+            return runner.run_recorded(args, assignment)
         finally:
-            executor = (
-                self._program if self._program is not None else self._interp
-            )
-            remaining = getattr(executor, "fuel", None)
-            if isinstance(remaining, int):
-                self.fuel_consumed += self.fuel - max(0, remaining)
+            self.fuel_consumed += self.fuel - max(0, runner.fuel)
 
     def cube(self) -> Dict[int, int]:
         """The holes the last :meth:`run` read, insertion-ordered."""
-        if self._program is not None:
-            return self._program.cube()
-        assert self._interp is not None
-        return self._interp.cube()
+        return self.runner.cube()
 
     def outcome(self, assignment: Dict[int, int], args: tuple) -> Outcome:
         """The observable outcome of one candidate on one input."""
@@ -226,14 +194,8 @@ class CandidateSpace:
                     "CandidateSpace with registry="
                 )
             arity, cost = domains_from_registry(self.registry)
-            if self._program is not None:
-                runner = _ProgramPathRunner(self._program, self.function)
-            else:
-                runner = InterpPathRunner(
-                    self.tilde, self.function, self.fuel
-                )
             self._forker = PathForker(
-                runner, arity, cost, compare_stdout=self.compare_stdout
+                self.runner, arity, cost, compare_stdout=self.compare_stdout
             )
         return self._forker
 
@@ -302,15 +264,12 @@ class Engine(abc.ABC):
         spec: ProblemSpec,
         verifier,
         timeout_s: float = 60.0,
-        backend: Optional[str] = None,
         deadline: Optional["Deadline"] = None,
     ) -> EngineResult:
         """Find a minimal-cost hole assignment equivalent to the reference.
 
-        ``backend`` pins the candidate-side execution substrate for this
-        solve (``None`` = process default), mirroring the ``backend=``
-        the :class:`~repro.engines.verify.BoundedVerifier` already takes
-        for the reference side.
+        Candidates run on the process's :data:`~repro.compile.BACKEND`
+        (see :class:`CandidateSpace`).
 
         ``deadline`` is the request's end-to-end
         :class:`~repro.resilience.deadline.Deadline`; when given it caps

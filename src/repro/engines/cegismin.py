@@ -105,14 +105,11 @@ class CegisMinEngine(Engine):
         spec: ProblemSpec,
         verifier: BoundedVerifier,
         timeout_s: float = 60.0,
-        backend: Optional[str] = None,
         deadline: Optional["Deadline"] = None,
     ) -> EngineResult:
         start = time.monotonic()
         deadline = solve_deadline(start, timeout_s, deadline)
-        space = CandidateSpace.for_solve(
-            tilde, registry, spec, verifier, backend
-        )
+        space = CandidateSpace.for_solve(tilde, registry, spec, verifier)
 
         solver = Solver()
         encoding = HoleEncoding(solver, registry)

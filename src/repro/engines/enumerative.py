@@ -152,14 +152,11 @@ class EnumerativeEngine(Engine):
         spec: ProblemSpec,
         verifier: BoundedVerifier,
         timeout_s: float = 60.0,
-        backend: Optional[str] = None,
         deadline: Optional["Deadline"] = None,
     ) -> EngineResult:
         start = time.monotonic()
         deadline = solve_deadline(start, timeout_s, deadline)
-        space = CandidateSpace.for_solve(
-            tilde, registry, spec, verifier, backend
-        )
+        space = CandidateSpace.for_solve(tilde, registry, spec, verifier)
         cex_cache: List[tuple] = list(verifier.seed_inputs(self.seed_inputs))
         #: Parallel to ``cex_cache``: the input's exploration table (None
         #: when untabled — ``explorer=False`` / too large) and its reference

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import time
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.compile import make_executor
+from repro.compile import BACKEND, make_executor
 
 # The outcome format lives in the explore layer (tables compare leaves
 # against reference outcomes); re-exported here for the engine-side API.
@@ -84,47 +84,37 @@ def hashable_args(args: tuple):
 class BoundedVerifier:
     """Precomputed reference outcomes + candidate sweeps for one problem.
 
-    ``backend`` selects the reference-side execution substrate (compiled
-    closures by default; ``None`` defers to the process-wide default).
+    The table is built at construction, on the process's
+    :data:`~repro.compile.BACKEND` then (``backend``).
     """
 
-    def __init__(self, spec: ProblemSpec, backend: Optional[str] = None):
+    def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        self.backend = backend
-        self._inputs: Optional[List[tuple]] = None
+        self.backend = BACKEND.default()
+        reference = make_executor(spec.reference_module(), spec.fuel)
+        self.inputs: List[tuple] = []
         #: ``(args, frozen key, expected outcome)`` triples, parallel to
-        #: ``self._inputs`` — keys are computed once here so candidate
+        #: ``self.inputs`` — keys are computed once here so candidate
         #: sweeps never re-freeze inputs.
         self._triples: List[tuple] = []
         self._expected: dict = {}
         self._max_reference_steps = 0
-
-    # -- reference side ------------------------------------------------------
-
-    def _materialize(self) -> None:
-        if self._inputs is not None:
-            return
-        reference = make_executor(
-            self.spec.reference_module(),
-            fuel=self.spec.fuel,
-            backend=self.backend,
-        )
-        inputs: List[tuple] = []
-        for args in sorted(self.spec.input_space(), key=_input_size_key):
+        for args in sorted(spec.input_space(), key=_input_size_key):
             outcome = outcome_of(
-                lambda: reference.call(self.spec.function, args),
-                self.spec.compare_stdout,
+                lambda: reference.call(spec.function, args),
+                spec.compare_stdout,
             )
             self._max_reference_steps = max(
-                self._max_reference_steps, self.spec.fuel - reference.fuel
+                self._max_reference_steps, spec.fuel - reference.fuel
             )
             if outcome[0] == ERROR:
                 continue  # outside the problem's precondition
             key = hashable_args(args)
-            inputs.append(args)
+            self.inputs.append(args)
             self._triples.append((args, key, outcome))
             self._expected[key] = outcome
-        self._inputs = inputs
+
+    # -- reference side ------------------------------------------------------
 
     @property
     def candidate_fuel(self) -> int:
@@ -136,17 +126,9 @@ class BoundedVerifier:
         student loops (``i += 0``) fail in microseconds instead of
         exhausting a fixed multi-thousand-step budget on every run.
         """
-        self._materialize()
         return min(self.spec.fuel, max(512, 16 * self._max_reference_steps))
 
-    @property
-    def inputs(self) -> List[tuple]:
-        self._materialize()
-        assert self._inputs is not None
-        return self._inputs
-
     def expected(self, args: tuple) -> Outcome:
-        self._materialize()
         return self._expected[hashable_args(args)]
 
     def seed_inputs(self, count: int) -> List[tuple]:
@@ -167,7 +149,6 @@ class BoundedVerifier:
         Returns None when the candidate matches on the whole bounded space.
         Raises TimeoutError when ``deadline`` (time.monotonic) passes.
         """
-        self._materialize()
         seen = set()
         for args in priority:
             key = hashable_args(args)
@@ -205,7 +186,6 @@ class BoundedVerifier:
         stopped — so degraded records are byte-identical across
         executors and retries.
         """
-        self._materialize()
         failing: List[dict] = []
         for args, _key, expected in self._triples[:max_inputs]:
             try:

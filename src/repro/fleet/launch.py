@@ -8,9 +8,9 @@ launched with a stable ``--node-id`` and optionally a shared
 placed on the router's hash ring.
 
 Every backend grades under the launcher's
-:class:`~repro.service.cache.GradingConfig`, so every node derives the
-keys the launcher would: the config's ``--backend`` (and the launcher's
-``--obs``) precede ``serve`` on its command line, and
+:class:`~repro.service.cache.GradingConfig` and settings, so every node
+derives the keys the launcher would: the launcher's ``--backend`` and
+``--obs`` precede ``serve`` on its command line, and the config's
 ``--engine``/``--timeout`` follow it.
 
 The same pieces serve the tests and benchmarks: :func:`start_fleet`
@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import IO, Deque, List, Optional, Sequence
 
 import repro
+from repro.compile import BACKEND
 from repro.fleet.router import FleetRouter
 from repro.obs import OBS
 from repro.server.client import FeedbackClient
@@ -98,7 +99,7 @@ class BackendProcess:
             sys.executable,
             "-m",
             "repro.cli",
-            "--backend", str(config.backend),
+            "--backend", BACKEND.default(),
             "--obs", "on" if OBS.default() else "off",
             "serve",
             "--host",

@@ -86,8 +86,8 @@ def run_problem(
     The corpus goes through the batch grading service: duplicate (and
     α-renamed) submissions are solved once, and ``jobs > 1`` fans the
     distinct ones out over the served worker pool, which triages before
-    it grades. The execution backend is the process default (the CLI's
-    ``--backend``).
+    it grades. Every grading, pool workers' included, runs on the
+    process's execution backend (the CLI's ``--backend``).
     """
     if corpus is None:
         corpus = generate_corpus(

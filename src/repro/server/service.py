@@ -49,6 +49,7 @@ from typing import Dict, Optional, Tuple
 from concurrent.futures import Future
 
 from repro.analysis.triage import triage_record
+from repro.compile import BACKEND
 from repro.engines import ENGINES
 from repro.obs import (
     OBS,
@@ -60,7 +61,7 @@ from repro.obs import (
 )
 from repro.obs.events import grading_event
 from repro.resilience.breaker import HALF_OPEN, OPEN, BreakerBoard
-from repro.resilience.deadline import Deadline
+from repro.resilience.deadline import Deadline, budget as checked_budget
 from repro.resilience.degrade import submission_failing_tests
 from repro.server.warm import Warmup, warm_registry
 from repro.service.cache import GradingConfig, ResultCache, static_key
@@ -139,11 +140,8 @@ class ThreadExecutor:
         source: str,
         config: GradingConfig,
         request_id: str = "",
-        deadline: Optional[Deadline] = None,
     ) -> dict:
-        record = grade_record(
-            self._warmup[problem], source, config, deadline=deadline
-        )
+        record = grade_record(self._warmup[problem], source, config)
         if OBS.default():
             observe_grading(record, config.engine)
         return record
@@ -271,8 +269,11 @@ class FeedbackService:
 
         ``request_id`` is the caller-supplied trace id (the HTTP layer
         forwards ``X-Request-Id``); one is generated when observability
-        is on and the caller sent none.
+        is on and the caller sent none. A ``timeout_s`` out of
+        :func:`~repro.resilience.deadline.budget`'s bound raises first.
         """
+        if timeout_s is not None:
+            timeout_s = checked_budget(timeout_s)
         started = time.monotonic()
         obs_on = OBS.default()
         request_id = request_id or (new_request_id() if obs_on else "")
@@ -536,7 +537,7 @@ class FeedbackService:
             "queue_limit": self.queue_limit,
             "active": active,
             "queued": queued,
-            "backend": self.config.backend,
+            "backend": BACKEND.default(),
             "executor": executor_info,
             "by_status": by_status,
             "avg_grade_s": round(avg_grade_s, 4),
@@ -717,14 +718,14 @@ class FeedbackService:
                 record = self._queue_timeout_record(warm, source)
                 self.breakers.record(breaker_keys, failure=True)
                 return record, False
-            # Ship the *remaining* budget, not the requested one: across
-            # the worker pipe monotonic instants mean nothing, so the
-            # config's shrunk timeout_s is the deadline's travel form.
-            # In-process executors additionally get the deadline itself.
+            # Hand over the *remaining* budget, not the requested one: the
+            # config's shrunk timeout_s is the deadline's one travel form
+            # (across the worker pipe monotonic instants mean nothing),
+            # and the grading restarts its clock from it.
             config = self.config.override(engine, min(budget, remaining))
             try:
                 record = self._executor.grade(
-                    warm.name, source, config, request_id, deadline=deadline
+                    warm.name, source, config, request_id
                 )
             except Exception as exc:
                 # Executors return error records themselves; this catches

@@ -16,10 +16,11 @@ only ever read that state — and doubles as a startup self-test: a problem
 whose reference does not come back ``already_correct`` is misconfigured
 and refuses to serve.
 
-Both run under the serving :class:`~repro.service.cache.GradingConfig`,
-so the self-test covers, and warms, what requests grade under, and both
-run once per serving process, in the parent: a process-executor pool
-forks from the warm, primed problems, so no worker warms or primes.
+Both run under the serving :class:`~repro.service.cache.GradingConfig`
+and backend, so the self-test covers, and warms, what requests grade
+under, and both run once per serving process, in the parent: a
+process-executor pool forks from the warm, primed problems, so no
+worker warms or primes.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ class WarmProblem:
     problem: Problem
     model: ErrorModel
     model_digest: str
-    #: Reference-outcome table, fully materialized (``verifier.inputs``
-    #: forced); request threads share it read-only.
+    #: Reference-outcome table; request threads share it read-only.
     verifier: BoundedVerifier
-    backend: str
     warm_time_s: float = 0.0
     #: Wall time of the priming grade (0.0 when priming was skipped).
     prime_time_s: float = 0.0
@@ -77,7 +76,7 @@ class WarmProblem:
             "rules": len(self.model),
             "model_digest": self.model_digest,
             "inputs": len(self.verifier.inputs),
-            "backend": self.backend,
+            "backend": self.verifier.backend,
             "warm_time_s": round(self.warm_time_s, 4),
             "prime_time_s": round(self.prime_time_s, 4),
             "primed": self.primed,
@@ -107,15 +106,12 @@ def warm_problem(
         model = problem.model  # parses + checks the .eml file (lru-cached)
     digest = model_digest(model)
     if verifier is None:
-        verifier = BoundedVerifier(spec, backend=config.backend)
-    verifier.inputs  # materialize the reference-outcome table
-    verifier.candidate_fuel  # and the calibrated candidate budget
+        verifier = BoundedVerifier(spec)
     warm = WarmProblem(
         problem=problem,
         model=model,
         model_digest=digest,
         verifier=verifier,
-        backend=config.backend,
         warm_time_s=time.perf_counter() - started,
     )
     if prime:
@@ -127,7 +123,6 @@ def warm_problem(
             engine=engine_by_name(config.engine),
             timeout_s=PRIME_TIMEOUT_S,
             verifier=verifier,
-            backend=config.backend,
         )
         if report.status != ALREADY_CORRECT:
             raise WarmupError(

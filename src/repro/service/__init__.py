@@ -11,8 +11,7 @@ of trivially-reformatted resubmissions. This package turns
   α-renamed AST hashing so duplicate and renamed submissions coincide;
 - :mod:`repro.service.cache` — the in-memory content-addressed result
   cache and :class:`~repro.service.cache.GradingConfig`, the one grading
-  configuration (engine, budget, backend) and the one place its keys are
-  derived;
+  configuration (engine, budget) and the one place its keys are derived;
 - :mod:`repro.service.records` — JSON-serializable feedback records;
 - :mod:`repro.service.jobstore` — JSONL persistence with batch resume;
 - :mod:`repro.service.store` — the only on-disk result format: one

@@ -23,8 +23,8 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from repro.compile import BACKEND
 from repro.engines import DEFAULT_ENGINE, DEFAULT_TIMEOUT_S, ENGINES
+from repro.resilience.deadline import budget
 
 
 def cache_key(
@@ -61,24 +61,21 @@ def static_key(problem: str, model_digest: str, canonical: str) -> str:
 
 @dataclass(frozen=True)
 class GradingConfig:
-    """What fixes a verdict besides the problem and the submission.
-
-    ``None`` for ``backend`` means the process default (CLI flag, else
-    environment, else built-in), resolved here: an instance holds
-    resolved values only, so its keys and the gradings it configures
-    agree in every process it is pickled to.
+    """What fixes a verdict besides the problem and the submission: the
+    engine, and the solve budget, held to a request's bound
+    (:func:`~repro.resilience.deadline.budget`). The execution backend
+    is a process setting, not a field: it changes no verdict and no key.
     """
 
     engine: str = DEFAULT_ENGINE
     timeout_s: float = DEFAULT_TIMEOUT_S
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        object.__setattr__(self, "backend", BACKEND.resolve(self.backend))
+        object.__setattr__(self, "timeout_s", budget(self.timeout_s))
 
     def key(
         self, problem: str, model_digest: str, canonical: str,

@@ -83,8 +83,15 @@ class JobStore:
     ) -> None:
         """Persist one result, flushed and fsynced so a crash cannot lose it."""
         entry = {"id": submission_id, "key": key, "report": record}
+        line = json.dumps(entry).encode("utf-8") + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(entry) + "\n")
+        with self.path.open("a+b") as handle:
+            # Seal a torn tail first, as ResultStore.append_many does: a
+            # line a crash left unfinished must not swallow this one.
+            if handle.seek(0, os.SEEK_END) > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())

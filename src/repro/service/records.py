@@ -188,7 +188,7 @@ def record_to_report(record: dict) -> FeedbackReport:
 #: Record keys that vary run to run: raw timing, and the telemetry block
 #: (stage timings + engine depth counters) attached when observability is
 #: on. Everything else is deterministic for a given (problem, model,
-#: engine, budget, backend) configuration.
+#: engine, budget) configuration, on either execution backend.
 NONDETERMINISTIC_KEYS = frozenset({"wall_time", "metrics"})
 
 

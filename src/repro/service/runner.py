@@ -25,7 +25,8 @@ half the class shares is solved once) is why dedup is the default. The
 representative is the first copy in input order at any ``jobs``: with
 ``jobs > 1`` the copies sharing a cache key go to one client thread,
 first copy first, so the rest are cache hits that never hold a thread
-while it grades, and the pool has no more workers than distinct keys.
+while it grades, and the pool has no more workers than distinct keys
+the cache cannot answer (with none, the run grades in-thread).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.api import TIMEOUT as TIMEOUT_STATUS
 from repro.core.api import FeedbackReport, _verifier_cache
@@ -130,8 +131,8 @@ class BatchRunner:
         self.problem = problem
         self.model = model if model is not None else problem.model
         self.jobs = jobs
-        #: Resolved once here (the backend from the process default
-        #: *now*), so the resume keys and every run's gradings agree.
+        #: Built once here, so the resume keys and every run's gradings
+        #: agree.
         self.config = GradingConfig(engine or DEFAULT_ENGINE, timeout_s)
         self.cache = cache if cache is not None else ResultCache()
         self.store = store
@@ -206,15 +207,19 @@ class BatchRunner:
 
         if pending:
             copies: Dict[str, List[int]] = {}
+            unanswered: Set[str] = set()
             if self.jobs > 1:
                 for index in pending:
-                    key = self._keys(batch[index].source)[0]
-                    copies.setdefault(key, []).append(index)
-            # A client thread per distinct submission, up to ``jobs``, and a
-            # pool worker per client thread: a copy is a cache hit on its
-            # representative's thread.
-            workers = min(self.jobs, len(copies)) if copies else 1
-            service = self._service(jobs=workers)
+                    graded, static = self._keys(batch[index].source)
+                    copies.setdefault(graded, []).append(index)
+                    if graded not in self.cache and static not in self.cache:
+                        unanswered.add(graded)
+            # A pool worker per distinct submission the cache cannot
+            # answer, up to ``jobs``, and a client thread per worker: a
+            # copy is a cache hit on its representative's thread. With
+            # nothing to grade the run stays in-thread.
+            workers = min(self.jobs, len(unanswered))
+            service = self._service(workers)
 
             def grade(indices: List[int]) -> None:
                 for index in indices:
@@ -222,7 +227,7 @@ class BatchRunner:
                     settle(index, outcome.record, outcome.key, outcome)
 
             try:
-                if self.jobs == 1:
+                if not workers:
                     grade(pending)
                 else:
                     clients = ThreadPoolExecutor(workers)
@@ -239,8 +244,9 @@ class BatchRunner:
         self.stats.wall_time = time.monotonic() - started
         return [results[index] for index in range(len(batch))]
 
-    def _service(self, jobs: int) -> "FeedbackService":
-        """The one-problem service a run grades through."""
+    def _service(self, workers: int) -> "FeedbackService":
+        """The one-problem service a run grades through: a pool of
+        ``workers`` processes, or the thread executor for none."""
         # Cycle break: repro.server imports this package.
         from repro.server.service import FeedbackService
         from repro.server.warm import Warmup, warm_problem
@@ -254,12 +260,12 @@ class BatchRunner:
         )
         return FeedbackService(
             warmup=Warmup(problems={self.problem.name: warm}),
-            jobs=jobs,
+            jobs=max(1, workers),
             queue_limit=0,  # at most ``jobs`` requests are ever in flight
             cache=self.cache,
             config=self.config,
             # Explicit, so REPRO_EXECUTOR cannot make a serial batch a pool.
-            executor=THREAD if self.jobs == 1 else PROCESS,
+            executor=PROCESS if workers else THREAD,
             # No breakers: a run of timeouts on one problem must not turn
             # the rest of a corpus into degraded records.
             breaker_threshold=0,

@@ -22,11 +22,13 @@ solve. This module owns the way a grading actually runs:
 
 The thread executor (grade on the calling request thread) lives next to
 :class:`~repro.server.service.FeedbackService`; both satisfy the same
-contract: ``grade(problem, source, config, request_id, deadline) ->
-record``, ``close()``, and ``info()``/``health()`` payloads. ``config``
-is the service's :class:`~repro.service.cache.GradingConfig` under the
-request's engine and remaining budget; it travels with each request on
-the pipe.
+contract: ``grade(problem, source, config, request_id) -> record``,
+``close()``, and ``info()``/``health()`` payloads. ``config`` is the
+service's :class:`~repro.service.cache.GradingConfig` under the
+request's engine and remaining budget, the one form the budget takes
+on its way to a grading; it travels with each request on the pipe. The
+execution backend does not travel: a forked worker inherits its
+parent's :data:`~repro.compile.BACKEND`.
 """
 
 from __future__ import annotations
@@ -96,20 +98,23 @@ def grade_record(
     """Grade one submission against warm per-problem state → record.
 
     The one grading call every executor shares: ``config`` is pinned per
-    call (fresh engine, explicit ``backend=``), never via process-wide
-    defaults, so records are byte-identical whichever executor ran them.
-    A raising grading comes back as an error record, not an exception —
-    one pathological submission must cost its own slot only. It records
-    no metrics: the executor observes the record in the serving process.
+    call (a fresh engine of its name, its budget), so records are
+    byte-identical whichever executor ran them. A raising grading comes
+    back as an error record, not an exception — one pathological
+    submission must cost its own slot only. It records no metrics: the
+    executor observes the record in the serving process.
 
-    ``deadline`` is the request's end-to-end deadline when the grading
-    runs in the requesting process; across the worker pipe only the
-    remaining seconds travel (as the config's shrunk ``timeout_s``) and
-    the worker restarts a local clock here.
+    ``deadline`` is where the grading must stop. ``None`` starts one
+    from ``config.timeout_s`` here, before the chaos seams, so an
+    injected stall spends from it: an executor hands over the budget
+    remaining as the config's ``timeout_s``, and the clock restarts on
+    receipt (a pool worker starts its own as a request lands).
 
     ``drawn`` is the chaos a pool worker's parent drew for this request;
     ``None`` consults the live fault plan here.
     """
+    if deadline is None:
+        deadline = Deadline.after(config.timeout_s)
     try:
         # Chaos seams (zero-cost disarmed): a grading that stalls, and a
         # grading that raises — the two failure shapes every layer above
@@ -127,7 +132,6 @@ def grade_record(
             engine=engine_by_name(config.engine),
             timeout_s=config.timeout_s,
             verifier=warm.verifier,
-            backend=config.backend,
             deadline=deadline,
         )
         return report_to_record(report)
@@ -355,19 +359,13 @@ class ProcessExecutor:
         source: str,
         config: GradingConfig,
         request_id: str = "",
-        deadline: Optional[Deadline] = None,
     ) -> dict:
-        """Dispatch one grading to a free worker.
-
-        ``deadline`` is accepted for executor-contract parity but unused
-        here: monotonic instants do not cross process boundaries, so the
-        service ships the *remaining* budget as the config's shrunk
-        ``timeout_s`` and the worker restarts a local clock.
-        """
+        """Dispatch one grading to a free worker; ``config.timeout_s`` is
+        the budget it has left, and the worker starts its clock from it."""
         if problem not in self._warm:
             raise KeyError(f"no grading worker serves problem {problem!r}")
         handle = self._acquire()
-        window = max(0.0, config.timeout_s) + self.grace_s
+        window = config.timeout_s + self.grace_s
         try:
             try:
                 handle.conn.send(

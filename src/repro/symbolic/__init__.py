@@ -8,6 +8,6 @@ holes the run *read* — the "cube" that generalizes a failing run into a SAT
 blocking clause covering every assignment that agrees on those holes.
 """
 
-from repro.symbolic.recorder import RecordingInterpreter, run_candidate
+from repro.symbolic.recorder import RecordingInterpreter
 
-__all__ = ["RecordingInterpreter", "run_candidate"]
+__all__ = ["RecordingInterpreter"]

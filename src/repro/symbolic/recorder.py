@@ -11,7 +11,7 @@ the SAT solver.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.mpy import nodes as N
 from repro.mpy.interp import DEFAULT_FUEL, Interpreter, RunResult
@@ -81,26 +81,32 @@ class RecordingInterpreter(Interpreter):
 
 
 class InterpPathRunner:
-    """Tree-walker path runner for the explorer (the escape hatch).
+    """Tree-walker path runner: the interpreter backend's recording runner.
 
     Implements the :class:`~repro.explore.forker.PathForker` runner
     protocol on the interpreter backend so the exploration tables stay
-    differential-testable against the compiled substrate. Stateless
-    modules reuse one interpreter; stateful modules rebuild per path so
-    top-level choice reads land in the cube — including when top-level
-    execution itself raises (the instance is kept reachable so its
-    partial touched record is the failing path's cube, mirroring the
-    compiled backend's lazy-error behavior).
+    differential-testable against the compiled substrate; a
+    :class:`~repro.engines.base.CandidateSpace` on this backend runs its
+    single candidates through it too. Stateless modules reuse one
+    interpreter; stateful modules rebuild per path so top-level choice
+    reads land in the cube — including when top-level execution itself
+    raises (the instance is kept reachable so its partial touched record
+    is the failing path's cube, mirroring the compiled backend's
+    lazy-error behavior).
     """
 
     def __init__(self, module: N.Module, function: str, fuel: int):
         self.module = module
         self.function = function
-        self.fuel = fuel
+        self.max_fuel = fuel
         self.stateful = any(
             not isinstance(stmt, N.FuncDef) for stmt in module.body
         )
         self._interp: Optional[RecordingInterpreter] = None
+
+    @property
+    def fuel(self) -> int:
+        return getattr(self._interp, "fuel", self.max_fuel)
 
     def run_recorded(
         self, args: tuple, assignment: Dict[int, int]
@@ -111,7 +117,7 @@ class InterpPathRunner:
             # partial touch record readable through cube().
             interp = RecordingInterpreter.__new__(RecordingInterpreter)
             self._interp = interp
-            interp.__init__(self.module, dict(assignment), fuel=self.fuel)
+            interp.__init__(self.module, dict(assignment), fuel=self.max_fuel)
             return interp.call(self.function, args)
         return self._interp.run(
             self.function, args, assignment=dict(assignment)
@@ -120,29 +126,3 @@ class InterpPathRunner:
     def cube(self) -> Dict[int, int]:
         assert self._interp is not None
         return self._interp.cube()
-
-
-def run_candidate(
-    module: N.Module,
-    function: str,
-    args: tuple,
-    assignment: Dict[int, int],
-    fuel: int = DEFAULT_FUEL,
-    backend: Optional[str] = None,
-) -> Tuple[RunResult, Dict[int, int]]:
-    """One-shot convenience wrapper; returns (result, touched cube).
-
-    ``backend`` picks the execution substrate (process default when
-    ``None``). Repeated-candidate call sites should hold a
-    ``CompiledProgram`` (or a ``RecordingInterpreter``) instead of paying
-    the per-call setup here.
-    """
-    from repro.compile import BACKEND, COMPILED, compile_program
-
-    if BACKEND.resolve(backend) == COMPILED:
-        program = compile_program(module, fuel=fuel)
-        result = program.run(function, args, assignment=assignment)
-        return result, program.cube()
-    interp = RecordingInterpreter(module, assignment, fuel=fuel)
-    result = interp.run(function, args)
-    return result, interp.cube()

@@ -21,9 +21,10 @@ from repro.engines import (
     CegisMinEngine,
     EnumerativeEngine,
 )
+from repro.engines.base import _ProgramPathRunner
 from repro.mpy import parse_program
 from repro.mpy.values import Bounds
-from repro.symbolic.recorder import RecordingInterpreter
+from repro.symbolic.recorder import InterpPathRunner
 
 DERIV_REF = """def computeDeriv_list_int(poly_list_int):
     result = []
@@ -71,19 +72,46 @@ def fig2_space(deriv_spec):
 class TestSelection:
     def test_candidate_space_substrates(self, fig2_space, deriv_spec):
         tilde, registry = fig2_space
-        compiled = CandidateSpace(
-            tilde, "computeDeriv", 1000, registry=registry, backend=COMPILED
-        )
-        assert isinstance(compiled._program, CompiledProgram)
-        walker = CandidateSpace(
-            tilde, "computeDeriv", 1000, registry=registry, backend=INTERP
-        )
-        assert walker._program is None
+        with BACKEND.using(COMPILED):
+            compiled = CandidateSpace(
+                tilde, "computeDeriv", 1000, registry=registry
+            )
+        assert isinstance(compiled.runner, _ProgramPathRunner)
+        assert isinstance(compiled.runner.program, CompiledProgram)
+        with BACKEND.using(INTERP):
+            walker = CandidateSpace(
+                tilde, "computeDeriv", 1000, registry=registry
+            )
+        assert isinstance(walker.runner, InterpPathRunner)
         result_c = compiled.run({}, ([1, 2],))
         result_i = walker.run({}, ([1, 2],))
         assert result_c.value == result_i.value
         assert compiled.cube() == walker.cube()
-        assert isinstance(walker._interp, RecordingInterpreter)
+        assert compiled.fuel_consumed == walker.fuel_consumed > 0
+        # One runner serves the single runs and the forker alike.
+        assert compiled.forker().runner is compiled.runner
+        assert walker.forker().runner is walker.runner
+
+    def test_the_backend_is_fixed_when_an_executor_is_built(
+        self, fig2_space, deriv_spec, monkeypatch
+    ):
+        # Built under interp, a space and a verifier stay interp wherever
+        # they run later: nothing compiles once the block is left.
+        tilde, registry = fig2_space
+        with BACKEND.using(INTERP):
+            space = CandidateSpace(
+                tilde, "computeDeriv", 1000, registry=registry
+            )
+            verifier = BoundedVerifier(deriv_spec)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("compiled after the backend was fixed")
+
+        monkeypatch.setattr(CompiledProgram, "__init__", refuse)
+        assert verifier.backend == INTERP
+        assert verifier.inputs
+        assert space.outcome({}, ([1, 2],))[0] == "ok"
+        assert space.explore(([1, 2],)).leaves
 
 
 class TestEngineEquivalence:
@@ -99,7 +127,7 @@ class TestEngineEquivalence:
         for backend in (COMPILED, INTERP):
             # The runner inside solve() follows the process default.
             with BACKEND.using(backend):
-                verifier = BoundedVerifier(deriv_spec, backend=backend)
+                verifier = BoundedVerifier(deriv_spec)
                 result = make_engine().solve(
                     tilde,
                     registry,
@@ -138,8 +166,11 @@ class TestEngineEquivalence:
             assert grade_submission(source, spec) == "incorrect"
 
     def test_verifier_tables_identical(self, deriv_spec):
-        compiled = BoundedVerifier(deriv_spec, backend=COMPILED)
-        interp = BoundedVerifier(deriv_spec, backend=INTERP)
+        with BACKEND.using(COMPILED):
+            compiled = BoundedVerifier(deriv_spec)
+        with BACKEND.using(INTERP):
+            interp = BoundedVerifier(deriv_spec)
+        assert (compiled.backend, interp.backend) == (COMPILED, INTERP)
         assert compiled.inputs == interp.inputs
         assert compiled.candidate_fuel == interp.candidate_fuel
         assert compiled._expected == interp._expected

@@ -304,11 +304,11 @@ class TestCompiledProgramAPI:
         assert args == [1, 2]
 
     def test_is_compiled_program(self):
-        from repro.compile import make_executor
+        from repro.compile import BACKEND, make_executor
 
-        executor = make_executor(
-            parse_program("def f():\n    return 1\n"), fuel=100,
-            backend="compiled",
-        )
+        with BACKEND.using("compiled"):
+            executor = make_executor(
+                parse_program("def f():\n    return 1\n"), fuel=100
+            )
         assert isinstance(executor, CompiledProgram)
         assert executor.call("f", ()).value == 1

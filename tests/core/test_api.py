@@ -184,3 +184,20 @@ class TestVerifierCache:
             _verifier_cache(b)
         gc.collect()
         assert _verifier_cache(a) is ref()
+
+    def test_a_backend_switch_gets_a_verifier_of_the_new_backend(self):
+        # A cached verifier runs its reference on the backend it was
+        # built on, so a grading after a switch must not be handed it.
+        from repro.compile import BACKEND, COMPILED, INTERP
+        from repro.core.api import _verifier_cache
+
+        with BACKEND.using(COMPILED):
+            compiled = _verifier_cache(SPEC)
+        with BACKEND.using(INTERP):
+            interp = _verifier_cache(SPEC)
+            assert interp is not compiled
+            assert interp.backend == INTERP
+            assert _verifier_cache(SPEC) is interp
+            assert interp.inputs == compiled.inputs
+        with BACKEND.using(COMPILED):
+            assert _verifier_cache(SPEC).backend == COMPILED

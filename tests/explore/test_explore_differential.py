@@ -12,7 +12,7 @@ exploration: the table IS the brute-force sweep, computed path by path.
 
 import pytest
 
-from repro.compile import COMPILED, INTERP
+from repro.compile import BACKEND, COMPILED, INTERP
 from repro.core.rewriter import rewrite_submission
 from repro.engines import BoundedVerifier, CandidateSpace
 from repro.mpy import parse_program
@@ -51,17 +51,16 @@ def workload(request):
     tilde, registry = _bounded_space(problem, corpus.incorrect[0].source)
     verifier = BoundedVerifier(problem.spec)
     inputs = verifier.inputs[:INPUTS_PER_PROBLEM]
-    spaces = {
-        backend: CandidateSpace(
-            tilde,
-            problem.spec.student_function,
-            verifier.candidate_fuel,
-            registry=registry,
-            backend=backend,
-            compare_stdout=problem.spec.compare_stdout,
-        )
-        for backend in (COMPILED, INTERP)
-    }
+    spaces = {}
+    for backend in (COMPILED, INTERP):
+        with BACKEND.using(backend):
+            spaces[backend] = CandidateSpace(
+                tilde,
+                problem.spec.student_function,
+                verifier.candidate_fuel,
+                registry=registry,
+                compare_stdout=problem.spec.compare_stdout,
+            )
     # The brute-force side: every canonical assignment, exactly once
     # (DFS over active holes — no raw-product multiplicity).
     max_cost = sum(1 for i in registry.holes() if not i.free)

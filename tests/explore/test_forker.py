@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.compile import COMPILED, INTERP
+from repro.compile import BACKEND, COMPILED, INTERP
 from repro.engines import CandidateSpace
 from repro.explore import ERROR, OK, ExplorationLimit, PathForker, typed_equal
 from repro.mpy import nodes as N
@@ -31,9 +31,8 @@ def _choice(cid, *sources, free=False):
 
 def _space(module, backend, fn="f", fuel=10_000):
     registry = HoleRegistry().rebuild_from(module)
-    return CandidateSpace(
-        module, fn, fuel, registry=registry, backend=backend
-    )
+    with BACKEND.using(backend):
+        return CandidateSpace(module, fn, fuel, registry=registry)
 
 
 def _fn(*stmts, params=("x",)):

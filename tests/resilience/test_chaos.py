@@ -126,14 +126,14 @@ class TestGradeFaults:
         self, warmup
     ):
         service = make_service(warmup)
-        out = service.grade(PROBLEM, BUGGY, timeout_s=0.0)
+        out = service.grade(PROBLEM, BUGGY, timeout_s=1e-6)
         record = out.record
         assert record["status"] == "timeout"
         assert record["degraded"]["reason"] == "deadline_exhausted_in_queue"
         assert record["degraded"]["failing_tests"]
         # A queue-shortened timeout must never impersonate a full-budget
         # verdict: the identical retry re-enters grading.
-        again = service.grade(PROBLEM, BUGGY, timeout_s=0.0)
+        again = service.grade(PROBLEM, BUGGY, timeout_s=1e-6)
         assert not again.cached
 
 

@@ -128,6 +128,13 @@ class TestJobStoreRecovery:
             if torn and cut > last_start:
                 assert "jobstore_recovered" in caplog.text
             caplog.clear()
+            # The next append (a resumed batch's first result) seals the
+            # torn tail instead of merging into it.
+            store = JobStore(store_file)
+            store.append("fresh", make_record(detail="fresh"), key="fresh")
+            reloaded = store.load()
+            assert "fresh" in reloaded, f"lost the new entry at cut {cut}"
+            assert ("sub-2" in reloaded) == (not torn)
 
     def test_later_lines_supersede_earlier_ones(self, store_file):
         store = JobStore(store_file)

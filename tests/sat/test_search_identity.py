@@ -22,6 +22,7 @@ benchmark ledger on its own.
 
 import pytest
 
+from repro.compile import BACKEND
 from repro.core.api import generate_feedback
 from repro.engines import CegisMinEngine
 from repro.problems import get_problem
@@ -97,14 +98,14 @@ def _grade(problem_name, index, options):
     problem = get_problem(problem_name)
     corpus = generate_corpus(problem, incorrect_count=5, seed=0)
     engine = CegisMinEngine(**{"explorer": True, **options})
-    report = generate_feedback(
-        corpus.incorrect[index].source,
-        problem.spec,
-        problem.model,
-        engine=engine,
-        timeout_s=120,
-        backend="compiled",
-    )
+    with BACKEND.using("compiled"):
+        report = generate_feedback(
+            corpus.incorrect[index].source,
+            problem.spec,
+            problem.model,
+            engine=engine,
+            timeout_s=120,
+        )
     return report.engine_result
 
 

@@ -22,6 +22,8 @@ from types import SimpleNamespace
 import pytest
 
 import repro
+from repro.compile import BACKEND
+from repro.compile.compiler import CompiledProgram
 from repro.problems import get_problem
 from repro.server import FeedbackService, WarmupError, warm_registry
 from repro.server import warm as warm_mod
@@ -48,6 +50,14 @@ class WedgedConn:
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
+
+
+class RefusedWaitConn(WedgedConn):
+    """A connection whose wait for a reply raises, as ``select`` does
+    for a timeout it cannot represent."""
+
+    def poll(self, timeout=None):
+        raise OverflowError("timeout is too large")
 
 
 class TestExecutorResolution:
@@ -119,7 +129,7 @@ class TestProcessExecutor:
         saved = pool.grace_s
         pool.grace_s = 0.05  # don't sit out the real grace period
         try:
-            record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=0.0))
+            record = pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=1e-6))
         finally:
             pool.grace_s = saved
         assert record["status"] == "error"
@@ -153,11 +163,14 @@ class TestProcessExecutor:
 
     def test_a_failed_wait_leaves_no_reply_for_the_next_request(self, pool):
         # The request is on the worker's pipe when the wait for its reply
-        # fails (select refuses a wait this long): the worker goes, so
+        # fails (as select fails a wait it refuses): the worker goes, so
         # its late reply cannot answer the next request.
         recycled_before = pool.info()["recycled"]
+        handle = pool._workers[0]
+        handle.conn = RefusedWaitConn(handle.conn)
         with pytest.raises(OverflowError):
-            pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=1e7))
+            pool.grade("iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0))
+        assert not isinstance(handle.conn, RefusedWaitConn)
         reference = get_problem("iterPower-6.00x").spec.reference_source
         record = pool.grade(
             "iterPower-6.00x", reference, GradingConfig(timeout_s=20.0)
@@ -206,6 +219,37 @@ print(record["status"], record.get("detail", ""))
 @pytest.fixture
 def iterpower_warm():
     return warm_mod.warm_problem(get_problem("iterPower-6.00x"))
+
+
+class TestBackendInheritance:
+    """The execution backend is a process setting: a forked worker
+    inherits its parent's, and no request carries one."""
+
+    @pytest.mark.parametrize(
+        "backend, status", [("interp", "fixed"), ("compiled", "error")]
+    )
+    def test_a_pool_grades_on_the_backend_it_was_forked_under(
+        self, iterpower_warm, monkeypatch, backend, status
+    ):
+        # Compiling is patched to fail in the parent before the fork,
+        # and the pool grades after the setting is restored: nothing on
+        # the pipe names a backend, so a worker forked under interp
+        # grades for real and one forked under compiled hits the patch.
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("compiled in a pool worker")
+
+        monkeypatch.setattr(CompiledProgram, "__init__", refuse)
+        with BACKEND.using(backend):
+            pool = ProcessExecutor([iterpower_warm], workers=1)
+        try:
+            record = pool.grade(
+                "iterPower-6.00x", BUGGY, GradingConfig(timeout_s=20.0)
+            )
+        finally:
+            pool.close()
+        assert record["status"] == status
+        if status == "error":
+            assert "compiled in a pool worker" in record["detail"]
 
 
 class TestWarmInheritance:
@@ -347,6 +391,28 @@ class TestServiceIntegration:
             info = service.stats()["executor"]
             assert info["kind"] == "process"
             assert info["workers"] == 2
+        finally:
+            service.close()
+
+    def test_a_budget_out_of_bounds_is_refused_before_anything(self):
+        # 1e7 s passes no check on its way to the pool's watchdog, whose
+        # wait select refuses: the request must be refused up front, not
+        # answered as an error that costs a worker.
+        warmup = warm_registry(names=["iterPower-6.00x"], prime=False)
+        service = FeedbackService(
+            warmup=warmup,
+            jobs=1,
+            executor="process",
+            config=GradingConfig(timeout_s=20.0),
+        )
+        try:
+            for timeout_s in (1e7, 0, float("nan")):
+                with pytest.raises(ValueError, match="solve budget"):
+                    service.grade("iterPower-6.00x", BUGGY, timeout_s=timeout_s)
+            stats = service.stats()
+            assert (stats["requests"], stats["executor"]["recycled"]) == (0, 0)
+            outcome = service.grade("iterPower-6.00x", BUGGY)
+            assert outcome.record["status"] == "fixed"
         finally:
             service.close()
 

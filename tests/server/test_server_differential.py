@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.compile import BACKEND
 from repro.core.api import generate_feedback
 from repro.engines import BoundedVerifier, engine_by_name
 from repro.problems import all_problems, get_problem
@@ -68,30 +69,32 @@ def canonical_bytes(record: dict) -> bytes:
 
 def direct_record(problem, source: str, backend: str) -> dict:
     """The record the one-shot pipeline produces for this configuration."""
-    report = generate_feedback(
-        source,
-        problem.spec,
-        problem.model,
-        engine=engine_by_name("cegismin"),
-        timeout_s=TIMEOUT_S,
-        verifier=BoundedVerifier(problem.spec, backend=backend),
-        backend=backend,
-    )
+    with BACKEND.using(backend):
+        report = generate_feedback(
+            source,
+            problem.spec,
+            problem.model,
+            engine=engine_by_name("cegismin"),
+            timeout_s=TIMEOUT_S,
+            verifier=BoundedVerifier(problem.spec),
+        )
     return report_to_record(report)
 
 
 @pytest.fixture(scope="module", params=["compiled", "interp"])
 def served(request):
     backend = request.param
-    config = GradingConfig(timeout_s=TIMEOUT_S, backend=backend)
-    warmup = warm_registry(config=config)
-    service = FeedbackService(warmup=warmup, jobs=2, config=config)
-    server = FeedbackHTTPServer(service, port=0)
-    server.serve_in_thread()
-    client = FeedbackClient(port=server.port)
-    yield backend, client
-    client.close()
-    server.shutdown_gracefully()
+    # The server grades on the process's backend for the module's tests.
+    with BACKEND.using(backend):
+        config = GradingConfig(timeout_s=TIMEOUT_S)
+        warmup = warm_registry(config=config)
+        service = FeedbackService(warmup=warmup, jobs=2, config=config)
+        server = FeedbackHTTPServer(service, port=0)
+        server.serve_in_thread()
+        client = FeedbackClient(port=server.port)
+        yield backend, client
+        client.close()
+        server.shutdown_gracefully()
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.problems import get_problem
 from repro.resilience import faults
+from repro.server import service as service_mod
 from repro.server.service import FeedbackService
 from repro.service import BatchItem, BatchRunner, JobStore, ResultCache
 from repro.service.records import comparable_record, report_to_record
@@ -139,6 +140,13 @@ class TestBatchRunner:
         with pytest.raises(ValueError):
             BatchRunner(PROBLEM, jobs=0)
 
+    @pytest.mark.parametrize("timeout_s", [0, float("nan"), 1e7])
+    def test_a_budget_out_of_bounds_is_refused(self, timeout_s):
+        # The bound of --timeout and of a request, checked when the
+        # runner is built: 1e7 s is past what a pool's watchdog can wait.
+        with pytest.raises(ValueError, match="solve budget"):
+            BatchRunner(PROBLEM, jobs=2, timeout_s=timeout_s)
+
     def test_parallel_matches_serial(self):
         serial = BatchRunner(PROBLEM, jobs=1, timeout_s=20)
         parallel = BatchRunner(PROBLEM, jobs=2, timeout_s=20)
@@ -213,6 +221,29 @@ class TestParallelBatchAccounting:
         assert sizes == [1]
         assert runner.stats.graded == 1
         assert runner.stats.dedup_hits == 3
+
+    def test_a_batch_the_cache_answers_forks_no_pool(self, monkeypatch):
+        # Every distinct submission is in the cache, by its graded key
+        # (BUGGY) or by its static key (UNBOUND, triaged under another
+        # engine): nothing is left to grade, so no worker is forked.
+        cache = ResultCache()
+        BatchRunner(PROBLEM, jobs=1, timeout_s=20, cache=cache).run([BUGGY])
+        BatchRunner(ODD, jobs=1, timeout_s=20, cache=cache).run([UNBOUND])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProcessExecutor was built")
+
+        monkeypatch.setattr(service_mod, "ProcessExecutor", refuse)
+        rerun = BatchRunner(PROBLEM, jobs=2, timeout_s=20, cache=cache)
+        results = rerun.run([BUGGY, BUGGY_RENAMED])
+        assert [r.report.status for r in results] == ["fixed", "fixed"]
+        assert (rerun.stats.graded, rerun.stats.cache_hits) == (0, 2)
+        triaged = BatchRunner(
+            ODD, jobs=2, timeout_s=20, engine="enumerative", cache=cache
+        )
+        results = triaged.run([UNBOUND, UNBOUND])
+        assert [r.report.status for r in results] == ["static", "static"]
+        assert triaged.stats.graded == 0
 
     def test_client_threads_lose_no_update(self, tmp_path):
         # More client threads than cores, switching as often as the

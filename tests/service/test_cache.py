@@ -173,20 +173,27 @@ class TestPinnedKeys:
         )
 
     def test_grading_config_value_semantics(self):
-        config = GradingConfig("enumerative", 12.0, "interp")
+        config = GradingConfig("enumerative", 12.0)
         assert pickle.loads(pickle.dumps(config)) == config
         assert config.override(None, 12.0) == config
-        assert config.override(None, 3.0) == GradingConfig(
-            "enumerative", 3.0, "interp"
-        )
+        assert config.override(None, 3.0) == GradingConfig("enumerative", 3.0)
         assert config.override("cegismin", 3.0).engine == "cegismin"
         with pytest.raises(ValueError):
             GradingConfig(engine="magic")
 
-    def test_grading_config_is_engine_budget_and_backend(self):
+    def test_grading_config_is_engine_and_budget(self):
         assert [f.name for f in dataclasses.fields(GradingConfig)] == [
-            "engine", "timeout_s", "backend",
+            "engine", "timeout_s",
         ]
+
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan"), 1e7])
+    def test_grading_config_refuses_a_budget_out_of_bounds(self, timeout_s):
+        # The bound a request and --timeout are held to: a config built
+        # in code cannot carry a budget the pool's watchdog cannot wait.
+        with pytest.raises(ValueError, match="solve budget"):
+            GradingConfig(timeout_s=timeout_s)
+        with pytest.raises(ValueError, match="solve budget"):
+            GradingConfig().override(None, timeout_s)
 
     @pytest.mark.parametrize("var", ["REPRO_EXPLORER", "REPRO_ANALYSIS"])
     def test_retired_env_vars_are_inert(self, parts, monkeypatch, var):

@@ -1,9 +1,30 @@
-"""Tests for the hole-recording interpreter."""
+"""Tests for the hole-recording interpreter.
 
+The single-candidate cases run through a :class:`CandidateSpace` on
+both execution backends: the recording interpreter and the compiled
+program must read, and record, the same holes.
+"""
+
+from repro.compile import BACKEND, BACKENDS
+from repro.engines import CandidateSpace
 from repro.mpy import nodes as N
 from repro.mpy import parse_expression, parse_program
-from repro.symbolic import RecordingInterpreter, run_candidate
+from repro.mpy.interp import DEFAULT_FUEL
+from repro.symbolic import RecordingInterpreter
 from repro.tilde import ChoiceCompare, ChoiceExpr, ChoiceStmt
+
+
+def run_candidate(module, function, args, assignment):
+    """``(result, cube)`` of one run on a fresh candidate space, the
+    same on every backend."""
+    runs = []
+    for backend in BACKENDS:
+        with BACKEND.using(backend):
+            space = CandidateSpace(module, function, DEFAULT_FUEL)
+        runs.append((space.run(assignment, args), space.cube()))
+    compiled, interp = runs
+    assert compiled == interp
+    return compiled
 
 
 def _choice(cid, *sources, free=False):
