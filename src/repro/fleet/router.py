@@ -52,7 +52,6 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from email.message import Message
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,7 +65,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.server import codec
 from repro.server.client import FeedbackClient
-from repro.server.http import JSON_CONTENT_TYPE, JSONRequestHandler
+from repro.server.http import JSON_CONTENT_TYPE, Headers, JSONRequestHandler
 from repro.service.cache import DEFAULT_TIMEOUT_S
 from repro.service.canonical import canonicalize
 from repro.fleet.ring import DEFAULT_VNODES, HashRing, routing_key
@@ -313,7 +312,7 @@ class FleetRouter:
     # -- HTTP serving -------------------------------------------------------
 
     def dispatch(
-        self, method: str, target: str, headers: Message, body: bytes
+        self, method: str, target: str, headers: Headers, body: bytes
     ) -> Response:
         path = target.split("?", 1)[0].rstrip("/") or "/"
         if method == "POST" and path == "/grade":
@@ -362,7 +361,7 @@ class FleetRouter:
                 admissible.append(node)
         return admissible, skipped
 
-    def _grade(self, headers: Message, body: bytes) -> Response:
+    def _grade(self, headers: Headers, body: bytes) -> Response:
         started = time.monotonic()
         try:
             request = codec.decode_grade_request(body)
